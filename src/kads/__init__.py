@@ -18,6 +18,6 @@ from .group_geom import (GroupPoint, ambient_from_local, group_element,
 from .sklyanin import (closed_form_ambient, closed_form_local,
                        closed_form_twisted, poisson_3d, project_2plus1,
                        sklyanin_bracket, verify_table)
-from .ncalg import NCAlgebra, NCPoly, builtin_algebras
+from .ncalg import NCAlgebra, NCPoly, SingularSpecialization, builtin_algebras
 
 __version__ = "0.1.0"

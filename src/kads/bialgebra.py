@@ -195,25 +195,21 @@ def ad_action_trivector(g: LieAlgebra, t: Trivector, m: int) -> Trivector:
     return Trivector(store)
 
 
-def mcybe_residual(g: LieAlgebra, r: Bivector):
-    """Max ad-invariance residual of [[r, r]] over all generators.
-
-    Zero means r solves the modified classical Yang-Baxter equation.
-    """
-    t = schouten(g, r)
-    vals = []
-    for m in range(g.dim):
-        vals.extend(ad_action_trivector(g, t, m).components.values())
-    return components_norm(vals) if vals else 0
-
-
 def mcybe_residual_components(g: LieAlgebra, r: Bivector) -> list:
-    """All ad-invariance residual components (used for constraint extraction)."""
+    """All ad-invariance residual components of [[r, r]] over all generators."""
     t = schouten(g, r)
     comps = []
     for m in range(g.dim):
         comps.extend(ad_action_trivector(g, t, m).components.values())
     return comps
+
+
+def mcybe_residual(g: LieAlgebra, r: Bivector):
+    """Size of the ad-invariance residual of [[r, r]].
+
+    Zero means r solves the modified classical Yang-Baxter equation.
+    """
+    return components_norm(mcybe_residual_components(g, r))
 
 
 def coisotropy_check(g: LieAlgebra, delta: dict, h_indices) -> bool:

@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass
 
@@ -43,7 +44,6 @@ class RunConfig:
     out: str | None = None
     fmt: str = "json"
     inject_fault: bool = False
-    threads: int = 1
 
     def __post_init__(self):
         if self.samples < 1:
@@ -251,9 +251,10 @@ def cmd_nc(cfg: RunConfig) -> dict:
     bundles = ncalg.builtin_algebras()
     for name, bundle in bundles.items():
         alg = bundle["algebra"]
+        residuals = alg.jacobi_residuals()
         checks.append(_check(f"{name}.jacobi_certificate",
-                             alg.jacobi_certificate(), 0))
-        attestations[name] = alg.certificates_json()
+                             alg.jacobi_certificate(residuals), 0))
+        attestations[name] = alg.certificates_json(residuals)
         for cname, (cas, subset) in bundle["casimirs"].items():
             checks.append(_check(f"{name}.casimir.{cname}",
                                  alg.casimir_check(cas, subset), 0))
@@ -322,6 +323,13 @@ COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises ConfigError, and reads "-1e-08" as a value rather than an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise ConfigError(message)
 
@@ -356,8 +364,7 @@ def main(argv=None) -> int:
         cfg = RunConfig(lam=lam, kappa_inv=kappa_inv, twist=args.twist,
                         samples=args.samples, seed=args.seed,
                         tolerance=args.tolerance, out=args.out, fmt=args.fmt,
-                        inject_fault=getattr(args, "inject_fault", False),
-                        threads=int(os.environ.get("KADS_THREADS", "1")))
+                        inject_fault=getattr(args, "inject_fault", False))
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3

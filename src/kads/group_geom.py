@@ -198,13 +198,16 @@ def metric_pullback(x, lam: float) -> np.ndarray:
 # -- invariant vector fields ---------------------------------------------------
 
 
-def _dual_column(m: np.ndarray, dm: np.ndarray):
-    return tuple(Dual(float(m[r, 0]), float(dm[r, 0])) for r in range(5))
+def _tangent(m: np.ndarray, lam: float, i: int, side: str) -> np.ndarray:
+    """d/dt at t = 0 of m exp(t T_i) (side "L") or exp(t T_i) m (side "R")."""
+    a = _gens(lam)[i]
+    return m @ a if side == "L" else a @ m
 
 
-def coset_coordinates(m: np.ndarray, lam: float) -> tuple:
-    """The four coset coordinate functions evaluated on a group matrix."""
-    col = tuple(float(m[r, 0]) for r in range(5))
+def _coset_duals(m: np.ndarray, lam: float, i: int, side: str) -> tuple:
+    """The four coset coordinates as duals carrying their derivative along T_i."""
+    dm = _tangent(m, lam, i, side)
+    col = tuple(Dual(float(m[r, 0]), float(dm[r, 0])) for r in range(5))
     return local_from_ambient(col, lam, check=False)
 
 
@@ -215,32 +218,16 @@ def invariant_field(side: str, i: int, f, point: GroupPoint, matrix=None):
     tuple of Dual numbers).  Cross-checked in the tests against central
     finite differences.
     """
-    lam = point.lam
     m = group_element(point) if matrix is None else matrix
-    a = _gens(lam)[i]
-    dm = m @ a if side == "L" else a @ m
-    col = _dual_column(m, dm)
-    coords = local_from_ambient(col, lam, check=False)
-    val = f(coords)
-    return curvtrig.eps_part(val)
+    return curvtrig.eps_part(f(_coset_duals(m, point.lam, i, side)))
 
 
 def coset_derivatives(m: np.ndarray, lam: float, gens, side: str) -> dict:
     """X_i x^mu for the listed generators: map i -> length-4 list."""
-    out = {}
-    mats = _gens(lam)
-    for i in gens:
-        dm = m @ mats[i] if side == "L" else mats[i] @ m
-        coords = local_from_ambient(_dual_column(m, dm), lam, check=False)
-        out[i] = [curvtrig.eps_part(c) for c in coords]
-    return out
+    return {i: [curvtrig.eps_part(c) for c in _coset_duals(m, lam, i, side)]
+            for i in gens}
 
 
 def ambient_derivatives(m: np.ndarray, lam: float, gens, side: str) -> dict:
     """X_i s^A for the listed generators: map i -> length-5 list."""
-    out = {}
-    mats = _gens(lam)
-    for i in gens:
-        dm = m @ mats[i] if side == "L" else mats[i] @ m
-        out[i] = [float(dm[r, 0]) for r in range(5)]
-    return out
+    return {i: [float(v) for v in _tangent(m, lam, i, side)[:, 0]] for i in gens}

@@ -10,16 +10,23 @@ terminate here: in the curved algebras a three-letter word can reproduce
 itself with coefficient (eta*kinv)^2 after two steps.  The reducer
 therefore memoizes words, detects re-entry, and solves the resulting
 one-dimensional linear fixpoints x = p + c*x exactly, which localizes
-coefficients at 1 - (eta*kinv)^2.  Coefficients are kept as exact
+coefficients at the zeros of 1 - c; specializing the parameters at such a
+zero raises :class:`SingularSpecialization`.  Coefficients are kept as exact
 fractions of Scalars throughout; confluence is certified a posteriori by
 the Jacobi certificates and a rewrite-strategy independence check.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .scalars import Frac, NonTerminating, Scalar, sym
 
 Word = tuple
+
+
+class SingularSpecialization(ZeroDivisionError):
+    """The parameters sit on a pole of the straightening coefficients."""
 
 
 class NCPoly:
@@ -234,7 +241,7 @@ class NCAlgebra:
         if lam is not None:
             denom = Frac.of(1) - lam
             if denom.is_zero():
-                raise NonTerminating("singular straightening fixpoint")
+                raise SingularSpecialization("singular straightening fixpoint")
             factor = Frac.of(1) / denom
             poly = {k: v * factor for k, v in poly.items()}
             syms = {k: v * factor for k, v in syms.items()}
@@ -264,23 +271,26 @@ class NCAlgebra:
     def commutator(self, p: NCPoly, q: NCPoly) -> NCPoly:
         return self.normal_form(p * q - q * p)
 
-    def jacobi_certificate(self):
-        """Max residual of [[a,[b,c]] + cyclic] over all generator triples.
+    def jacobi_residuals(self) -> dict:
+        """[[a,[b,c]] + cyclic] for every generator triple, keyed "[a,b,c]".
 
-        Zero (an exact count of nonzero terms) certifies consistency of the
-        straightening rules on all overlaps of the defining relations.
+        All zero certifies consistency of the straightening rules on all
+        overlaps of the defining relations.
         """
-        worst = 0
-        n = len(self.gens)
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    gi, gj, gk = (NCPoly.gen(t) for t in (i, j, k))
-                    res = (self.commutator(gi, self.commutator(gj, gk))
-                           + self.commutator(gj, self.commutator(gk, gi))
-                           + self.commutator(gk, self.commutator(gi, gj)))
-                    worst = max(worst, len(res.terms))
-        return worst
+        out = {}
+        for i, j, k in combinations(range(len(self.gens)), 3):
+            gi, gj, gk = (NCPoly.gen(t) for t in (i, j, k))
+            key = f"[{self.gens[i]},{self.gens[j]},{self.gens[k]}]"
+            out[key] = (self.commutator(gi, self.commutator(gj, gk))
+                        + self.commutator(gj, self.commutator(gk, gi))
+                        + self.commutator(gk, self.commutator(gi, gj)))
+        return out
+
+    def jacobi_certificate(self, residuals=None):
+        """Max number of nonzero terms over the Jacobi residuals (exact count)."""
+        if residuals is None:
+            residuals = self.jacobi_residuals()
+        return max((len(res.terms) for res in residuals.values()), default=0)
 
     def casimir_check(self, c: NCPoly, subset=None):
         """Number of nonzero terms in the worst [c, generator] residual."""
@@ -292,19 +302,11 @@ class NCAlgebra:
             worst = max(worst, len(res.terms))
         return worst
 
-    def certificates_json(self) -> dict:
-        n = len(self.gens)
-        out = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    gi, gj, gk = (NCPoly.gen(t) for t in (i, j, k))
-                    res = (self.commutator(gi, self.commutator(gj, gk))
-                           + self.commutator(gj, self.commutator(gk, gi))
-                           + self.commutator(gk, self.commutator(gi, gj)))
-                    key = f"[{self.gens[i]},{self.gens[j]},{self.gens[k]}]"
-                    out[key] = res.render(self.gens)
-        return out
+    def certificates_json(self, residuals=None) -> dict:
+        """The rendered Jacobi residual of every generator triple."""
+        if residuals is None:
+            residuals = self.jacobi_residuals()
+        return {key: res.render(self.gens) for key, res in residuals.items()}
 
 
 # -- the algebras of interest ----------------------------------------------------

@@ -477,11 +477,6 @@ def sphere_rules() -> list:
     return [make_rule(sym("a1") ** 2 + sym("a2") ** 2 + sym("a3") ** 2 - sym("R") ** 2)]
 
 
-def curvature_rules() -> list:
-    """eta^2 -> -Lambda."""
-    return [make_rule(sym("eta") ** 2 + sym("Lambda"))]
-
-
 # -- polynomial division and fractions ----------------------------------------
 
 

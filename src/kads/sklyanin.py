@@ -142,27 +142,12 @@ def project_2plus1(table: BracketTable):
 # -- Sklyanin evaluation --------------------------------------------------------
 
 
-def sklyanin_bracket(r: Bivector, f, g, point: GroupPoint, matrix=None):
-    """{f, g}(h) = r^ij (XL_i f XL_j g - XR_i f XR_j g) for coset functions."""
-    m = group_element(point) if matrix is None else matrix
-    support = sorted({i for key in r.components for i in key})
-    dl = {i: {} for i in support}
-    dr = {i: {} for i in support}
-    for i in support:
-        for side, store in (("L", dl), ("R", dr)):
-            store[i] = {
-                "f": invariant_field(side, i, f, point, matrix=m),
-                "g": invariant_field(side, i, g, point, matrix=m),
-            }
-    total = 0.0
-    for (i, j), c in r.components.items():
-        total = total + c * (
-            dl[i]["f"] * dl[j]["g"] - dl[j]["f"] * dl[i]["g"]
-            - dr[i]["f"] * dr[j]["g"] + dr[j]["f"] * dr[i]["g"])
-    return total
+def _support(r: Bivector) -> list:
+    return sorted({i for key in r.components for i in key})
 
 
-def _contract(r: Bivector, dl: dict, dr: dict, mu: int, nu: int):
+def _contract(r: Bivector, dl: dict, dr: dict, mu, nu):
+    """r^ij (XL_i u XL_j v - XR_i u XR_j v) from derivative tables d[i][mu]."""
     total = 0.0
     for (i, j), c in r.components.items():
         total = total + c * (
@@ -171,34 +156,37 @@ def _contract(r: Bivector, dl: dict, dr: dict, mu: int, nu: int):
     return total
 
 
-def bracket_matrix_local(r: Bivector, point: GroupPoint, matrix=None):
-    """All {x^mu, x^nu} at a group point, as a 4x4 antisymmetric array."""
+def sklyanin_bracket(r: Bivector, f, g, point: GroupPoint, matrix=None):
+    """{f, g}(h) = r^ij (XL_i f XL_j g - XR_i f XR_j g) for coset functions."""
     m = group_element(point) if matrix is None else matrix
-    support = sorted({i for key in r.components for i in key})
-    dl = coset_derivatives(m, point.lam, support, "L")
-    dr = coset_derivatives(m, point.lam, support, "R")
-    out = np.zeros((4, 4), dtype=complex)
-    for mu in range(4):
-        for nu in range(mu + 1, 4):
-            v = _contract(r, dl, dr, mu, nu)
-            out[mu, nu] = v
-            out[nu, mu] = -v
-    return out
+    dl, dr = ({i: [invariant_field(side, i, h, point, matrix=m) for h in (f, g)]
+               for i in _support(r)} for side in "LR")
+    return _contract(r, dl, dr, 0, 1)
 
 
-def bracket_matrix_ambient(r: Bivector, point: GroupPoint, matrix=None):
-    """All {s^A, s^B} at a group point, ambient order (s4, s0, s1, s2, s3)."""
+def _bracket_matrix(r: Bivector, point: GroupPoint, matrix, derivatives, n: int):
+    """All n x n brackets of the coordinates that ``derivatives`` differentiates."""
     m = group_element(point) if matrix is None else matrix
-    support = sorted({i for key in r.components for i in key})
-    dl = ambient_derivatives(m, point.lam, support, "L")
-    dr = ambient_derivatives(m, point.lam, support, "R")
-    out = np.zeros((5, 5), dtype=complex)
-    for a in range(5):
-        for b in range(a + 1, 5):
+    support = _support(r)
+    dl = derivatives(m, point.lam, support, "L")
+    dr = derivatives(m, point.lam, support, "R")
+    out = np.zeros((n, n), dtype=complex)
+    for a in range(n):
+        for b in range(a + 1, n):
             v = _contract(r, dl, dr, a, b)
             out[a, b] = v
             out[b, a] = -v
     return out
+
+
+def bracket_matrix_local(r: Bivector, point: GroupPoint, matrix=None):
+    """All {x^mu, x^nu} at a group point, as a 4x4 antisymmetric array."""
+    return _bracket_matrix(r, point, matrix, coset_derivatives, 4)
+
+
+def bracket_matrix_ambient(r: Bivector, point: GroupPoint, matrix=None):
+    """All {s^A, s^B} at a group point, ambient order (s4, s0, s1, s2, s3)."""
+    return _bracket_matrix(r, point, matrix, ambient_derivatives, 5)
 
 
 def sample_points(n: int, lam: float, rng, lorentz: bool = True):
@@ -272,39 +260,25 @@ def eta_expansion_entry(table_name: str, i: int, j: int, coords, kinv: float,
 
     Dual-number differentiation at eta = 0 (so lam = -eta^2 = 0 exactly).
     """
-    eta = Dual(0.0, 1.0)
-    if table_name == "local":
-        t = BracketTable("local", LOCAL_LABELS, 0.0, kinv, eta=eta)
-    elif table_name == "twisted":
-        t = BracketTable("twisted", LOCAL_LABELS, 0.0, kinv, vtheta, eta=eta)
-    else:
-        t = BracketTable("ambient", AMBIENT_LABELS, 0.0, kinv, eta=eta)
+    labels = AMBIENT_LABELS if table_name == "ambient" else LOCAL_LABELS
+    t = BracketTable(table_name, labels, 0.0, kinv, vtheta, eta=Dual(0.0, 1.0))
     v = t.entry(i, j, coords)
     return re_part(v), eps_part(v)
 
 
-def eta_expansion(table: BracketTable, order: int = 1) -> dict:
-    """Coefficient evaluators of every entry through the given order.
+def _keep(c):
+    """Coordinate pass-through tolerating nested duals and exact rationals."""
+    return float(c) if isinstance(c, (int, float)) else c
 
-    Returns {(i, j): [f_0, f_1, ...]} where f_k(coords) is the k-th
-    curvature-scale coefficient; only order 1 is supported.
+
+def _gradient(fn, x) -> list:
+    """[d fn / d x^mu for each mu], one dual evaluation per coordinate.
+
+    Integer seeds keep exact (Fraction) coordinates exact.
     """
-    if order != 1:
-        raise ValueError("only the first-order expansion is implemented")
-    out = {}
-    n = table.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            def f0(coords, i=i, j=j):
-                return eta_expansion_entry(table.name, i, j, coords,
-                                           table.kinv, table.vtheta)[0]
-
-            def f1(coords, i=i, j=j):
-                return eta_expansion_entry(table.name, i, j, coords,
-                                           table.kinv, table.vtheta)[1]
-
-            out[(i, j)] = [f0, f1]
-    return out
+    return [eps_part(fn(tuple(Dual(_keep(c), 1 if k == mu else 0)
+                              for k, c in enumerate(x))))
+            for mu in range(len(x))]
 
 
 def table_jacobi_residual(table: BracketTable, samples: int, seed: int = 0x5EED,
@@ -321,30 +295,16 @@ def table_jacobi_residual(table: BracketTable, samples: int, seed: int = 0x5EED,
             coords = ambient_from_local(x, table.lam)
         else:
             coords = tuple(rng.uniform(-box, box) for _ in range(n))
-
-        def inner_grad(a, b):
-            grads = []
-            for mu in range(n):
-                dual = tuple(Dual(float(c), 1.0 if k == mu else 0.0)
-                             for k, c in enumerate(coords))
-                grads.append(eps_part(table.entry(a, b, dual)))
-            return grads
-
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
                     total = 0.0
                     for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                        g = inner_grad(b, c)
+                        g = _gradient(lambda d: table.entry(b, c, d), coords)
                         total = total + sum(
                             table.entry(a, mu, coords) * g[mu] for mu in range(n))
                     worst = max(worst, abs(total))
     return worst
-
-
-def _keep(c):
-    """Coordinate pass-through tolerating nested duals and exact rationals."""
-    return float(c) if isinstance(c, (int, float)) else c
 
 
 class Poisson3D:
@@ -354,21 +314,12 @@ class Poisson3D:
         self.f = f
         self.casimir = casimir
 
-    def _grad(self, x):
-        out = []
-        for mu in range(3):
-            # integer seeds keep exact (Fraction) coordinates exact
-            dual = tuple(Dual(_keep(c), 1 if k == mu else 0)
-                         for k, c in enumerate(x))
-            out.append(eps_part(self.casimir(dual)))
-        return out
-
     def entry(self, i: int, j: int, x):
         if i == j:
             return 0.0
         if i > j:
             return -self.entry(j, i, x)
-        grad = self._grad(x)
+        grad = _gradient(self.casimir, x)
         fv = self.f(x)
         if (i, j) == (0, 1):
             return fv * grad[2]
@@ -378,11 +329,7 @@ class Poisson3D:
 
     def bracket_with(self, h, x):
         """{x^a, h} for a smooth h, evaluated at x: returns length-3 list."""
-        gh = []
-        for mu in range(3):
-            dual = tuple(Dual(_keep(c), 1 if k == mu else 0)
-                         for k, c in enumerate(x))
-            gh.append(eps_part(h(dual)))
+        gh = _gradient(h, x)
         return [sum(self.entry(a, b, x) * gh[b] for b in range(3))
                 for a in range(3)]
 

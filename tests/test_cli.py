@@ -81,14 +81,24 @@ def test_determinism_across_processes(tmp_path):
 
 
 def test_cli_process_entrypoint_and_env(tmp_path):
+    # KADS_THREADS is no longer read: it must leave no trace in the report
     env = dict(os.environ, KADS_THREADS="2")
     proc = subprocess.run(
         [sys.executable, "-m", "kads.cli", "nc", "--samples", "5"],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
-    assert rep["config"]["threads"] == 2
+    assert "threads" not in rep["config"]
     assert rep["pass"]
+
+
+@pytest.mark.parametrize("value", ["-1e-08", "-1E-8", "-0.3", "formal"])
+def test_lambda_value_as_separate_word(tmp_path, value):
+    out = tmp_path / "rep.json"
+    assert main(["export", "--lambda", value, "--samples", "2",
+                 "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["config"]["lam"] == (value if value == "formal" else float(value))
 
 
 def test_export_files(tmp_path):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from kads.ncalg import (NCAlgebra, NCPoly, ambient_algebra, builtin_algebras,
+from kads.ncalg import (NCAlgebra, NCPoly, SingularSpecialization,
+                        ambient_algebra, builtin_algebras,
                         displayed_brackets_ok, flat_limits_ok,
                         kappa_minkowski, local_first_order, quantum_sphere,
                         space_casimir)
-from kads.scalars import Frac, rat, sym
+from kads.scalars import Frac, NonTerminating, rat, sym
 
 eta, kinv, vth = sym("eta"), sym("kinv"), sym("vtheta")
 
@@ -195,3 +196,24 @@ def test_certificates_json():
     cert = A.certificates_json()
     assert all(v == "0" for v in cert.values())
     assert "[x1,x3,x2]" in cert
+
+
+def test_jacobi_residuals_feed_both_certificates():
+    # [a,b] = a, [a,c] = a, [b,c] = b breaks Jacobi: the cyclic sum is a
+    bad = NCAlgebra(("a", "b", "c"), {("a", "b"): NCPoly.gen(0),
+                                      ("a", "c"): NCPoly.gen(0),
+                                      ("b", "c"): NCPoly.gen(1)})
+    res = bad.jacobi_residuals()
+    assert list(res) == ["[a,b,c]"] and res["[a,b,c]"] == NCPoly.gen(0)
+    assert bad.jacobi_certificate() == bad.jacobi_certificate(res) == 1
+    assert bad.certificates_json() == bad.certificates_json(res) == {
+        "[a,b,c]": "a^1 * (1)"}
+
+
+def test_singular_specialization_is_named():
+    # E = eta*kinv = 1 is a root of 1 - E^2, a pole of the fixpoint solve
+    alg = quantum_sphere(rat(1), rat(1))
+    with pytest.raises(SingularSpecialization) as err:
+        alg.normal_form({(2, 2, 0): 1})
+    assert isinstance(err.value, ZeroDivisionError)
+    assert not isinstance(err.value, NonTerminating)

@@ -163,6 +163,20 @@ def test_generic_bracket_antisymmetry_and_leibniz():
     assert abs(lhs - rhs) < 1e-12
 
 
+def test_sklyanin_bracket_matches_bracket_matrix():
+    # both contract the same invariant-field derivatives, on both sides of
+    # SERIES_CUT and for the complex positive-lambda r-matrix
+    for lam in (-1.0, -1e-9, 0.5):
+        r = r_kads_twisted(KINV, eta_of(lam), VTH)
+        p = GroupPoint(x=(0.2, 0.1, -0.3, 0.25), xi=(0.1, 0.0, -0.2),
+                       th=(0.3, -0.1, 0.2), lam=lam)
+        got = bracket_matrix_local(r, p)
+        for mu in range(4):
+            for nu in range(mu + 1, 4):
+                val = sklyanin_bracket(r, lambda c: c[mu], lambda c: c[nu], p)
+                assert val == got[mu, nu], (lam, mu, nu)
+
+
 def test_table_jacobi():
     for lam in (-1.0, 1.0):
         assert table_jacobi_residual(closed_form_local(lam, KINV), 30, seed=31) < 1e-7
@@ -195,13 +209,17 @@ def test_eta_expansion():
 
 
 def test_eta_expansion_table_wrapper():
-    from kads.sklyanin import eta_expansion
-    t = closed_form_local(0.0, KINV)
-    coeffs = eta_expansion(t, order=1)
+    # every table name builds its own table at eta = 0
     x = (0.4, -0.2, 0.2, 0.5)
-    assert coeffs[(0, 1)][0](x) == -KINV * x[1]
-    assert coeffs[(0, 1)][1](x) == 0.0
-    assert abs(coeffs[(1, 2)][1](x) - (-KINV * x[3] * x[3])) < 1e-16
+    assert eta_expansion_entry("local", 0, 1, x, KINV) == (-KINV * x[1], 0.0)
+    _, f = eta_expansion_entry("local", 1, 2, x, KINV)
+    assert abs(f - (-KINV * x[3] * x[3])) < 1e-16
+    z, _ = eta_expansion_entry("twisted", 0, 2, x, KINV, vtheta=VTH)
+    assert abs(z - (-KINV * x[2] + VTH * x[1])) < 1e-15
+    s = (1.0, 0.3, -0.2, 0.4, 0.5)
+    assert eta_expansion_entry("ambient", 1, 2, s, KINV) == (-KINV * s[2] * s[0], 0.0)
+    z, f = eta_expansion_entry("ambient", 2, 3, s, KINV)
+    assert z == 0.0 and abs(f - (-KINV * s[4] * s[4])) < 1e-16
 
 
 def test_poisson_3d():
