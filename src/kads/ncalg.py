@@ -10,10 +10,14 @@ terminate here: in the curved algebras a three-letter word can reproduce
 itself with coefficient (eta*kinv)^2 after two steps.  The reducer
 therefore memoizes words, detects re-entry, and solves the resulting
 one-dimensional linear fixpoints x = p + c*x exactly, which localizes
-coefficients at the zeros of 1 - c; specializing the parameters at such a
-zero raises :class:`SingularSpecialization`.  Coefficients are kept as exact
-fractions of Scalars throughout; confluence is certified a posteriori by
-the Jacobi certificates and a rewrite-strategy independence check.
+coefficients at the zeros of 1 - c.  Coefficients are exact fractions of
+Scalars in canonical form (coprime, monic denominator; see ``Frac``), so
+every denominator is a polynomial in E = eta*kinv (in kinv alone, or a
+constant, once parameters are specialized) whose roots are true poles.
+Specializing the parameters at such a root, in the fixpoint solve or in
+``NCPoly.substitute``, raises :class:`SingularSpecialization`.
+Confluence is certified a posteriori by the Jacobi certificates and a
+rewrite-strategy independence check.
 """
 
 from __future__ import annotations
@@ -108,7 +112,12 @@ class NCPoly:
     def substitute(self, bindings) -> "NCPoly":
         p = NCPoly()
         for w, c in self.terms.items():
-            c2 = c.substitute(bindings)
+            try:
+                c2 = c.substitute(bindings)
+            except ZeroDivisionError:
+                raise SingularSpecialization(
+                    f"the coefficient of word {w} has a pole there: "
+                    f"its denominator {c.den} vanishes") from None
             if not c2.is_zero():
                 p.terms[w] = c2
         return p
@@ -241,7 +250,8 @@ class NCAlgebra:
         if lam is not None:
             denom = Frac.of(1) - lam
             if denom.is_zero():
-                raise SingularSpecialization("singular straightening fixpoint")
+                raise SingularSpecialization(
+                    f"singular straightening fixpoint at word {w}")
             factor = Frac.of(1) / denom
             poly = {k: v * factor for k, v in poly.items()}
             syms = {k: v * factor for k, v in syms.items()}

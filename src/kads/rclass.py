@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .bialgebra import Bivector, cocommutator, mcybe_residual, mcybe_residual_components
 from .liealg import DIM, IDX, BasisRotation, LieAlgebra, ads_algebra, rotate_basis
-from .scalars import Frac, Scalar, make_rule, reduce_mod, sym
+from .scalars import ONE, Frac, Scalar, make_rule, reduce_mod, sym
 
 
 class ConstraintViolated(ValueError):
@@ -114,16 +114,16 @@ def generic_ansatz() -> RFamily:
 
 
 def _clear_denominators(entries: dict) -> dict:
-    """Turn a vector of Fracs into Scalars by multiplying through."""
-    from .scalars import ONE
-    work = dict(entries)
-    for _ in range(len(work) + 1):
-        dens = [f.den for f in work.values() if f.den != ONE]
-        if not dens:
-            break
-        d = dens[0]
-        work = {k: Frac(f.num * d, f.den) for k, f in work.items()}
-    return {k: f.num for k, f in work.items()}
+    """Turn a vector of Fracs into Scalars: multiply by the lcm of the
+    (reduced) denominators."""
+    dens = [f.den for f in entries.values() if f.den != ONE]
+    if not dens:
+        return {k: f.num for k, f in entries.items()}
+    lcm = ONE
+    for d in dens:
+        lcm = lcm * Frac(lcm, d).den  # lcm * d / gcd(lcm, d)
+    # f.den divides lcm, so Frac(lcm, f.den) is the polynomial lcm / f.den
+    return {k: f.num * Frac(lcm, f.den).num for k, f in entries.items()}
 
 
 def impose_primitivity(fam: RFamily, g: LieAlgebra, x_index: int) -> RFamily:

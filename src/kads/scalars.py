@@ -21,6 +21,7 @@ ones, which makes :func:`reduce_mod` terminate.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping
 
 # The parameter set is closed: adding a parameter is a code change here,
@@ -480,13 +481,6 @@ def sphere_rules() -> list:
 # -- polynomial division and fractions ----------------------------------------
 
 
-def _may_divide(num: Scalar, den: Scalar) -> bool:
-    """Cheap necessary condition for den | num (leading monomials divide)."""
-    nl, _ = num.leading()
-    dl, _ = den.leading()
-    return mono_divides(dl, nl)
-
-
 def poly_divmod(p: Scalar, d: Scalar) -> tuple:
     """Single-divisor multivariate division: p = q*d + r with no term of r
     divisible by the leading monomial of d."""
@@ -510,35 +504,253 @@ def poly_divmod(p: Scalar, d: Scalar) -> tuple:
     return q, r
 
 
+# Univariate polynomials over Q, as lists of coefficients, constant term
+# first, without trailing zeros.  Zero coefficients may be the int 0.
+
+_Q1 = Fraction(1)
+_PRIME = (1 << 61) - 1  # modulus of the coprimality pre-test
+
+
+def _dense(coeffs: dict) -> list:
+    """The list of a {power: coefficient} map."""
+    out = [0] * (max(coeffs) + 1)
+    for k, a in coeffs.items():
+        out[k] = a
+    return out
+
+
+def _umul(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _udivmod(a: list, b: list) -> tuple:
+    """Quotient and remainder of a by the nonzero b."""
+    nb = len(b) - 1
+    if len(a) <= nb:
+        return [], list(a)
+    rem = list(a)
+    inv = _Q1 / b[-1]
+    q = [0] * (len(a) - nb)
+    for i in range(len(q) - 1, -1, -1):
+        c = rem[i + nb] * inv
+        if c:
+            q[i] = c
+            for j in range(nb):
+                rem[i + j] -= c * b[j]
+    del rem[nb:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return q, rem
+
+
+def _ugcd(a: list, b: list) -> list:
+    """Monic gcd (Euclid over Q)."""
+    while b:
+        a, b = b, _udivmod(a, b)[1]
+    inv = _Q1 / a[-1]
+    return [x * inv for x in a]
+
+
+def _mod_p(a: list):
+    """a modulo _PRIME, or None when a coefficient denominator is not invertible."""
+    out = []
+    for x in a:
+        d = x.denominator
+        if d == 1:
+            out.append(x.numerator % _PRIME)
+        elif d % _PRIME:
+            out.append(x.numerator * pow(d, -1, _PRIME) % _PRIME)
+        else:
+            return None
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _ugcd_p(a: list, b: list) -> list:
+    """A gcd over GF(_PRIME) (not normalized; only its degree is used)."""
+    while b:
+        nb = len(b) - 1
+        inv = pow(b[-1], -1, _PRIME)
+        a = list(a)
+        for i in range(len(a) - 1 - nb, -1, -1):
+            c = a[i + nb] * inv % _PRIME
+            if c:
+                for j in range(nb):
+                    a[i + j] = (a[i + j] - c * b[j]) % _PRIME
+        del a[nb:]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return a
+
+
+def _gcd_with(f: list, polys: list) -> list:
+    """Monic gcd of the monic f and every polynomial of ``polys``.
+
+    Pre-test modulo p = 2^61 - 1: if no coefficient denominator is
+    divisible by p, the rational gcd G is monic with p-integral coefficients
+    (f is) and G mod p divides every image, so a gcd of degree 0 mod p
+    proves G = 1.  Otherwise Euclid runs over Q.
+    """
+    polys = sorted(polys, key=len)
+    g = _mod_p(f)
+    if g is not None:
+        for p in polys:
+            pp = _mod_p(p)
+            if pp is None:
+                break
+            g = _ugcd_p(g, pp)
+            if len(g) == 1:
+                return [_Q1]
+    g = f
+    for p in polys:
+        g = _ugcd(g, p)
+        if len(g) == 1:
+            break
+    return g
+
+
+def _shift(m: tuple, t: tuple, k: int) -> tuple:
+    """The monomial m * t^k."""
+    return tuple(x + k * y for x, y in zip(m, t)) if k else m
+
+
+def _den_view(den: Scalar):
+    """Write den = x^c * f(t), t a primitive monomial, f(0) != 0.
+
+    Returns (c, t, f) with f a coefficient list (t is None when f is a
+    constant), or None when den has no such form.
+    """
+    terms = den.terms
+    if _ZERO_MONO in terms:
+        c = _ZERO_MONO
+    else:
+        c = den.monomial_content()
+        terms = {mono_div(m, c): a for m, a in terms.items()}
+        if _ZERO_MONO not in terms:
+            return None
+    if len(terms) == 1:
+        return c, None, [terms[_ZERO_MONO]]
+    t = None
+    coeffs = {}
+    for m, a in terms.items():
+        if m == _ZERO_MONO:
+            coeffs[0] = a
+            continue
+        if t is None:
+            g = gcd(*m)
+            t = tuple(e // g for e in m)
+            i0 = next(i for i, e in enumerate(t) if e)
+        k = m[i0] // t[i0]
+        if _shift(_ZERO_MONO, t, k) != m:
+            return None
+        coeffs[k] = a
+    return c, t, _dense(coeffs)
+
+
+def _den_scalar(c: tuple, t, f: list) -> Scalar:
+    if t is None:
+        return Scalar({c: f[0]})
+    return Scalar({_shift(c, t, k): a for k, a in enumerate(f) if a})
+
+
+def _cancel(num: Scalar, c: tuple, t, f: list) -> tuple:
+    """Divide num and x^c * f(t) (f monic) by their gcd.
+
+    The gcd is x^e * G with e the componentwise min of c and the monomial
+    content of num.  G = gcd(f, P_r ...) over Q[t], where num = sum_r r *
+    P_r(t) over the monomials r not divisible by t: Q[x] is a free
+    Q[t]-module on those r, and every factor of f is a polynomial in t
+    because t is primitive and f(0) != 0.
+    """
+    if not num.terms:
+        return num, c, t, f
+    if c != _ZERO_MONO:
+        e = tuple(map(min, num.monomial_content(), c))
+        if any(e):
+            num = Scalar({mono_div(m, e): a for m, a in num.terms.items()})
+            c = mono_div(c, e)
+    if len(f) == 1 or len(num.terms) == 1:
+        return num, c, t, f
+    supp = [(i, e) for i, e in enumerate(t) if e]
+    coords: dict = {}
+    for m, a in num.terms.items():
+        k = min(m[i] // e for i, e in supp)
+        r = _shift(m, t, -k)
+        p = coords.get(r)
+        if p is None:
+            coords[r] = p = {}
+        p[k] = a
+    polys = {r: _dense(p) for r, p in coords.items()}
+    g = _gcd_with(f, list(polys.values()))
+    if len(g) == 1:
+        return num, c, t, f
+    out = {}
+    for r, p in polys.items():
+        for k, a in enumerate(_udivmod(p, g)[0]):
+            if a:
+                out[_shift(r, t, k)] = a
+    return Scalar(out), c, t, _udivmod(f, g)[0]
+
+
+def _same_t(v1, v2):
+    """The common t of two denominator views, False when they have none."""
+    t1, t2 = v1[1], v2[1]
+    if t1 is None or t1 == t2:
+        return t2
+    return t1 if t2 is None else False
+
+
+_ONE_VIEW = (_ZERO_MONO, None, (_Q1,))
+_new = object.__new__
+
+
 class Frac:
     """Fraction of Scalars; used where rewriting demands a localization.
 
-    No gcd machinery: equality is by cross-multiplication and the only
-    simplification attempted is exact division of numerator by denominator.
+    Canonical form: when the denominator is a monomial x^c times a
+    polynomial f(t) in one primitive monomial t, numerator and denominator
+    are coprime and the denominator is monic (leading coefficient 1).  That
+    covers every denominator the NC engine and the r-matrix reduction
+    build (t = eta*kinv, kinv, Lambda, or a constant), and there equal
+    values have equal ``num`` and ``den``.  Addition follows Henrici:
+    with g = gcd(b, d), a/b + c/d = (a*(d/g) + c*(b/g)) / (b*d/g), and only
+    gcd(num, g) is left to cancel; multiplication cancels crosswise.  Any
+    other denominator keeps the plain rule (exact division of numerator by
+    denominator, else a monic denominator) and has ``_dv`` None; otherwise
+    ``_dv`` is the view (c, t, f) of the denominator.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_dv")
 
     def __init__(self, num: Scalar, den: Scalar | None = None):
-        if den is None:
-            den = ONE
+        if den is None or den.terms == _ONE_TERMS:
+            self.num, self.den, self._dv = num, ONE, _ONE_VIEW
+            return
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            den = ONE
-        elif den != ONE:
-            if _may_divide(num, den):
-                q, r = poly_divmod(num, den)
-                if r.is_zero():
-                    num, den = q, ONE
-            if den != ONE:
+        dv = _den_view(den) if num.terms else _ONE_VIEW
+        if dv is None:
+            q, r = poly_divmod(num, den)
+            if r.is_zero():
+                num, den, dv = q, ONE, _ONE_VIEW
+            else:
                 _, lc = den.leading()
                 if lc != 1:
-                    inv = Fraction(1) / lc
-                    num = num * inv
-                    den = den * inv
-        self.num = num
-        self.den = den
+                    num, den = num * (_Q1 / lc), den * (_Q1 / lc)
+            self.num, self.den, self._dv = num, den, dv
+            return
+        c, t, f = dv
+        if f[-1] != 1:
+            inv = _Q1 / f[-1]
+            num, f = num * inv, [a * inv for a in f]
+        _fill(self, *_cancel(num, c, t, f))
 
     @classmethod
     def of(cls, x) -> "Frac":
@@ -556,30 +768,43 @@ class Frac:
 
     def __add__(self, other) -> "Frac":
         other = Frac.of(other)
-        if self.den == other.den:
-            return Frac(self.num + other.num, self.den)
-        # denominators here are powers of the same localized polynomial
-        # most of the time; keep the larger one instead of the product
-        if _may_divide(other.den, self.den):
-            q, r = poly_divmod(other.den, self.den)
-            if r.is_zero():
-                return Frac(self.num * q + other.num, other.den)
-        if _may_divide(self.den, other.den):
-            q, r = poly_divmod(self.den, other.den)
-            if r.is_zero():
-                return Frac(self.num + other.num * q, self.den)
-        return Frac(self.num * other.den + other.num * self.den, self.den * other.den)
+        a, b, v1 = self.num, self.den, self._dv
+        c, d, v2 = other.num, other.den, other._dv
+        # gcd(a + c*b, b) = gcd(a, b) = 1
+        if v2 is _ONE_VIEW and v1 is not None:
+            return _frac(a + c * b, *v1)
+        if v1 is _ONE_VIEW and v2 is not None:
+            return _frac(a * d + c, *v2)
+        t = False if v1 is None or v2 is None else _same_t(v1, v2)
+        if t is False:
+            if b == d:
+                return Frac(a + c, b)
+            return Frac(a * d + c * b, b * d)
+        if b == d:
+            return _frac(*_cancel(a + c, *v1))
+        (c1, _, f1), (c2, _, f2) = v1, v2
+        cm = tuple(map(min, c1, c2))
+        g = _gcd_with(f1, [f2]) if len(f1) > 1 and len(f2) > 1 else [_Q1]
+        f1g, f2g = _udivmod(f1, g)[0], _udivmod(f2, g)[0]
+        num = (a * _den_scalar(mono_div(c2, cm), t, f2g)
+               + c * _den_scalar(mono_div(c1, cm), t, f1g))
+        num, cg, _, gr = _cancel(num, cm, t, g)
+        # b*d/g over what gcd(num, g) = x^(cm - cg) * (g/gr) leaves of it
+        cd = tuple(x + y - 2 * z + w for x, y, z, w in zip(c1, c2, cm, cg))
+        return _frac(num, cd, t, _umul(_umul(f1g, f2g), gr))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Frac":
-        return Frac(-self.num, self.den)
+        out = _new(Frac)
+        out.num, out.den, out._dv = -self.num, self.den, self._dv
+        return out
 
     def __sub__(self, other) -> "Frac":
         return self + (-Frac.of(other))
 
     def is_one(self) -> bool:
-        return self.den == ONE and self.num == ONE
+        return self._dv is _ONE_VIEW and self.num.terms == _ONE_TERMS
 
     def __mul__(self, other) -> "Frac":
         other = Frac.of(other)
@@ -587,7 +812,7 @@ class Frac:
             return other
         if other.is_one():
             return self
-        return Frac(self.num * other.num, self.den * other.den)
+        return _mul(self, other)
 
     __rmul__ = __mul__
 
@@ -595,10 +820,22 @@ class Frac:
         other = Frac.of(other)
         if other.num.is_zero():
             raise ZeroDivisionError("division by zero Frac")
-        return Frac(self.num * other.den, self.den * other.num)
+        v = None if other._dv is None else _den_view(other.num)
+        if v is None:
+            return Frac(self.num * other.den, self.den * other.num)
+        # the reciprocal of a canonical fraction is canonical once monic
+        c, t, f = v
+        inv = _Q1 / f[-1]
+        return _mul(self, _frac(other.den * inv, c, t, [a * inv for a in f]))
 
     def __eq__(self, other) -> bool:
+        if not isinstance(other, (Frac, Scalar, int, Fraction)):
+            return NotImplemented
         other = Frac.of(other)
+        if self.den == other.den:
+            return self.num == other.num
+        if self._dv is not None and other._dv is not None:
+            return False  # distinct canonical forms
         return (self.num * other.den - other.num * self.den).is_zero()
 
     __hash__ = None
@@ -615,3 +852,31 @@ class Frac:
 
     def substitute(self, bindings) -> "Frac":
         return Frac(self.num.substitute(bindings), self.den.substitute(bindings))
+
+
+def _fill(out: Frac, num: Scalar, c: tuple, t, f: list) -> Frac:
+    """Set ``out`` to num / (x^c * f(t)), given coprime and f monic."""
+    if len(f) == 1:
+        t = None
+    if not num.terms or (t is None and c == _ZERO_MONO):
+        out.num, out.den, out._dv = num, ONE, _ONE_VIEW
+    else:
+        out.num, out.den, out._dv = num, _den_scalar(c, t, f), (c, t, tuple(f))
+    return out
+
+
+def _frac(num: Scalar, c: tuple, t, f: list) -> Frac:
+    return _fill(_new(Frac), num, c, t, f)
+
+
+def _mul(x: Frac, y: Frac) -> Frac:
+    """x * y, cancelling gcd(x.num, y.den) and gcd(y.num, x.den)."""
+    v1, v2 = x._dv, y._dv
+    if v1 is _ONE_VIEW and v2 is _ONE_VIEW:
+        return _frac(x.num * y.num, *_ONE_VIEW)
+    t = False if v1 is None or v2 is None else _same_t(v1, v2)
+    if t is False:
+        return Frac(x.num * y.num, x.den * y.den)
+    a, c2, _, f2 = _cancel(x.num, *v2)
+    c, c1, _, f1 = _cancel(y.num, *v1)
+    return _frac(a * c, mono_mul(c1, c2), t, _umul(f1, f2))

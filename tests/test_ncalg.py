@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+import sympy
 
 from kads.ncalg import (NCAlgebra, NCPoly, SingularSpecialization,
                         ambient_algebra, builtin_algebras,
                         displayed_brackets_ok, flat_limits_ok,
                         kappa_minkowski, local_first_order, quantum_sphere,
                         space_casimir)
-from kads.scalars import Frac, NonTerminating, rat, sym
+from kads.scalars import PARAM_INDEX, Frac, NonTerminating, rat, sym
 
 eta, kinv, vth = sym("eta"), sym("kinv"), sym("vtheta")
 
@@ -217,3 +218,74 @@ def test_singular_specialization_is_named():
         alg.normal_form({(2, 2, 0): 1})
     assert isinstance(err.value, ZeroDivisionError)
     assert not isinstance(err.value, NonTerminating)
+
+
+def test_substitute_at_a_pole_is_named():
+    A = quantum_sphere()
+    x1, x2 = A.pos["x1"], A.pos["x2"]
+    nf = A.normal_form(NCPoly.word((x2, x1, x1)))
+    with pytest.raises(SingularSpecialization, match=r"word \(0, 1, 1\)"):
+        nf.substitute({"eta": rat(1), "kinv": rat(1)})
+    # off the pole E = eta*kinv = 1 the same coefficients specialize
+    assert not nf.substitute({"eta": rat(1), "kinv": rat(1, 2)}).is_zero()
+
+
+def test_reduced_denominator_degree():
+    # the x2^3 x1^3 ladder: degree 36 once gcds cancel (68 without)
+    A = quantum_sphere()
+    nf = A.normal_form(NCPoly.word((A.pos["x2"],) * 3 + (A.pos["x1"],) * 3))
+    assert max(c.den.total_degree() for c in nf.terms.values()) == 36
+
+
+E = sympy.Symbol("E")
+CHEBYSHEV_U = {n: sympy.Poly(sympy.chebyshevu(n, E / 2), E) for n in range(2, 9, 2)}
+
+
+def _den_in_E(den):
+    ie, ik = PARAM_INDEX["eta"], PARAM_INDEX["kinv"]
+    out = sympy.Integer(0)
+    for m, c in den.terms.items():
+        assert m[ie] == m[ik] and sum(m) == 2 * m[ie], den
+        out += sympy.Rational(c.numerator, c.denominator) * E ** m[ie]
+    return sympy.Poly(out, E)
+
+
+def _chebyshev_orders(nf):
+    """For each irreducible denominator factor, the least 2m with the factor
+    dividing U_2m(E/2), E = eta*kinv (None when no U_2m up to U_8 has it)."""
+    out = []
+    for c in nf.terms.values():
+        for fac, _ in _den_in_E(c.den).factor_list()[1]:
+            out.append(next((n for n, u in CHEBYSHEV_U.items()
+                             if u.rem(fac).is_zero), None))
+    return out
+
+
+def test_denominators_divide_chebyshev_u():
+    """Every irreducible factor of a reduced denominator of a word of length
+    n divides some U_2m(E/2) with 2m <= 2(n - 2), and the bound is reached;
+    2m <= n fails from length 5 on."""
+    A = quantum_sphere()
+    x1, x3 = A.pos["x1"], A.pos["x3"]
+    counter = A.normal_form(NCPoly.word((x3, x1, x3, x1, x1)))
+    factors = {str(fac.as_expr()) for c in counter.terms.values()
+               for fac, _ in _den_in_E(c.den).factor_list()[1]}
+    assert "E**3 - E**2 - 2*E + 1" in factors  # a factor of U_6(E/2)
+    assert max(_chebyshev_orders(counter)) == 6
+    # words reaching 2m = 2(n - 2) at n = 3, 4, 5, 6
+    for w in ((x3, x1, x3), (x3, x1, x1, x1), (x3, x1, x1, x1, x3),
+              (x3,) + (x1,) * 5):
+        assert max(_chebyshev_orders(A.normal_form(NCPoly.word(w)))) == 2 * (len(w) - 2)
+
+    rng = np.random.default_rng(23)
+    for make, hi, lo in ((quantum_sphere, "x2", "x1"), (local_first_order, "x2", "x1"),
+                         (ambient_algebra, "s2", "s1")):
+        alg = make()
+        words = [(alg.pos[hi],) * (n // 2) + (alg.pos[lo],) * (n - n // 2)
+                 for n in range(3, 7)]
+        words += [tuple(int(v) for v in rng.integers(0, len(alg.gens), n))
+                  for n in (3, 4, 5) for _ in range(4)]
+        for w in words:
+            orders = _chebyshev_orders(alg.normal_form(NCPoly.word(w)))
+            assert None not in orders, w
+            assert max(orders, default=0) <= 2 * (len(w) - 2), w

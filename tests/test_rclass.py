@@ -255,3 +255,16 @@ def test_r_2plus1_flat_limit():
     # no curvature dependence: the same bivector serves the flat case
     assert r_2plus1(kinv) == r_2plus1(kinv)
     assert (IDX["K3"], IDX["P3"]) not in r_2plus1(kinv).components
+
+
+def test_clear_denominators_multiplies_by_the_lcm():
+    from kads.rclass import _clear_denominators
+    from kads.scalars import Frac
+    lam = sym("Lambda")
+    vec = {"a": Frac(rat(1), 1 - lam), "b": Frac(lam, 1 - lam ** 2),
+           "c": Frac(eta, lam), "d": Frac(rat(3))}
+    out = _clear_denominators(vec)
+    lcm = lam ** 3 - lam  # lcm of 1 - Lambda, 1 - Lambda^2 and Lambda, monic
+    assert all(out[k] == (vec[k] * lcm).num for k in vec)
+    assert all((vec[k] * lcm).den == Scalar.rational(1) for k in vec)
+    assert out["d"] == 3 * lcm

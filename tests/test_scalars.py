@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
-from kads.scalars import (CyclicSubstitution, Frac, NonTerminating, Scalar,
+from kads.scalars import (PARAMS, CyclicSubstitution, Frac, NonTerminating, Scalar,
                           UnboundParameter, make_rule, mono_key, poly_divmod,
                           rat, reduce_mod, sphere_rules, sym, trig_rules)
 
@@ -209,6 +210,75 @@ def test_frac_field_axioms(p, q):
     assert (a - a).is_zero()
     if not b.is_zero():
         assert (a / b) * b == a
+
+
+def test_frac_eq_with_foreign_operands():
+    one = Frac.of(1)
+    assert one in [None, 1]
+    assert one != None and one != "1" and one != 1.0  # noqa: E711
+    assert Frac.of(2) not in [None, "2", 2.5]
+    assert one == 1 and one == Fraction(1) and one == Scalar.rational(1)
+
+
+# -- canonical form against sympy.cancel ------------------------------------------
+
+SYMPY_PARAMS = sympy.symbols(PARAMS)
+T_MONOMIALS = {"eta*kinv": eta * kinv, "kinv": kinv, "Lambda": sym("Lambda")}
+
+
+def sympy_of(s: Scalar):
+    out = sympy.Integer(0)
+    for m, c in s.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for x, e in zip(SYMPY_PARAMS, m):
+            term *= x ** e
+        out += term
+    return out
+
+
+def upoly(t: Scalar, coeffs) -> Scalar:
+    return sum((c * t ** k for k, c in enumerate(coeffs)), Scalar())
+
+
+numerators_st = st.builds(
+    lambda terms: sum((Scalar.monomial(c, eta=a, kinv=b, vtheta=v, Lambda=lam)
+                       for c, a, b, v, lam in terms), Scalar()),
+    st.lists(st.tuples(st.integers(-5, 5), st.integers(0, 2), st.integers(0, 2),
+                       st.integers(0, 1), st.integers(0, 2)), max_size=5))
+ucoeffs_st = st.lists(st.integers(-4, 4), min_size=1, max_size=4).filter(any)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(T_MONOMIALS)), numerators_st, ucoeffs_st,
+       st.integers(0, 1), ucoeffs_st)
+def test_frac_canonical_form_matches_sympy_cancel(tname, p, qc, shift, gc):
+    t = T_MONOMIALS[tname]
+    q = t ** shift * upoly(t, qc)
+    g = upoly(t, gc)
+    f = Frac(p * g, q * g)
+    assert f.den.leading()[1] == 1
+    if p.is_zero():
+        assert f.is_zero() and f.den == Scalar.rational(1)
+        return
+    num, den = sympy.fraction(sympy.cancel(sympy_of(p) / sympy_of(q)))
+    k = sympy.cancel(den / sympy_of(f.den))
+    assert k.is_Rational and k != 0
+    assert sympy.expand(sympy_of(f.den) * k - den) == 0
+    assert sympy.expand(sympy_of(f.num) * k - num) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(numerators_st, ucoeffs_st, st.integers(0, 1), numerators_st, ucoeffs_st)
+def test_frac_ops_give_the_canonical_form(p1, qc1, shift, p2, qc2):
+    t = eta * kinv
+    q1, q2 = t ** shift * upoly(t, qc1), upoly(t, qc2)
+    x, y = Frac(p1, q1), Frac(p2, q2)
+    for got, want in ((x + y, Frac(p1 * q2 + p2 * q1, q1 * q2)),
+                      (x - y, Frac(p1 * q2 - p2 * q1, q1 * q2)),
+                      (x * y, Frac(p1 * p2, q1 * q2))):
+        assert (got.num, got.den) == (want.num, want.den)
+    if not p2.is_zero():
+        assert x / y == Frac(p1 * q2, q1 * p2)
 
 
 def test_monomial_order_is_multiplicative():
