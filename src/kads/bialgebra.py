@@ -12,29 +12,20 @@ import json
 
 from .liealg import (LieAlgebra, coeff_norm, components_norm, is_exact,
                      jacobi_residual, subalgebra)
-from .scalars import Scalar
+from .scalars import Scalar, accumulate
 
 
 class NotAntisymmetric(ValueError):
     """A tensor expected to be totally antisymmetric is not (a bug)."""
 
 
-def _acc(store: dict, key, c):
-    cur = store.get(key)
-    s = c if cur is None else cur + c
-    if coeff_norm(s) == 0:
-        store.pop(key, None)
-    else:
-        store[key] = s
-
-
 def _wedge2(store: dict, i: int, j: int, c):
-    if i == j or coeff_norm(c) == 0:
+    if i == j or not c:
         return
     if i < j:
-        _acc(store, (i, j), c)
+        accumulate(store, (i, j), c)
     else:
-        _acc(store, (j, i), -c)
+        accumulate(store, (j, i), -c)
 
 
 _SIGN3 = {
@@ -44,12 +35,12 @@ _SIGN3 = {
 
 
 def _wedge3(store: dict, i: int, j: int, k: int, c):
-    if i == j or j == k or i == k or coeff_norm(c) == 0:
+    if i == j or j == k or i == k or not c:
         return
     order = sorted(((i, 0), (j, 1), (k, 2)))
     key = tuple(t[0] for t in order)
     perm = tuple(t[1] for t in order)
-    _acc(store, key, c if _SIGN3[perm] == 1 else -c)
+    accumulate(store, key, c if _SIGN3[perm] == 1 else -c)
 
 
 class Bivector:
@@ -78,7 +69,7 @@ class Bivector:
     def __add__(self, other: "Bivector") -> "Bivector":
         out = dict(self.components)
         for (i, j), c in other.components.items():
-            _acc(out, (i, j), c)
+            accumulate(out, (i, j), c)
         b = Bivector()
         b.components = out
         return b
@@ -90,7 +81,7 @@ class Bivector:
         b = Bivector()
         for key, v in self.components.items():
             s = v * c
-            if coeff_norm(s) != 0:
+            if s:
                 b.components[key] = s
         return b
 
@@ -108,7 +99,7 @@ class Bivector:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Bivector):
             return NotImplemented
-        return components_norm((self - other).components.values()) == 0
+        return not (self - other).components
 
     __hash__ = None
 
@@ -125,9 +116,6 @@ class Trivector:
 
     def norm(self):
         return components_norm(self.components.values())
-
-    def scale(self, c) -> "Trivector":
-        return Trivector({k: v * c for k, v in self.components.items()})
 
 
 def cocommutator(g: LieAlgebra, r: Bivector) -> dict:
@@ -157,11 +145,11 @@ def schouten(g: LieAlgebra, r: Bivector) -> Trivector:
         for k, l, c2 in entries:
             c = c1 * c2
             for m, cb in g.bracket_basis(i, k):
-                _acc(full, (m, j, l), c * cb)   # [r12, r13]
+                accumulate(full, (m, j, l), c * cb)   # [r12, r13]
             for m, cb in g.bracket_basis(j, k):
-                _acc(full, (i, m, l), c * cb)   # [r12, r23]
+                accumulate(full, (i, m, l), c * cb)   # [r12, r23]
             for m, cb in g.bracket_basis(j, l):
-                _acc(full, (i, k, m), c * cb)   # [r13, r23]
+                accumulate(full, (i, k, m), c * cb)   # [r13, r23]
     tol = 0 if all(is_exact(c) for c in full.values()) else 1e-9
     out: dict = {}
     for (a, b, c3), v in full.items():

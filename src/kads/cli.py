@@ -36,7 +36,7 @@ class ConfigError(ValueError):
 @dataclass
 class RunConfig:
     lam: object = "formal"      # float or "formal"
-    kappa_inv: object = "formal"
+    kappa_inv: float = 0.31
     twist: float = 0.17
     samples: int = 200
     seed: int = 0x5EED
@@ -98,9 +98,7 @@ def _rmatrix_set(formal: bool, lam, kinv, twist):
 
 
 def cmd_bialgebra(cfg: RunConfig) -> dict:
-    kinv = cfg.kappa_inv if not cfg.formal else "formal"
-    entries = _rmatrix_set(cfg.formal, cfg.lam, 0.31 if kinv == "formal" else kinv,
-                           cfg.twist)
+    entries = _rmatrix_set(cfg.formal, cfg.lam, cfg.kappa_inv, cfg.twist)
     tol = 0 if cfg.formal else cfg.tolerance
     checks = []
     for name, g, r in entries:
@@ -143,7 +141,6 @@ def cmd_classify(cfg: RunConfig) -> dict:
                    "tolerance": 15, "pass": len(red.params) == 15})
     # canonicalization transcripts
     n_canon = min(cfg.samples, 100)
-    kinv = 0.31 if cfg.formal else float(cfg.kappa_inv)
     worst = 0.0
     transcripts = []
     for _ in range(n_canon):
@@ -152,7 +149,8 @@ def cmd_classify(cfg: RunConfig) -> dict:
             th = 0.3
         ph = float(rng.uniform(0.0, 2 * math.pi))
         tw = float(rng.uniform(-1.0, 1.0))
-        rot, exp, transcript = rclass.canonicalize(th, ph, tw, kinv=kinv, lam=-1.0)
+        rot, exp, transcript = rclass.canonicalize(th, ph, tw, kinv=cfg.kappa_inv,
+                                                   lam=-1.0)
         keys = set(rot.components) | set(exp.components)
         dev = max(abs(rot.components.get(k, 0.0) - exp.components.get(k, 0.0))
                   for k in keys)
@@ -199,7 +197,7 @@ def cmd_classify(cfg: RunConfig) -> dict:
 
 def cmd_poisson(cfg: RunConfig) -> dict:
     lam = -1.0 if cfg.formal else float(cfg.lam)
-    kinv = 0.31 if cfg.formal else float(cfg.kappa_inv)
+    kinv = cfg.kappa_inv
     eta = eta_of(lam)
     checks = []
     reports = {}
@@ -268,7 +266,7 @@ def cmd_nc(cfg: RunConfig) -> dict:
 
 def cmd_export(cfg: RunConfig) -> dict:
     lam = -1.0 if cfg.formal else float(cfg.lam)
-    kinv = 0.31 if cfg.formal else float(cfg.kappa_inv)
+    kinv = cfg.kappa_inv
     rng = np.random.default_rng(cfg.seed)
     box = 0.8 / max(1.0, math.sqrt(abs(lam)))
     rows = []
@@ -341,7 +339,8 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name)
         p.add_argument("--lambda", dest="lam", default="formal",
                        help='cosmological constant: a float or "formal"')
-        p.add_argument("--kappa-inv", dest="kappa_inv", default="0.31")
+        p.add_argument("--kappa-inv", dest="kappa_inv", type=float, default=0.31,
+                       help="inverse deformation scale, used by every numeric suite")
         p.add_argument("--twist", type=float, default=0.17)
         p.add_argument("--samples", type=int, default=200)
         p.add_argument("--seed", type=lambda s: int(s, 0), default=0x5EED)
@@ -357,12 +356,8 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        lam = _parse_lambda(args.lam)
-        kappa_inv = args.kappa_inv
-        if kappa_inv != "formal":
-            kappa_inv = float(kappa_inv)
-        cfg = RunConfig(lam=lam, kappa_inv=kappa_inv, twist=args.twist,
-                        samples=args.samples, seed=args.seed,
+        cfg = RunConfig(lam=_parse_lambda(args.lam), kappa_inv=args.kappa_inv,
+                        twist=args.twist, samples=args.samples, seed=args.seed,
                         tolerance=args.tolerance, out=args.out, fmt=args.fmt,
                         inject_fault=getattr(args, "inject_fault", False))
     except (ConfigError, ValueError) as exc:

@@ -50,7 +50,7 @@ def components_norm(values) -> float | int:
     if not vals:
         return 0
     if all(is_exact(v) for v in vals):
-        return sum(1 for v in vals if coeff_norm(v) != 0)
+        return sum(1 for v in vals if v)
     return max(float(coeff_norm(v)) for v in vals)
 
 
@@ -64,7 +64,7 @@ class LieAlgebra:
         for (i, j), terms in structure.items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"bad index pair {(i, j)}")
-            kept = [(k, c) for k, c in terms if coeff_norm(c) != 0]
+            kept = [(k, c) for k, c in terms if c]
             if kept:
                 table[(i, j)] = tuple(kept)
         self.structure = table
@@ -81,10 +81,10 @@ class LieAlgebra:
         """Bilinear extension to coefficient vectors of length dim."""
         out = [None] * self.dim
         for i, xi in enumerate(x):
-            if coeff_norm(xi) == 0:
+            if not xi:
                 continue
             for j, yj in enumerate(y):
-                if coeff_norm(yj) == 0:
+                if not yj:
                     continue
                 for k, c in self.bracket_basis(i, j):
                     term = xi * yj * c
@@ -203,11 +203,11 @@ class BasisRotation:
         dim = len(self.matrix)
         out = [None] * dim
         for j, xj in enumerate(vec):
-            if coeff_norm(xj) == 0:
+            if not xj:
                 continue
             for i in range(dim):
                 mij = self.matrix[i][j]
-                if coeff_norm(mij) == 0:
+                if not mij:
                     continue
                 term = mij * xj
                 out[i] = term if out[i] is None else out[i] + term
@@ -227,13 +227,18 @@ class BasisRotation:
         return BasisRotation(prod)
 
 
-def rotate_basis(g: LieAlgebra, r3, rules=None, tol: float = 1e-12) -> BasisRotation:
+ROTATION_TOL = 1e-12  # float orthogonality and automorphism tolerance
+
+
+def rotate_basis(g: LieAlgebra, r3, rules=None) -> BasisRotation:
     """Lift a 3x3 rotation to the basis automorphism (P0 fixed).
 
     ``r3`` is a 3x3 orthogonal matrix of Scalars or floats.  Orthogonality
-    is checked exactly (after ``rules``-rewriting when given) or to ``tol``.
+    is checked exactly (after ``rules``-rewriting when given) or to
+    ``ROTATION_TOL``.
     """
     exact = all(is_exact(e) for row in r3 for e in row)
+    tol = 0 if exact else ROTATION_TOL
 
     def simp(c):
         if rules is not None and isinstance(c, Scalar):
@@ -245,7 +250,7 @@ def rotate_basis(g: LieAlgebra, r3, rules=None, tol: float = 1e-12) -> BasisRota
         for b in range(3):
             dot = simp(sum(r3[a][i] * r3[b][i] for i in range(3)))
             expect = one if a == b else (Scalar() if exact else 0.0)
-            if coeff_norm(dot - expect) > (0 if exact else tol):
+            if coeff_norm(dot - expect) > tol:
                 raise NotOrthogonal(f"R^T R != I at entry {(a, b)}")
 
     zero = Scalar() if exact else 0.0
@@ -268,7 +273,7 @@ def rotate_basis(g: LieAlgebra, r3, rules=None, tol: float = 1e-12) -> BasisRota
                 rhs_vec[k] = rhs_vec[k] + c
             rhs = rot.apply(rhs_vec)
             for a in range(DIM):
-                if coeff_norm(simp(lhs[a] - rhs[a])) > (0 if exact else tol):
+                if coeff_norm(simp(lhs[a] - rhs[a])) > tol:
                     raise NotOrthogonal(
                         f"rotation is not an automorphism at [{BASIS[i]},{BASIS[j]}]")
     return rot

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .scalars import Frac, NonTerminating, Scalar, sym
+from .scalars import Frac, NonTerminating, Scalar, accumulate, sym
 
 Word = tuple
 
@@ -43,7 +43,7 @@ class NCPoly:
         if terms:
             for w, c in terms.items():
                 c = Frac.of(c)
-                if not c.is_zero():
+                if c:
                     self.terms[tuple(w)] = c
 
     @classmethod
@@ -67,12 +67,7 @@ class NCPoly:
     def __add__(self, other: "NCPoly") -> "NCPoly":
         out = dict(self.terms)
         for w, c in other.terms.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
+            accumulate(out, w, c)
         p = NCPoly()
         p.terms = out
         return p
@@ -90,14 +85,7 @@ class NCPoly:
         out: dict = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                s = out.get(w)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = s
+                accumulate(out, w1 + w2, c1 * c2)
         p = NCPoly()
         p.terms = out
         return p
@@ -105,7 +93,7 @@ class NCPoly:
     def scale(self, c) -> "NCPoly":
         c = Frac.of(c)
         p = NCPoly()
-        if not c.is_zero():
+        if c:
             p.terms = {w: v * c for w, v in self.terms.items()}
         return p
 
@@ -118,14 +106,14 @@ class NCPoly:
                 raise SingularSpecialization(
                     f"the coefficient of word {w} has a pole there: "
                     f"its denominator {c.den} vanishes") from None
-            if not c2.is_zero():
+            if c2:
                 p.terms[w] = c2
         return p
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NCPoly):
             return NotImplemented
-        return (self - other).is_zero()
+        return not (self - other)
 
     __hash__ = None
 
@@ -187,42 +175,34 @@ class NCAlgebra:
                 return p
         return None
 
-    @staticmethod
-    def _merge(store: dict, key, val):
-        s = store.get(key)
-        s = val if s is None else s + val
-        if s.is_zero():
-            store.pop(key, None)
-        else:
-            store[key] = s
-
     def _reduce_word(self, w: Word, strategy: str, active: set, budget: list):
         """Returns (poly, syms) with w = poly + sum syms[v] * v as an algebra
         identity; symbolic references only point at words on the active
         stack.  Identities are memoized even while symbolic (they hold
         unconditionally) and stale symbols are resolved by substitution, so
-        every word is expanded at most once per strategy."""
+        every word is expanded at most once per strategy.  The returned dicts
+        are the memo's own: callers read them and never mutate them."""
         memo = self._memo[strategy]
         entry = memo.get(w)
         if entry is not None:
             poly, syms = entry
             if not syms or all(s in active for s in syms):
-                return dict(poly), dict(syms)
+                return entry
             newpoly, newsyms = dict(poly), {}
             for s, c in syms.items():
                 if s in active:
-                    self._merge(newsyms, s, c)
+                    accumulate(newsyms, s, c)
                     continue
                 sp, ss = self._reduce_word(s, strategy, active, budget)
                 for k, v in sp.items():
-                    self._merge(newpoly, k, v * c)
+                    accumulate(newpoly, k, v * c)
                 for k, v in ss.items():
-                    self._merge(newsyms, k, v * c)
-            memo[w] = (dict(newpoly), dict(newsyms))
-            return dict(newpoly), dict(newsyms)
+                    accumulate(newsyms, k, v * c)
+            memo[w] = (newpoly, newsyms)
+            return newpoly, newsyms
         if self.is_normal(w):
-            memo[w] = ({w: Frac.of(1)}, {})
-            return {w: Frac.of(1)}, {}
+            memo[w] = entry = ({w: Frac.of(1)}, {})
+            return entry
         if w in active:
             return {}, {w: Frac.of(1)}
         budget[0] -= 1
@@ -242,20 +222,20 @@ class NCAlgebra:
         for word2, coeff in pieces:
             subpoly, subsyms = self._reduce_word(word2, strategy, active, budget)
             for k, v in subpoly.items():
-                self._merge(poly, k, v * coeff)
+                accumulate(poly, k, v * coeff)
             for k, v in subsyms.items():
-                self._merge(syms, k, v * coeff)
+                accumulate(syms, k, v * coeff)
         active.discard(w)
         lam = syms.pop(w, None)
         if lam is not None:
             denom = Frac.of(1) - lam
-            if denom.is_zero():
+            if not denom:
                 raise SingularSpecialization(
                     f"singular straightening fixpoint at word {w}")
             factor = Frac.of(1) / denom
             poly = {k: v * factor for k, v in poly.items()}
             syms = {k: v * factor for k, v in syms.items()}
-        memo[w] = (dict(poly), dict(syms))
+        memo[w] = (poly, syms)
         return poly, syms
 
     def normal_form(self, p, strategy: str = "leftmost") -> NCPoly:
@@ -268,12 +248,7 @@ class NCAlgebra:
             if syms:
                 raise NonTerminating("unresolved straightening fixpoint")
             for k, v in poly.items():
-                s = out.get(k)
-                s = v * c if s is None else s + v * c
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
+                accumulate(out, k, v * c)
         q = NCPoly()
         q.terms = out
         return q
@@ -443,13 +418,7 @@ def _drop_generator(p: NCPoly, gen: int) -> NCPoly:
     """Substitute a (central) generator by 1: erase its letters."""
     out = NCPoly()
     for w, c in p.terms.items():
-        key = tuple(g for g in w if g != gen)
-        cur = out.terms.get(key)
-        cur = c if cur is None else cur + c
-        if cur.is_zero():
-            out.terms.pop(key, None)
-        else:
-            out.terms[key] = cur
+        accumulate(out.terms, tuple(g for g in w if g != gen), c)
     return out
 
 
@@ -467,11 +436,11 @@ def flat_limits_ok() -> bool:
         got = rhs.substitute(zero_eta)
         mapped = NCPoly({tuple(flat.pos[local.gens[g]] for g in w): c
                          for w, c in got.terms.items()})
-        if not (mapped - want).is_zero():
+        if mapped != want:
             return False
     sphere = quantum_sphere()
     for rhs in sphere.commutator_rhs.values():
-        if not rhs.substitute(zero_eta).is_zero():
+        if rhs.substitute(zero_eta):
             return False
     amb = ambient_algebra()
     i4 = amb.pos["s4"]
@@ -486,7 +455,7 @@ def flat_limits_ok() -> bool:
             want = NCPoly.gen(amb.pos[a], sym("kinv"))
         else:
             want = NCPoly.zero()
-        if not (got - want).is_zero():
+        if got != want:
             return False
     return True
 

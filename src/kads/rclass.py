@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .bialgebra import Bivector, cocommutator, mcybe_residual, mcybe_residual_components
 from .liealg import DIM, IDX, BasisRotation, LieAlgebra, ads_algebra, rotate_basis
-from .scalars import ONE, Frac, Scalar, make_rule, reduce_mod, sym
+from .scalars import ONE, Frac, Scalar, accumulate, make_rule, reduce_mod, sym
 
 
 class ConstraintViolated(ValueError):
@@ -146,7 +146,7 @@ def impose_primitivity(fam: RFamily, g: LieAlgebra, x_index: int) -> RFamily:
         row = {}
         for p in fam.params:
             c = delta_dirs[p].components.get(key)
-            if c is not None and not (isinstance(c, Scalar) and c.is_zero()):
+            if c:
                 row[p] = Frac.of(c)
         rhs = delta_const.components.get(key)
         rows.append((row, Frac.of(-rhs) if rhs is not None else Frac.of(0)))
@@ -158,19 +158,14 @@ def impose_primitivity(fam: RFamily, g: LieAlgebra, x_index: int) -> RFamily:
         row = dict(row)
         for col, ri in pivots.items():
             c = row.pop(col, None)
-            if c is None or c.is_zero():
+            if not c:
                 continue
             prow, prhs = reduced[ri]
             for k, v in prow.items():
-                cur = row.get(k, Frac.of(0)) - c * v
-                if cur.is_zero():
-                    row.pop(k, None)
-                else:
-                    row[k] = cur
+                accumulate(row, k, -(c * v))
             rhs = rhs - c * prhs
-        row = {k: v for k, v in row.items() if not v.is_zero()}
         if not row:
-            if not rhs.is_zero():
+            if rhs:
                 raise ConstraintViolated("primitivity system is inconsistent")
             continue
         pcol = sorted(row)[0]
@@ -180,14 +175,10 @@ def impose_primitivity(fam: RFamily, g: LieAlgebra, x_index: int) -> RFamily:
         # back-substitute into previous rows
         for i, (prow, prhs) in enumerate(reduced):
             c = prow.pop(pcol, None)
-            if c is None or c.is_zero():
+            if not c:
                 continue
             for k, v in row.items():
-                cur = prow.get(k, Frac.of(0)) - c * v
-                if cur.is_zero():
-                    prow.pop(k, None)
-                else:
-                    prow[k] = cur
+                accumulate(prow, k, -(c * v))
             reduced[i] = (prow, prhs - c * rhs)
         pivots[pcol] = len(reduced)
         reduced.append((row, rhs))
@@ -202,7 +193,7 @@ def impose_primitivity(fam: RFamily, g: LieAlgebra, x_index: int) -> RFamily:
     new_const = fam.const
     for p in fam.params:
         sol = particular[p]
-        if sol.is_zero():
+        if not sol:
             continue
         if sol.den != Scalar.rational(1):
             raise ValueError("particular solution is not polynomial; "
@@ -221,7 +212,7 @@ def impose_primitivity(fam: RFamily, g: LieAlgebra, x_index: int) -> RFamily:
         vec = _clear_denominators(vec)
         direction = Bivector()
         for p, c in vec.items():
-            if not c.is_zero():
+            if c:
                 direction = direction + fam.directions[p].scale(c)
         name = f"t{n}"
         params.append(name)
@@ -269,7 +260,7 @@ def constraint_residuals(alpha=None, beta=None, kinv=None, eta=None) -> list:
     comps = mcybe_residual_components(g, r)
     seen = {}
     for c in comps:
-        if isinstance(c, Scalar) and not c.is_zero():
+        if c:
             n = c.normalized()
             seen.setdefault(str(n), n)
     return [seen[k] for k in sorted(seen)]
@@ -338,18 +329,11 @@ def rotation_to_pole(theta: float, phi: float):
 
 def rotate_bivector(rot: BasisRotation, r: Bivector) -> Bivector:
     """Push a bivector through a basis automorphism (legs mapped by columns)."""
-    out = Bivector()
-    for (i, j), c in r.components.items():
-        ei = rot.generator_image(i)
-        ej = rot.generator_image(j)
-        for a, ma in enumerate(ei):
-            if ma == 0 or (isinstance(ma, Scalar) and ma.is_zero()):
-                continue
-            for b, mb in enumerate(ej):
-                if mb == 0 or (isinstance(mb, Scalar) and mb.is_zero()):
-                    continue
-                out = out + Bivector.from_terms((a, b, c * ma * mb))
-    return out
+    return Bivector.from_terms(*(
+        (a, b, c * ma * mb)
+        for (i, j), c in r.components.items()
+        for a, ma in enumerate(rot.generator_image(i)) if ma
+        for b, mb in enumerate(rot.generator_image(j)) if mb))
 
 
 def require_on_surface(alpha, beta, kinv: float, lam: float, tol: float = 1e-9) -> float:
@@ -374,8 +358,8 @@ def canonicalize(theta: float, phi: float, twist: float, kinv: float,
     radius = eta * kinv
     st, ct = math.sin(theta), math.cos(theta)
     sp, cp = math.sin(phi), math.cos(phi)
-    alpha = (radius * st * cp, -radius * st * sp, radius * ct)
-    beta = (twist * st * cp, -twist * st * sp, twist * ct)
+    alpha = sphere_param(ct, st, cp, sp, radius)
+    beta = beta_aligned(ct, st, cp, sp, twist)
 
     resid = require_on_surface(alpha, beta, kinv, lam, tol)
 

@@ -406,6 +406,20 @@ def rat(p, q: int = 1) -> Scalar:
     return Scalar.rational(Fraction(p, q))
 
 
+def accumulate(store: dict, key, value) -> None:
+    """Add ``value`` into ``store[key]``, dropping the key when the sum is zero.
+
+    The zero test is truthiness, on which Scalar, Frac, Fraction, int,
+    float, complex and numpy scalars agree (NaN is kept, -0.0 dropped).
+    """
+    cur = store.get(key)
+    s = value if cur is None else cur + value
+    if s:
+        store[key] = s
+    else:
+        store.pop(key, None)
+
+
 # -- normal-form rewriting ----------------------------------------------------
 
 
@@ -434,7 +448,10 @@ def make_rule(poly: Scalar) -> RewriteRule:
     return RewriteRule(lead, rest)
 
 
-def reduce_mod(p: Scalar, rules: Iterable[RewriteRule], max_steps: int = 2_000_000) -> Scalar:
+REDUCE_STEPS = 2_000_000  # rewrite budget of reduce_mod
+
+
+def reduce_mod(p: Scalar, rules: Iterable[RewriteRule]) -> Scalar:
     """Exhaustively rewrite ``p`` modulo the oriented rules.
 
     Terminates because every step replaces one monomial occurrence by
@@ -459,7 +476,7 @@ def reduce_mod(p: Scalar, rules: Iterable[RewriteRule], max_steps: int = 2_000_0
         replacement = Scalar({q: c}) * r.rhs
         p = p + replacement - Scalar({m: c})
         steps += 1
-        if steps > max_steps:
+        if steps > REDUCE_STEPS:
             raise NonTerminating("rewriting exceeded the step budget")
 
 

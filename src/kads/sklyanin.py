@@ -189,24 +189,23 @@ def bracket_matrix_ambient(r: Bivector, point: GroupPoint, matrix=None):
     return _bracket_matrix(r, point, matrix, ambient_derivatives, 5)
 
 
-def sample_points(n: int, lam: float, rng, lorentz: bool = True):
-    """Chart-safe random group points: |x| <= 0.8/max(1, sqrt|lam|)."""
+def sample_points(n: int, lam: float, rng):
+    """Chart-safe random group points: |x| <= 0.8/max(1, sqrt|lam|), with
+    random Lorentz coordinates."""
     box = 0.8 / max(1.0, math.sqrt(abs(lam)))
     pts = []
     for _ in range(n):
         x = tuple(rng.uniform(-box, box) for _ in range(4))
-        if lorentz:
-            xi = tuple(rng.uniform(-0.5, 0.5) for _ in range(3))
-            th = tuple(rng.uniform(-0.5, 0.5) for _ in range(3))
-        else:
-            xi = th = (0.0, 0.0, 0.0)
+        xi = tuple(rng.uniform(-0.5, 0.5) for _ in range(3))
+        th = tuple(rng.uniform(-0.5, 0.5) for _ in range(3))
         pts.append(GroupPoint(x=x, xi=xi, th=th, lam=lam))
     return pts
 
 
 def verify_table(r: Bivector, table: BracketTable, samples: int, lam: float,
-                 seed: int = 0x5EED, check_lorentz_independence: bool = True) -> dict:
-    """Compare the Sklyanin bracket against a closed-form table on a grid."""
+                 seed: int = 0x5EED) -> dict:
+    """Compare the Sklyanin bracket against a closed-form table on a grid,
+    and check that it does not depend on the Lorentz coordinates."""
     rng = np.random.default_rng(seed)
     ambient = table.name == "ambient"
     pair_dev: dict = {}
@@ -230,13 +229,12 @@ def verify_table(r: Bivector, table: BracketTable, samples: int, lam: float,
                 pair_dev[key] = max(pair_dev.get(key, 0.0), dev)
                 if dev > worst:
                     worst, worst_point = dev, point.coords()
-        if check_lorentz_independence:
-            other = GroupPoint(x=point.x,
-                               xi=tuple(rng.uniform(-0.5, 0.5) for _ in range(3)),
-                               th=tuple(rng.uniform(-0.5, 0.5) for _ in range(3)),
-                               lam=lam)
-            got2 = (bracket_matrix_ambient if ambient else bracket_matrix_local)(r, other)
-            indep_dev = max(indep_dev, float(np.max(np.abs(got2 - got))))
+        other = GroupPoint(x=point.x,
+                           xi=tuple(rng.uniform(-0.5, 0.5) for _ in range(3)),
+                           th=tuple(rng.uniform(-0.5, 0.5) for _ in range(3)),
+                           lam=lam)
+        got2 = (bracket_matrix_ambient if ambient else bracket_matrix_local)(r, other)
+        indep_dev = max(indep_dev, float(np.max(np.abs(got2 - got))))
     return {
         "table": table.name,
         "lambda": lam,
@@ -281,12 +279,10 @@ def _gradient(fn, x) -> list:
             for mu in range(len(x))]
 
 
-def table_jacobi_residual(table: BracketTable, samples: int, seed: int = 0x5EED,
-                          box: float | None = None) -> float:
+def table_jacobi_residual(table: BracketTable, samples: int, seed: int = 0x5EED) -> float:
     """Max |{x,{y,z}} + cyclic| over random points, via dual-number chains."""
     rng = np.random.default_rng(seed)
-    if box is None:
-        box = 0.8 / max(1.0, math.sqrt(abs(table.lam)))
+    box = 0.8 / max(1.0, math.sqrt(abs(table.lam)))
     n = table.dim
     worst = 0.0
     for _ in range(samples):

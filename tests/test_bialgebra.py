@@ -38,6 +38,12 @@ def test_cocommutator_of_zero_and_linearity():
     d1, d2 = cocommutator(g, r1), cocommutator(g, r2)
     for i in range(DIM):
         assert lhs[i] == d1[i].scale(a) + d2[i].scale(b)
+    # exact and float cancellation both leave an empty map
+    for c in (eta * kinv, 0.31):
+        r = biv(("J1", "J2", c), ("P0", "K1", c))
+        assert (r - r).components == {}
+        assert biv(("J1", "J2", c), ("J2", "J1", c)).components == {}
+        assert r + r.scale(-1) == Bivector() != r
 
 
 # -- independent Schouten oracle: full tensor contraction over 10^3 --------------

@@ -101,6 +101,23 @@ def test_lambda_value_as_separate_word(tmp_path, value):
     assert rep["config"]["lam"] == (value if value == "formal" else float(value))
 
 
+@pytest.mark.parametrize("suite", ["check-bialgebra", "classify", "poisson", "nc",
+                                   "export"])
+@pytest.mark.parametrize("lam", ["formal", "-1"])
+def test_kappa_inv_formal_is_a_config_error(suite, lam):
+    assert main([suite, f"--lambda={lam}", "--kappa-inv", "formal"]) == 3
+
+
+def test_kappa_inv_is_used_under_formal_lambda(tmp_path):
+    out = tmp_path / "rep.json"
+    assert main(["poisson", "--kappa-inv", "0.5", "--samples", "5",
+                 "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["config"]["kappa_inv"] == 0.5
+    assert all(t["kinv"] == rep["config"]["kappa_inv"]
+               for t in rep["tables"].values())
+
+
 def test_export_files(tmp_path):
     out = tmp_path / "dump.csv"
     code = main(["export", "--lambda", "-1.0", "--kappa-inv", "0.31",

@@ -146,6 +146,29 @@ def test_strategy_independence():
     assert total == 1000
 
 
+def test_memo_entries_are_never_mutated():
+    """Memo identities are shared with callers, not copied: reducing more
+    words after a ladder with fixpoints must leave every memo dict seen
+    before unchanged, and repeated normal forms must agree."""
+    A = ambient_algebra()
+    s1, s2 = A.pos["s1"], A.pos["s2"]
+    ladder = NCPoly.word((s2,) * 3 + (s1,) * 3)
+    first = A.normal_form(ladder)
+    seen = [(d, dict(d)) for memo in A._memo.values()
+            for entry in memo.values() for d in entry]
+    # words whose memo identity still refers to other words symbolically
+    symbolic = [w for w, (_, syms) in A._memo["leftmost"].items() if syms]
+    assert symbolic
+    rng = np.random.default_rng(5)
+    words = symbolic + [(s2, s2, s1, s1), (s2, s1, s2, s1, s1)] + [
+        tuple(int(v) for v in rng.integers(0, 5, 4)) for _ in range(12)]
+    results = {w: A.normal_form(NCPoly.word(w)) for w in words}
+    for w in words:
+        assert A.normal_form(NCPoly.word(w)) == results[w], w
+    assert A.normal_form(ladder) == first
+    assert all(d == snapshot for d, snapshot in seen)
+
+
 def test_semiclassical_leading_order():
     """The commutator tables reduce to the Poisson tables at leading order
     in the deformation scale (corrections carry kinv^2 at least)."""

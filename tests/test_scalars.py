@@ -1,12 +1,15 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
 from kads.scalars import (PARAMS, CyclicSubstitution, Frac, NonTerminating, Scalar,
-                          UnboundParameter, make_rule, mono_key, poly_divmod,
-                          rat, reduce_mod, sphere_rules, sym, trig_rules)
+                          UnboundParameter, accumulate, make_rule, mono_key,
+                          poly_divmod, rat, reduce_mod, sphere_rules, sym,
+                          trig_rules)
 
 eta, kinv = sym("eta"), sym("kinv")
 a1, a2, a3 = sym("alpha1"), sym("alpha2"), sym("alpha3")
@@ -70,6 +73,39 @@ def test_term_merge():
     p = a1 ** 2 + a2 ** 2
     assert len(p.terms) == 2
     assert all(c == 1 for c in p.terms.values())
+
+
+# (nonzero value, a zero of the same kind) for every coefficient type in use
+ACCUMULATE_CASES = {
+    "Scalar": (eta * kinv - 2, Scalar()),
+    "Frac": (Frac(eta, kinv + 1), Frac.of(0)),
+    "Fraction": (Fraction(3, 7), Fraction(0)),
+    "int": (5, 0),
+    "float": (0.25, 0.0),
+    "complex": (1.5 - 2j, 0j),
+    "numpy.float64": (np.float64(0.125), np.float64(0.0)),
+    "-0.0": (2.0, -0.0),
+}
+
+
+@pytest.mark.parametrize("x, zero", ACCUMULATE_CASES.values(), ids=ACCUMULATE_CASES)
+def test_accumulate_keeps_exactly_the_nonzero_sums(x, zero):
+    store = {"other": x}
+    accumulate(store, "k", zero)
+    assert "k" not in store          # a zero onto a missing key stores nothing
+    accumulate(store, "k", x)
+    accumulate(store, "k", zero)
+    assert store["k"] == x           # nonzero sum: kept
+    accumulate(store, "k", x)
+    assert store["k"] == x + x
+    accumulate(store, "k", -(x + x))
+    assert list(store) == ["other"]  # zero sum: the key is dropped
+
+
+def test_accumulate_keeps_nan():
+    store = {}
+    accumulate(store, "k", math.nan)
+    assert math.isnan(store["k"])
 
 
 scalars_st = st.builds(
