@@ -25,6 +25,10 @@ SUITES = [
     ("nc", ["nc"]),
     ("export", ["export", "--lambda", "-1.0", "--kappa-inv", "0.31",
                 "--samples", "50"]),
+    ("export_ds", ["export", "--lambda", "1.0", "--kappa-inv", "0.31",
+                   "--samples", "50"]),
+    ("export_near_flat", ["export", "--lambda", "-1e-08", "--kappa-inv", "0.31",
+                          "--samples", "50"]),
 ]
 
 

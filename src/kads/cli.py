@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -46,6 +47,13 @@ class RunConfig:
     inject_fault: bool = False
 
     def __post_init__(self):
+        numbers = {"--kappa-inv": self.kappa_inv, "--twist": self.twist,
+                   "--tol": self.tolerance}
+        if not self.formal:
+            numbers["--lambda"] = self.lam
+        for flag, value in numbers.items():
+            if not math.isfinite(value):
+                raise ConfigError(f"{flag} must be finite, got {value!r}")
         if self.samples < 1:
             raise ConfigError("samples must be >= 1")
         if self.tolerance <= 0:
@@ -152,9 +160,9 @@ def cmd_classify(cfg: RunConfig) -> dict:
         rot, exp, transcript = rclass.canonicalize(th, ph, tw, kinv=cfg.kappa_inv,
                                                    lam=-1.0)
         keys = set(rot.components) | set(exp.components)
-        dev = max(abs(rot.components.get(k, 0.0) - exp.components.get(k, 0.0))
-                  for k in keys)
-        worst = max(worst, dev)
+        dev = functools.reduce(sklyanin.worst_of, (
+            abs(rot.components.get(k, 0.0) - exp.components.get(k, 0.0)) for k in keys))
+        worst = sklyanin.worst_of(worst, dev)
         transcript["deviation"] = dev
         transcripts.append(transcript)
     checks.append(_check("canonicalization_max_deviation", worst, 1e-12))
@@ -172,14 +180,14 @@ def cmd_classify(cfg: RunConfig) -> dict:
         alpha = tuple(radius * v for v in n)
         beta = tuple(t * v for v in n)
         rs = rclass.numeric_family_residual(alpha, beta, kv, lamv)
-        sat_worst = max(sat_worst, rs)
+        sat_worst = sklyanin.worst_of(sat_worst, rs)
         while True:
             alpha_v = tuple(rng.uniform(-1.5, 1.5, 3))
             beta_v = tuple(rng.uniform(-1.5, 1.5, 3))
             if rclass.constraint_distance(alpha_v, beta_v, radius) > 0.1:
                 break
         rv = rclass.numeric_family_residual(alpha_v, beta_v, kv, lamv)
-        vio_best = min(vio_best, rv)
+        vio_best = rv if rv != rv or rv < vio_best else vio_best  # NaN is least
         if len(sample_log) < 20:
             sample_log.append({"lambda": lamv, "kinv": kv,
                                "satisfying_residual": rs,
@@ -222,10 +230,11 @@ def cmd_poisson(cfg: RunConfig) -> dict:
     exp_worst = 0.0
     for _ in range(min(cfg.samples, 50)):
         x = tuple(rng.uniform(-0.8, 0.8, 4))
-        z, f = sklyanin.eta_expansion_entry("local", 0, 1, x, kinv)
-        exp_worst = max(exp_worst, abs(z - (-kinv * x[1])), abs(f))
-        z, f = sklyanin.eta_expansion_entry("local", 1, 2, x, kinv)
-        exp_worst = max(exp_worst, abs(z), abs(f - (-kinv * x[3] ** 2)))
+        z0, f0 = sklyanin.eta_expansion_entry("local", 0, 1, x, kinv)
+        z1, f1 = sklyanin.eta_expansion_entry("local", 1, 2, x, kinv)
+        for dev in (abs(z0 - (-kinv * x[1])), abs(f0), abs(z1),
+                    abs(f1 - (-kinv * x[3] ** 2))):
+            exp_worst = sklyanin.worst_of(exp_worst, dev)
     checks.append(_check("first_order_expansion", exp_worst, 1e-12))
     # space sector conservation along a sampled flow
     p3 = sklyanin.quadratic_space_poisson(1.0, kinv)
@@ -270,6 +279,8 @@ def cmd_export(cfg: RunConfig) -> dict:
     rng = np.random.default_rng(cfg.seed)
     box = 0.8 / max(1.0, math.sqrt(abs(lam)))
     rows = []
+    worst = {"pseudosphere_residual": 0.0, "isometry_residual": 0.0,
+             "metric_pullback_dev": 0.0}
     table = sklyanin.closed_form_local(lam, kinv)
     for _ in range(cfg.samples):
         x = tuple(float(v) for v in rng.uniform(-box, box, 4))
@@ -289,8 +300,11 @@ def cmd_export(cfg: RunConfig) -> dict:
                          for i in range(4) for j in range(i + 1, 4)},
         }
         rows.append(row)
-    report = {"suite": "export", "config": cfg.echo(), "rows": rows, "pass": True,
-              "checks": []}
+        for name in worst:
+            worst[name] = sklyanin.worst_of(worst[name], abs(row[name]))
+    checks = [_check(name, value, cfg.tolerance) for name, value in worst.items()]
+    report = {"suite": "export", "config": cfg.echo(), "rows": rows, "checks": checks,
+              "pass": all(c["pass"] for c in checks)}
     if cfg.fmt == "csv" and cfg.out:
         base, _ = os.path.splitext(cfg.out)
         with open(base + "_geometry.csv", "w", newline="") as fh:

@@ -25,7 +25,10 @@ class Dual:
     """First-order dual number a + b*eps with eps^2 = 0.
 
     Parts are duck-typed: floats normally, complex when a table entry
-    carries the imaginary curvature scale of the positive-lam regime.
+    carries the imaginary curvature scale of the positive-lam regime.  The
+    eps part may be a numpy array of tangents, one per direction: every
+    operation is elementwise in eps, so one chain carries all directions
+    and each component equals the scalar chain bit for bit.
     """
 
     __slots__ = ("re", "eps")

@@ -4,6 +4,13 @@ and invariant vector fields via dual-number differentiation.
 
 Ambient coordinates are ordered ``(s4, s0, s1, s2, s3)`` to match the
 matrix rows/columns; the bilinear form is ``diag(1, -lam, lam, lam, lam)``.
+
+Every generator T acts on one coordinate 2-plane and squares to a scalar
+s there, so its one-parameter subgroup has the closed form
+``exp(cT) = ct(s, c) I + st(s, c) T`` on that plane (identity off it); a
+group element is ten such two-column updates, with no matrix exponential.
+Derivatives are forward-mode duals whose ``eps`` holds one tangent per
+listed generator, so one chain per side serves every invariant field.
 """
 
 from __future__ import annotations
@@ -12,10 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import curvtrig
-from .curvtrig import Dual, ch, ct, sh, sh_inv, st, tn_inv
+from .curvtrig import Dual, ch, ct, eps_part, sh, sh_inv, st, tn_inv
 from .liealg import DIM
 
 
@@ -70,20 +76,21 @@ def generator_matrix(i: int, lam: float) -> np.ndarray:
     return vector_rep(coeffs, lam)
 
 
-_GEN_CACHE: dict = {}
-
-
-def _gens(lam: float):
-    key = float(lam)
-    if key not in _GEN_CACHE:
-        _GEN_CACHE[key] = [generator_matrix(i, key) for i in range(DIM)]
-    return _GEN_CACHE[key]
+def _planes(lam: float) -> tuple:
+    """(p, q, a, b) per generator, read off ``vector_rep``: T_i e_p = a e_q,
+    T_i e_q = b e_p and T_i vanishes on the other basis vectors, so
+    T_i^2 = a*b on span(e_p, e_q)."""
+    return ((0, 1, 1.0, lam),                                        # P0
+            (0, 2, 1.0, -lam), (0, 3, 1.0, -lam), (0, 4, 1.0, -lam),  # Pa
+            (1, 2, 1.0, 1.0), (1, 3, 1.0, 1.0), (1, 4, 1.0, 1.0),     # Ka
+            (3, 4, 1.0, -1.0), (2, 4, -1.0, 1.0), (2, 3, 1.0, -1.0))  # Ja
 
 
 def group_element(p: GroupPoint) -> np.ndarray:
-    """Ordered product of the ten one-parameter exponentials.
+    """Ordered product of the ten one-parameter subgroups, in closed form.
 
-    Order: time translation, space translations, boosts, rotations.
+    Order: time translation, space translations, boosts, rotations.  Each
+    factor ct(ab, c) I + st(ab, c) T_i rewrites the two columns of its plane.
     """
     root = math.sqrt(abs(p.lam))
     for c in p.x:
@@ -92,12 +99,16 @@ def group_element(p: GroupPoint) -> np.ndarray:
     for c in p.xi:
         if abs(c) > 50.0:
             raise NumericOverflow("boost coordinate too large for exp")
-    gens = _gens(p.lam)
-    m = np.eye(5)
-    for i, c in enumerate(p.coords()):
+    m = [[1.0 if r == k else 0.0 for k in range(5)] for r in range(5)]
+    for (i, j, a, b), c in zip(_planes(p.lam), p.coords()):
         if c != 0.0:
-            m = m @ expm(c * gens[i])
-    return m
+            cc, sc = ct(a * b, c), st(a * b, c)
+            sa, sb = sc * a, sc * b
+            for row in m:
+                u, v = row[i], row[j]
+                row[i] = cc * u + sa * v
+                row[j] = cc * v + sb * u
+    return np.array(m)
 
 
 def isometry_residual(m: np.ndarray, lam: float) -> float:
@@ -172,13 +183,9 @@ def metric_at(x, lam: float) -> np.ndarray:
 
 
 def ambient_jacobian(x, lam: float) -> np.ndarray:
-    """5x4 Jacobian of ambient_from_local, by forward-mode duals."""
-    cols = []
-    for mu in range(4):
-        xd = [Dual(float(c), 1.0 if k == mu else 0.0) for k, c in enumerate(x)]
-        s = ambient_from_local(xd, lam)
-        cols.append([curvtrig.eps_part(v) for v in s])
-    return np.array(cols).T
+    """5x4 Jacobian of ambient_from_local, by one forward-mode dual pass."""
+    xd = [Dual(float(c), seed) for c, seed in zip(x, np.eye(4))]
+    return np.array([eps_part(v) for v in ambient_from_local(xd, lam)])
 
 
 def metric_pullback(x, lam: float) -> np.ndarray:
@@ -198,36 +205,64 @@ def metric_pullback(x, lam: float) -> np.ndarray:
 # -- invariant vector fields ---------------------------------------------------
 
 
-def _tangent(m: np.ndarray, lam: float, i: int, side: str) -> np.ndarray:
-    """d/dt at t = 0 of m exp(t T_i) (side "L") or exp(t T_i) m (side "R")."""
-    a = _gens(lam)[i]
-    return m @ a if side == "L" else a @ m
+def _tangents(m: np.ndarray, lam: float, gens, side: str) -> np.ndarray:
+    """Row k: d/dt at t = 0 of the first column of m exp(t T_i) (side "L")
+    or exp(t T_i) m (side "R"), for i = gens[k].
+
+    Every entry is a single product, so it equals the matrix product bit
+    for bit.
+    """
+    planes = _planes(lam)
+    out = np.zeros((len(gens), 5))
+    for k, i in enumerate(gens):
+        p, q, a, b = planes[i]
+        if side == "L":
+            if p == 0:  # T_i e_0 = a e_q; the Lorentz generators fix e_0
+                out[k] = m[:, q] * a
+        else:
+            out[k, q] = a * m[p, 0]
+            out[k, p] = b * m[q, 0]
+    return out
 
 
-def _coset_duals(m: np.ndarray, lam: float, i: int, side: str) -> tuple:
-    """The four coset coordinates as duals carrying their derivative along T_i."""
-    dm = _tangent(m, lam, i, side)
-    col = tuple(Dual(float(m[r, 0]), float(dm[r, 0])) for r in range(5))
+def _coset_duals(m: np.ndarray, lam: float, gens, side: str) -> tuple:
+    """The four coset coordinates as duals; eps[k] is the derivative along
+    the field of T_i, i = gens[k]."""
+    tan = _tangents(m, lam, gens, side)
+    col = tuple(Dual(float(m[r, 0]), eps) for r, eps in enumerate(tan.T))
     return local_from_ambient(col, lam, check=False)
+
+
+def field_derivatives(m: np.ndarray, lam: float, gens, side: str, fns) -> dict:
+    """X_i h for the listed generators and coset functions, from one dual
+    chain: map i -> [X_i h for h in fns].
+
+    Each ``h`` is a smooth function of the four coset coordinates (it
+    receives a tuple of Dual numbers).
+    """
+    coords = _coset_duals(m, lam, gens, side)
+    n = len(gens)
+    rows = np.array([np.broadcast_to(eps_part(h(coords)), (n,)) for h in fns])
+    return {i: rows[:, k].tolist() for k, i in enumerate(gens)}
 
 
 def invariant_field(side: str, i: int, f, point: GroupPoint, matrix=None):
     """Derivative of f along the left- or right-invariant field of T_i.
 
-    ``f`` is a smooth function of the four coset coordinates (it receives a
-    tuple of Dual numbers).  Cross-checked in the tests against central
-    finite differences.
+    Cross-checked in the tests against central finite differences.
     """
     m = group_element(point) if matrix is None else matrix
-    return curvtrig.eps_part(f(_coset_duals(m, point.lam, i, side)))
+    return field_derivatives(m, point.lam, (i,), side, (f,))[i][0]
+
+
+_COORDINATES = tuple((lambda c, mu=mu: c[mu]) for mu in range(4))
 
 
 def coset_derivatives(m: np.ndarray, lam: float, gens, side: str) -> dict:
     """X_i x^mu for the listed generators: map i -> length-4 list."""
-    return {i: [curvtrig.eps_part(c) for c in _coset_duals(m, lam, i, side)]
-            for i in gens}
+    return field_derivatives(m, lam, gens, side, _COORDINATES)
 
 
 def ambient_derivatives(m: np.ndarray, lam: float, gens, side: str) -> dict:
     """X_i s^A for the listed generators: map i -> length-5 list."""
-    return {i: [float(v) for v in _tangent(m, lam, i, side)[:, 0]] for i in gens}
+    return dict(zip(gens, _tangents(m, lam, gens, side).tolist()))

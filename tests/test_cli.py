@@ -129,3 +129,78 @@ def test_export_files(tmp_path):
     header = geo.read_text().splitlines()[0]
     assert header.startswith("x0,x1,x2,x3,s4")
     assert len(geo.read_text().splitlines()) == 5
+
+
+@pytest.mark.parametrize("suite", ["check-bialgebra", "poisson", "export"])
+@pytest.mark.parametrize("flag", ["--lambda", "--kappa-inv", "--twist", "--tol"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_numbers_are_config_errors(suite, flag, value):
+    argv = [suite, f"{flag}={value}"]
+    if flag != "--lambda":
+        argv.append("--lambda=-1")
+    assert main(argv) == 3
+
+
+def test_non_finite_numbers_rejected_by_run_config():
+    for kwargs in ({"lam": float("nan")}, {"kappa_inv": float("inf")},
+                   {"twist": float("-inf")}, {"tolerance": float("inf")}):
+        with pytest.raises(ConfigError):
+            RunConfig(**kwargs)
+
+
+@pytest.mark.parametrize("lam", ["-1.0", "1.0", "-1e-08", "formal"])
+def test_export_certifies_its_rows(tmp_path, lam):
+    out = tmp_path / "rep.json"
+    assert main(["export", f"--lambda={lam}", "--samples", "8",
+                 "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    checks = {c["name"]: c for c in rep["checks"]}
+    assert set(checks) == {"pseudosphere_residual", "isometry_residual",
+                           "metric_pullback_dev"}
+    for name, check in checks.items():
+        assert check["residual"] == max(abs(r[name]) for r in rep["rows"])
+        assert check["pass"] and check["tolerance"] == 1e-8
+    # a tolerance below round-off makes the same rows fail
+    assert main(["export", f"--lambda={lam}", "--samples", "8", "--tol", "1e-30",
+                 "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["pass"] is False
+
+
+def test_nan_residual_fails_export(tmp_path, monkeypatch):
+    import kads.cli as cli
+    monkeypatch.setattr(cli, "pseudosphere_residual", lambda s, lam: float("nan"))
+    out = tmp_path / "rep.json"
+    assert main(["export", "--lambda=-1", "--samples", "3", "--out", str(out)]) == 2
+    rep = json.loads(out.read_text())
+    bad = [c for c in rep["checks"] if not c["pass"]]
+    assert [c["name"] for c in bad] == ["pseudosphere_residual"]
+
+
+def test_nan_deviation_fails_poisson(tmp_path, monkeypatch):
+    from kads import sklyanin
+    entry = sklyanin.BracketTable.entry
+
+    def poisoned(self, i, j, coords):
+        if self.name == "local" and (i, j) == (1, 3):
+            return float("nan")
+        return entry(self, i, j, coords)
+
+    monkeypatch.setattr(sklyanin.BracketTable, "entry", poisoned)
+    out = tmp_path / "rep.json"
+    assert main(["poisson", "--lambda=-1", "--samples", "4", "--out", str(out)]) == 2
+    rep = json.loads(out.read_text())
+    failed = sorted(c["name"] for c in rep["checks"] if not c["pass"])
+    assert failed == ["local.jacobi", "local.sklyanin_match"]
+    local = rep["tables"]["local"]
+    assert local["per_pair"]["x1^x3"] != local["per_pair"]["x1^x3"]  # NaN
+    assert local["worst_point"] is not None
+
+
+def test_nan_residual_fails_classify(tmp_path, monkeypatch):
+    from kads import rclass
+    monkeypatch.setattr(rclass, "numeric_family_residual", lambda *a: float("nan"))
+    out = tmp_path / "rep.json"
+    assert main(["classify", "--samples", "3", "--out", str(out)]) == 2
+    rep = json.loads(out.read_text())
+    failed = sorted(c["name"] for c in rep["checks"] if not c["pass"])
+    assert failed == ["satisfying_samples_max_residual", "violating_samples_min_residual"]

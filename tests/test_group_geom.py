@@ -7,10 +7,11 @@ from scipy.linalg import expm
 from kads.curvtrig import Dual, ch, ct, sh, sh_inv, st, tn, tn_inv
 from kads.group_geom import (ChartBoundary, GroupPoint, NumericOverflow,
                              OffPseudosphere, OutOfChart, ambient_from_local,
-                             ambient_jacobian, group_element, invariant_field,
+                             ambient_derivatives, ambient_jacobian,
+                             coset_derivatives, group_element, invariant_field,
                              isometry_residual, local_from_ambient, metric_at,
-                             metric_pullback, pseudosphere_residual,
-                             vector_rep, _gens)
+                             generator_matrix, metric_pullback,
+                             pseudosphere_residual, vector_rep)
 from kads.liealg import DIM, IDX, ads_algebra
 
 LAMBDAS = (-1.0, -0.3, 0.0, 0.3, 1.0)
@@ -83,6 +84,27 @@ def test_overflow_guard():
         group_element(GroupPoint(x=(60.0, 0.0, 0.0, 0.0), lam=-1.0))
     with pytest.raises(NumericOverflow):
         group_element(GroupPoint(x=(0.0,) * 4, xi=(60.0, 0.0, 0.0), lam=0.0))
+    with pytest.raises(NumericOverflow):
+        group_element(GroupPoint(x=(0.0, 0.0, -30.0, 0.0), lam=4.0))
+    with pytest.raises(NumericOverflow):
+        group_element(GroupPoint(x=(0.0,) * 4, xi=(0.0, 0.0, -50.5), lam=-1.0))
+
+
+EXPM_LAMBDAS = (-2.5, -1.0, -0.3, -1e-8, 0.0, 1e-8, 0.3, 1.0, 4.0)
+
+
+@pytest.mark.parametrize("lam", EXPM_LAMBDAS)
+def test_group_element_matches_ordered_expm_product(lam):
+    rng = np.random.default_rng(16)
+    box = 0.8 / max(1.0, math.sqrt(abs(lam)))
+    for _ in range(20):
+        p = GroupPoint(x=tuple(rng.uniform(-box, box, 4)),
+                       xi=tuple(rng.uniform(-0.5, 0.5, 3)),
+                       th=tuple(rng.uniform(-0.5, 0.5, 3)), lam=lam)
+        want = np.eye(5)
+        for i, c in enumerate(p.coords()):
+            want = want @ expm(c * generator_matrix(i, lam))
+        assert np.max(np.abs(group_element(p) - want)) <= 1e-14
 
 
 def test_ambient_examples():
@@ -213,7 +235,7 @@ def test_invariant_field_at_identity():
 
 def finite_difference_field(side, i, f, point, step=1e-5):
     m = group_element(point)
-    a = _gens(point.lam)[i]
+    a = generator_matrix(i, point.lam)
     def val(mat):
         coords = local_from_ambient(tuple(mat[r, 0] for r in range(5)),
                                     point.lam, check=False)
@@ -244,7 +266,7 @@ def test_invariant_field_commutators():
     rng = np.random.default_rng(12)
     lam = -1.0
     g = ads_algebra(lam)
-    gens = _gens(lam)
+    gens = [generator_matrix(i, lam) for i in range(DIM)]
     f = lambda c: c[0] + 0.5 * c[1] * c[2] - 0.2 * c[3]
     step = 1e-5
     worst = 0.0
@@ -272,6 +294,32 @@ def test_invariant_field_commutators():
                     expect += float(c) * invariant_field(side, k, f, p, matrix=m)
                 worst = max(worst, abs((d1 - d2) - sign * expect))
     assert worst < 1e-6
+
+
+def _scalar_chain_derivatives(m, lam, i, side):
+    """X_i x^mu from a scalar dual chain along one generator, by matrix products."""
+    a = generator_matrix(i, lam)
+    tangent = (m @ a if side == "L" else a @ m)[:, 0]
+    col = tuple(Dual(float(m[r, 0]), float(tangent[r])) for r in range(5))
+    return [c.eps for c in local_from_ambient(col, lam, check=False)], list(tangent)
+
+
+@pytest.mark.parametrize("lam", (-1.0, -1e-8, 0.0, 1e-8, 0.7))
+def test_coset_derivatives_equal_per_generator_scalar_chains(lam):
+    rng = np.random.default_rng(17)
+    box = 0.8 / max(1.0, math.sqrt(abs(lam)))
+    for _ in range(8):
+        p = GroupPoint(x=tuple(rng.uniform(-box, box, 4)),
+                       xi=tuple(rng.uniform(-0.5, 0.5, 3)),
+                       th=tuple(rng.uniform(-0.5, 0.5, 3)), lam=lam)
+        m = group_element(p)
+        for side in ("L", "R"):
+            got = coset_derivatives(m, lam, range(DIM), side)
+            amb = ambient_derivatives(m, lam, range(DIM), side)
+            for i in range(DIM):
+                want, tangent = _scalar_chain_derivatives(m, lam, i, side)
+                assert got[i] == want, (side, i)
+                assert amb[i] == tangent, (side, i)
 
 
 def test_ambient_jacobian_shape():

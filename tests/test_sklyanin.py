@@ -11,7 +11,7 @@ from kads.sklyanin import (bracket_matrix_local, closed_form_ambient,
                            eta_expansion_entry, poisson_3d, project_2plus1,
                            push_local_to_ambient, quadratic_space_poisson,
                            sklyanin_bracket, table_jacobi_residual,
-                           verify_table)
+                           verify_table, worst_of)
 
 KINV = 0.31
 VTH = 0.17
@@ -306,3 +306,79 @@ def test_local_table_pushes_to_ambient_table():
                 for b in range(a + 1, 5):
                     worst = max(worst, abs(pushed[a, b] - tamb.entry(a, b, s)))
         assert worst < 1e-8
+
+
+def _naive_gradient(fn, x):
+    return [fn(tuple(Dual(float(c), 1.0 if k == mu else 0.0)
+                     for k, c in enumerate(x))).eps for mu in range(len(x))]
+
+
+def _naive_entry(f, casimir, i, j, x):
+    """One Casimir gradient per entry, antisymmetry by negation."""
+    if i == j:
+        return 0.0
+    if i > j:
+        return -_naive_entry(f, casimir, j, i, x)
+    grad, fv = _naive_gradient(casimir, x), f(x)
+    return {(0, 1): fv * grad[2], (1, 2): fv * grad[0], (0, 2): -fv * grad[1]}[i, j]
+
+
+def test_poisson_3d_bracket_with_equals_naive_entry_sum():
+    rng = np.random.default_rng(18)
+    f = lambda c: 0.4 + 0.3 * c[0] * c[2]
+    F = lambda c: c[0] ** 2 - 0.7 * c[1] * c[2] + c[2]
+    h = lambda c: 0.7 * c[0] - 0.3 * c[1] * c[1] + 0.14 * c[2]
+    pp = poisson_3d(f, F)
+    for _ in range(25):
+        x = tuple(rng.uniform(-0.8, 0.8, 3))
+        gh = _naive_gradient(h, x)
+        want = [sum(_naive_entry(f, F, a, b, x) * gh[b] for b in range(3))
+                for a in range(3)]
+        assert pp.bracket_with(h, x) == want
+        for a in range(3):
+            for b in range(3):
+                assert pp.entry(a, b, x) == _naive_entry(f, F, a, b, x)
+
+
+def _naive_jacobi_residual(table, samples, seed):
+    """Every gradient and entry re-evaluated per triple and cyclic term."""
+    rng = np.random.default_rng(seed)
+    box = 0.8 / max(1.0, math.sqrt(abs(table.lam)))
+    n = table.dim
+    worst = 0.0
+    for _ in range(samples):
+        if table.name == "ambient":
+            coords = ambient_from_local(tuple(rng.uniform(-box, box) for _ in range(4)),
+                                        table.lam)
+        else:
+            coords = tuple(rng.uniform(-box, box) for _ in range(n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(j + 1, n):
+                    total = 0.0
+                    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+                        g = _naive_gradient(lambda d: table.entry(b, c, d), coords)
+                        total = total + sum(table.entry(a, mu, coords) * g[mu]
+                                            for mu in range(n))
+                    worst = max(worst, abs(total))
+    return worst
+
+
+def test_table_jacobi_equals_per_triple_evaluation():
+    for lam in (-1.0, -1e-8, 1.0):
+        for table in (closed_form_local(lam, KINV), closed_form_twisted(lam, KINV, VTH),
+                      closed_form_ambient(lam, KINV)):
+            assert (table_jacobi_residual(table, 6, seed=34)
+                    == _naive_jacobi_residual(table, 6, 34)), (lam, table.name)
+
+
+def test_nan_deviations_are_the_worst():
+    assert math.isnan(worst_of(0.0, math.nan)) and math.isnan(worst_of(math.nan, 1.0))
+    assert worst_of(1.0, 2.0) == 2.0 and worst_of(2.0, 1.0) == 2.0
+    table = closed_form_local(-1.0, KINV)
+    entry = table.entry
+    table.entry = lambda i, j, x: math.nan if (i, j) == (0, 2) else entry(i, j, x)
+    rep = verify_table(r_kads(KINV, 1.0), table, 3, -1.0, seed=5)
+    assert math.isnan(rep["max_deviation"]) and math.isnan(rep["per_pair"]["x0^x2"])
+    assert not math.isnan(rep["per_pair"]["x0^x1"])
+    assert math.isnan(table_jacobi_residual(table, 2, seed=5))
