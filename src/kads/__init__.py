@@ -15,9 +15,9 @@ from .curvtrig import Dual, eta_of
 from .group_geom import (GroupPoint, ambient_from_local, group_element,
                          invariant_field, local_from_ambient, metric_at,
                          vector_rep)
-from .sklyanin import (closed_form_ambient, closed_form_local,
-                       closed_form_twisted, poisson_3d, project_2plus1,
-                       sklyanin_bracket, verify_table)
+from .sklyanin import (Poisson3D, closed_form_ambient, closed_form_local,
+                       closed_form_twisted, project_2plus1, sklyanin_bracket,
+                       verify_table)
 from .ncalg import NCAlgebra, NCPoly, SingularSpecialization, builtin_algebras
 
 __version__ = "0.1.0"

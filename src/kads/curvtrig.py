@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 SERIES_CUT = 1e-8
 
 
@@ -81,7 +83,7 @@ class Dual:
         return out
 
     def __bool__(self):
-        return bool(self.re) or bool(self.eps)
+        return bool(self.re) or bool(np.any(self.eps))  # eps may be a tangent array
 
 
 def re_part(x):

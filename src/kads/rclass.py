@@ -10,7 +10,7 @@ works with floats through the same generic tensor code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bialgebra import Bivector, cocommutator, mcybe_residual, mcybe_residual_components
 from .liealg import DIM, IDX, BasisRotation, LieAlgebra, ads_algebra, rotate_basis
@@ -87,7 +87,6 @@ class RFamily:
     const: Bivector
     params: list
     directions: dict
-    relations: list = field(default_factory=list)
 
     def at(self, values: dict) -> Bivector:
         r = self.const
@@ -217,8 +216,7 @@ def impose_primitivity(fam: RFamily, g: LieAlgebra, x_index: int) -> RFamily:
         name = f"t{n}"
         params.append(name)
         directions[name] = direction
-    return RFamily(const=new_const, params=params, directions=directions,
-                   relations=list(fam.relations))
+    return RFamily(const=new_const, params=params, directions=directions)
 
 
 # -- the constraint surface -----------------------------------------------------

@@ -394,7 +394,6 @@ class Scalar:
         return out
 
 
-ZERO = Scalar()
 ONE = Scalar.rational(1)
 
 

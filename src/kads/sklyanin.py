@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -287,7 +288,7 @@ def _gradient(fn, x) -> list:
 def table_jacobi_residual(table: BracketTable, samples: int, seed: int = 0x5EED) -> float:
     """Max |{x,{y,z}} + cyclic| over random points, via dual-number chains.
 
-    Each entry and each pair's gradient is evaluated once per point.
+    One vector-seeded dual pass per pair gives its value and its gradient.
     """
     rng = np.random.default_rng(seed)
     box = 0.8 / max(1.0, math.sqrt(abs(table.lam)))
@@ -299,21 +300,20 @@ def table_jacobi_residual(table: BracketTable, samples: int, seed: int = 0x5EED)
             coords = ambient_from_local(x, table.lam)
         else:
             coords = tuple(rng.uniform(-box, box) for _ in range(n))
-        val = [[table.entry(a, mu, coords) for mu in range(n)] for a in range(n)]
+        xd = [Dual(float(c), e) for c, e in zip(coords, np.eye(n))]
+        val = [[0.0] * n for _ in range(n)]
         grad = {}
-        for b in range(n):
-            for c in range(b + 1, n):
-                g = _gradient(lambda d: table.entry(b, c, d), coords)
-                grad[b, c] = g
-                grad[c, b] = [-v for v in g]  # entry(c, b) is -entry(b, c), exactly
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    total = 0.0
-                    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                        g = grad[b, c]
-                        total = total + sum(val[a][mu] * g[mu] for mu in range(n))
-                    worst = worst_of(worst, abs(total))
+        for b, c in combinations(range(n), 2):
+            v = table.entry(b, c, xd)
+            val[b][c], val[c][b] = re_part(v), -re_part(v)
+            grad[b, c] = np.broadcast_to(eps_part(v), n).tolist()  # a constant has zero gradient
+            grad[c, b] = [-d for d in grad[b, c]]  # entry(c, b) is -entry(b, c), exactly
+        for i, j, k in combinations(range(n), 3):
+            total = 0.0
+            for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+                g = grad[b, c]
+                total = total + sum(val[a][mu] * g[mu] for mu in range(n))
+            worst = worst_of(worst, abs(total))
     return worst
 
 
@@ -329,7 +329,7 @@ class Poisson3D:
         grad = _gradient(self.casimir, x)
         fv = self.f(x)
         v01, v12, v02 = fv * grad[2], fv * grad[0], -fv * grad[1]  # {x1,x3} = -{x3,x1}
-        return [[0.0, v01, v02], [-v01, 0.0, v12], [-v02, -v12, 0.0]]
+        return [[0, v01, v02], [-v01, 0, v12], [-v02, -v12, 0]]
 
     def entry(self, i: int, j: int, x):
         return self.matrix(x)[i][j]
@@ -341,17 +341,14 @@ class Poisson3D:
         return [sum(mat[a][b] * gh[b] for b in range(3)) for a in range(3)]
 
 
-def poisson_3d(f, casimir) -> Poisson3D:
-    return Poisson3D(f, casimir)
-
-
 def quadratic_space_poisson(eta, kinv) -> Poisson3D:
     """The curvature-deformed space sector from F = |x|^2, f = -eta*kinv*x3/2.
 
-    Works with floats or exact Fractions (division by 2 stays exact).
+    Works with floats, exact Fractions or formal Scalars (division by 2
+    stays exact).
     """
-    return poisson_3d(lambda x: -(eta * kinv * x[2]) / 2,
-                      lambda x: x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
+    return Poisson3D(lambda x: -(eta * kinv * x[2]) / 2,
+                     lambda x: x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
 
 
 def push_local_to_ambient(table: BracketTable, x) -> np.ndarray:

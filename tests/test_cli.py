@@ -101,6 +101,49 @@ def test_lambda_value_as_separate_word(tmp_path, value):
     assert rep["config"]["lam"] == (value if value == "formal" else float(value))
 
 
+def test_format_is_an_export_flag(tmp_path):
+    out = tmp_path / "p.csv"
+    for suite in ("check-bialgebra", "classify", "poisson", "nc"):
+        assert main([suite, "--lambda=-1", "--format", "csv", "--out", str(out)]) == 3
+        assert main([suite, "--lambda=-1", "--format", "json", "--out", str(out)]) == 3
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_csv_export_needs_out(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["export", "--lambda=-1", "--samples", "2", "--format", "csv"]) == 3
+    with pytest.raises(ConfigError):
+        RunConfig(fmt="csv")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_poisson_runs_without_scipy(tmp_path):
+    # the sphere Casimir check is exact: no integrator, so no scipy import
+    out = tmp_path / "rep.json"
+    probe = ("import sys\n"
+             "from kads.cli import main\n"
+             f"code = main(['poisson', '--lambda=-1', '--samples=2', '--out', {str(out)!r}])\n"
+             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "[]"]
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["sphere_leaf_conservation"] == {
+        "name": "sphere_leaf_conservation", "residual": 0, "tolerance": 0, "pass": True}
+
+
+def test_main_reuses_one_parser():
+    from kads.cli import build_parser
+    assert build_parser() is build_parser()
+    assert main(["poisson", "--samples", "0"]) == 3
+    assert main(["nc", "--lambda", "nonsense"]) == 3
+    args = build_parser().parse_args(["export", "--format", "csv"])
+    assert (args.command, args.fmt, args.samples) == ("export", "csv", 200)
+    args = build_parser().parse_args(["check-bialgebra", "--inject-fault"])
+    assert args.inject_fault and not hasattr(args, "fmt")
+    assert not hasattr(build_parser().parse_args(["poisson"]), "inject_fault")
+
+
 @pytest.mark.parametrize("suite", ["check-bialgebra", "classify", "poisson", "nc",
                                    "export"])
 @pytest.mark.parametrize("lam", ["formal", "-1"])

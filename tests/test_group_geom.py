@@ -218,6 +218,14 @@ def test_dual_arithmetic():
     assert abs(out.eps - 0.25) < 1e-15
 
 
+def test_dual_truthiness_with_tangent_arrays():
+    # true when some part is nonzero, for scalar and vector eps parts alike
+    assert not Dual(0.0, 0.0) and Dual(0.0, 1.0) and Dual(2.0, 0.0)
+    assert not Dual(0.0, np.zeros(4))
+    assert Dual(0.0, np.eye(4)[2]) and Dual(1.0, np.zeros(4))
+    assert Dual(0.0, np.array([0.0, 1j]))
+
+
 # -- invariant fields -----------------------------------------------------------
 
 

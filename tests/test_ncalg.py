@@ -8,6 +8,7 @@ from kads.ncalg import (NCAlgebra, NCPoly, SingularSpecialization,
                         kappa_minkowski, local_first_order, quantum_sphere,
                         space_casimir)
 from kads.scalars import PARAM_INDEX, Frac, NonTerminating, rat, sym
+from kads.sklyanin import quadratic_space_poisson
 
 eta, kinv, vth = sym("eta"), sym("kinv"), sym("vtheta")
 
@@ -29,6 +30,24 @@ def test_sphere_normal_form_example():
     # x2 x1 -> x1 x2 + eta kinv x3^2
     nf = A.normal_form(NCPoly.word((i2, i1)))
     assert nf == NCPoly({(i1, i2): Frac.of(1), (i3, i3): Frac.of(eta * kinv)})
+
+
+def test_quantum_sphere_reads_commutatively_as_the_poisson_sphere():
+    # {x_p, x_q} of the formal space-sector Poisson tensor at (a1, a2, a3)
+    # equals [x_p, x_q] of the quantum sphere with its letters commuting
+    point = (sym("a1"), sym("a2"), sym("a3"))
+    poisson = quadratic_space_poisson(eta, kinv).matrix(point)
+    A = quantum_sphere()
+    assert len(A.commutator_rhs) == 3
+    for (i, j), rhs in A.commutator_rhs.items():
+        p, q = (int(A.gens[k][1:]) - 1 for k in (i, j))
+        read = Frac.of(0)
+        for word, c in rhs.terms.items():
+            monomial = rat(1)
+            for letter in word:
+                monomial = monomial * point[int(A.gens[letter][1:]) - 1]
+            read = read + c * Frac.of(monomial)
+        assert read == poisson[p][q], (A.gens[i], A.gens[j])
 
 
 def test_commutators_match_defining_relations():

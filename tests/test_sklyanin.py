@@ -6,9 +6,9 @@ from scipy.integrate import solve_ivp
 from kads.curvtrig import Dual, eta_of
 from kads.group_geom import GroupPoint, ambient_from_local
 from kads.rclass import r_kads, r_kads_twisted, r_poincare, r_poincare_twisted
-from kads.sklyanin import (bracket_matrix_local, closed_form_ambient,
+from kads.sklyanin import (Poisson3D, bracket_matrix_local, closed_form_ambient,
                            closed_form_local, closed_form_twisted,
-                           eta_expansion_entry, poisson_3d, project_2plus1,
+                           eta_expansion_entry, project_2plus1,
                            push_local_to_ambient, quadratic_space_poisson,
                            sklyanin_bracket, table_jacobi_residual,
                            verify_table, worst_of)
@@ -230,7 +230,7 @@ def test_poisson_3d():
     assert abs(p3.entry(0, 2, x) - KINV * x[1] * x[2]) < 1e-15
     assert abs(p3.entry(1, 2, x) + KINV * x[0] * x[2]) < 1e-15
     # zero multiplier gives the zero bracket
-    pz = poisson_3d(lambda c: 0.0, lambda c: c[0] ** 2 + c[1])
+    pz = Poisson3D(lambda c: 0.0, lambda c: c[0] ** 2 + c[1])
     assert pz.entry(0, 1, x) == 0.0
     # the second input is always a Casimir, for random polynomial choices
     rng = np.random.default_rng(13)
@@ -240,7 +240,7 @@ def test_poisson_3d():
                        + coefs[2] * c[2] ** 2 + coefs[3] * c[0]
                        + coefs[4] * c[1] + coefs[5])
         f = lambda c: 0.3 * c[0] - 0.2 * c[2]
-        pp = poisson_3d(f, F)
+        pp = Poisson3D(f, F)
         for _ in range(20):
             pt = tuple(rng.uniform(-1, 1, 3))
             resid = pp.bracket_with(F, pt)
@@ -251,7 +251,7 @@ def test_poisson_3d_jacobi_random_functions():
     rng = np.random.default_rng(14)
     f = lambda c: 0.4 + 0.3 * c[0] * c[2]
     F = lambda c: c[0] ** 2 - 0.7 * c[1] * c[2] + c[2]
-    pp = poisson_3d(f, F)
+    pp = Poisson3D(f, F)
     worst = 0.0
     for _ in range(25):
         x = tuple(rng.uniform(-0.8, 0.8, 3))
@@ -328,7 +328,7 @@ def test_poisson_3d_bracket_with_equals_naive_entry_sum():
     f = lambda c: 0.4 + 0.3 * c[0] * c[2]
     F = lambda c: c[0] ** 2 - 0.7 * c[1] * c[2] + c[2]
     h = lambda c: 0.7 * c[0] - 0.3 * c[1] * c[1] + 0.14 * c[2]
-    pp = poisson_3d(f, F)
+    pp = Poisson3D(f, F)
     for _ in range(25):
         x = tuple(rng.uniform(-0.8, 0.8, 3))
         gh = _naive_gradient(h, x)
