@@ -15,6 +15,7 @@ SUITES = [
     ("bialgebra_flat", ["check-bialgebra", "--lambda", "0", "--kappa-inv", "0.31"]),
     ("bialgebra_curved", ["check-bialgebra", "--lambda", "-0.7", "--kappa-inv", "0.31"]),
     ("bialgebra_ds", ["check-bialgebra", "--lambda", "0.5", "--kappa-inv", "0.31"]),
+    ("bialgebra_near_flat", ["check-bialgebra", "--lambda", "-1e-08", "--kappa-inv", "0.31"]),
     ("classify", ["classify", "--samples", "200"]),
     ("poisson_ads", ["poisson", "--lambda", "-1.0", "--kappa-inv", "0.31",
                      "--samples", "200"]),

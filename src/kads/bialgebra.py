@@ -3,20 +3,28 @@
 Wedge normalization: ``a ^ b = a (x) b - b (x) a`` with no 1/2, so a
 bivector is stored as a sparse map ``(i, j) with i < j -> coeff`` and a
 trivector as ``(i, j, k) strictly increasing -> coeff``.  Everything is
-generic over exact Scalar or float/complex coefficients.
+generic over exact Scalar or float/complex coefficients; with float or
+complex coefficients the Yang-Baxter residual is computed densely, from the
+skew matrix of r and the table ``f[k, i, j]``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 
-from .liealg import (LieAlgebra, coeff_norm, components_norm, is_exact,
-                     jacobi_residual, subalgebra)
+import numpy as np
+
+from .liealg import (LieAlgebra, coeff_norm, components_norm, float_dtype,
+                     is_exact, jacobi_residual, permuted_triples, subalgebra)
 from .scalars import Scalar, accumulate
 
 
 class NotAntisymmetric(ValueError):
     """A tensor expected to be totally antisymmetric is not (a bug)."""
+
+
+SKEW_TOL = 1e-9  # float antisymmetry tolerance of the Schouten tensor
 
 
 def _wedge2(store: dict, i: int, j: int, c):
@@ -88,6 +96,13 @@ class Bivector:
     def norm(self):
         return components_norm(self.components.values())
 
+    def matrix(self, dim: int) -> np.ndarray:
+        """The skew dim x dim matrix R with R[i, j] = c and R[j, i] = -c."""
+        mat = np.zeros((dim, dim), dtype=float_dtype(self.components.values()))
+        for i, j, c in self.entries_signed():
+            mat[i, j] = c
+        return mat
+
     def eval_numeric(self, values: dict) -> "Bivector":
         b = Bivector()
         for key, c in self.components.items():
@@ -150,7 +165,7 @@ def schouten(g: LieAlgebra, r: Bivector) -> Trivector:
                 accumulate(full, (i, m, l), c * cb)   # [r12, r23]
             for m, cb in g.bracket_basis(j, l):
                 accumulate(full, (i, k, m), c * cb)   # [r13, r23]
-    tol = 0 if all(is_exact(c) for c in full.values()) else 1e-9
+    tol = 0 if all(is_exact(c) for c in full.values()) else SKEW_TOL
     out: dict = {}
     for (a, b, c3), v in full.items():
         if a == b or b == c3 or a == c3:
@@ -192,11 +207,78 @@ def mcybe_residual_components(g: LieAlgebra, r: Bivector) -> list:
     return comps
 
 
+def schouten_dense(f: np.ndarray, rmat: np.ndarray) -> np.ndarray:
+    """[[r, r]] as the full (d, d, d) tensor, from the dense table and R.
+
+    The terms [r12, r13], [r12, r23] and [r13, r23] of :func:`schouten`, that
+    is ``R.T@f@R + (R@f@R).transpose(1, 0, 2) + (R@f@R.T).transpose(1, 2, 0)``,
+    under the same 1e-9 NotAntisymmetric checks.  f multiplies the products
+    R[i, j] * R[k, l], as in the sparse loop, so terms that cancel for a skew
+    R cancel exactly: evaluated as (R.T@f)@R, the repeated-index entries of
+    the curved r-matrices exceed 1e-9 by round-off alone at |lambda| = 1e9.
+    """
+    dim = f.shape[0]
+    flat = f.reshape(dim, dim * dim)
+    pairs = np.multiply.outer(rmat, rmat)  # [i, j, k, l] = R[i, j] * R[k, l]
+
+    def term(a, b):
+        """Contract f's two lower legs with legs a, b of R (x) R."""
+        rest = [x for x in range(4) if x not in (a, b)]
+        square = pairs.transpose(a, b, *rest).reshape(dim * dim, dim * dim)
+        return (flat @ square).reshape(dim, dim, dim)
+
+    t = (term(0, 2) + term(1, 2).transpose(1, 0, 2)
+         + term(1, 3).transpose(1, 2, 0))
+    bad = _repeated_index_mask(dim) & (np.abs(t) > SKEW_TOL)
+    if bad.any():
+        key = tuple(int(k) for k in np.argwhere(bad)[0])
+        raise NotAntisymmetric(f"repeated-index component {key} = {t[key]}")
+    # every permutation of each i < j < k against the signed sorted entry
+    keys = permuted_triples(dim, _PERMS)
+    perm_vals = t[keys].reshape(len(_PERMS), -1)
+    bad = np.abs(perm_vals - _SIGNS * perm_vals[0]) > SKEW_TOL
+    if bad.any():
+        col = int(np.flatnonzero(bad)[0])
+        raise NotAntisymmetric(
+            f"component {tuple(int(k[col]) for k in keys)} breaks antisymmetry")
+    return t
+
+
+_PERMS = tuple(_SIGN3)  # identity first
+_SIGNS = np.array([[_SIGN3[p]] for p in _PERMS])
+
+
+@functools.cache
+def _repeated_index_mask(dim: int) -> np.ndarray:
+    i, j, k = np.indices((dim,) * 3)
+    return (i == j) | (j == k) | (i == k)
+
+
+def mcybe_residual_dense(f: np.ndarray, rmat: np.ndarray):
+    """Max |ad_X [[r, r]]| over generators X; integer 0 when it vanishes."""
+    t = schouten_dense(f, rmat)
+    dim = f.shape[0]
+    ad = f.transpose(1, 0, 2).reshape(dim * dim, dim)  # [(m, n), i]: n-th of [T_m, T_i]
+
+    def on_leg(leg):
+        """ad_m on one leg of t, indexed [m, n, other two legs in order]."""
+        rest = [a for a in range(3) if a != leg]
+        return (ad @ t.transpose(leg, *rest).reshape(dim, dim * dim)).reshape((dim,) * 4)
+
+    res = (on_leg(0) + on_leg(1).transpose(0, 2, 1, 3)
+           + on_leg(2).transpose(0, 2, 3, 1))
+    return float(np.max(np.abs(res))) or 0
+
+
 def mcybe_residual(g: LieAlgebra, r: Bivector):
     """Size of the ad-invariance residual of [[r, r]].
 
-    Zero means r solves the modified classical Yang-Baxter equation.
+    Zero means r solves the modified classical Yang-Baxter equation.  Float
+    or complex coefficients take the dense kernel, exact ones the sparse
+    loops.
     """
+    if not g.exact and not any(is_exact(c) for c in r.components.values()):
+        return mcybe_residual_dense(g.dense, r.matrix(g.dim))
     return components_norm(mcybe_residual_components(g, r))
 
 

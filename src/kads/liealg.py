@@ -5,13 +5,20 @@ translation, space translations, boosts, rotations); the indices 0..9 are
 stable across the whole package.  Structure constants live in a sparse map
 ``(i, j) with i < j -> [(k, coeff), ...]``; coefficients are exact
 :class:`~kads.scalars.Scalar` values or plain floats, and every routine
-here is generic over that choice.
+here is generic over that choice.  A float or complex table also has a
+dense form ``f[k, i, j]`` (``[T_i, T_j] = sum_k f[k, i, j] T_k``); the
+float checks contract it with numpy, while exact tables keep the sparse
+loops, which the tests use as the float oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
+from itertools import combinations
+
+import numpy as np
 
 from .scalars import Scalar, reduce_mod
 
@@ -44,14 +51,24 @@ def coeff_norm(c) -> float | int:
     return abs(c)
 
 
+def worst_of(a, b):
+    """The larger residual, where NaN is the largest: a NaN must fail its check."""
+    return a if a != a or a >= b else b
+
+
 def components_norm(values) -> float | int:
-    """Count of nonzero entries (exact) or max |entry| (numeric)."""
+    """Count of nonzero entries (exact) or max |entry| (numeric, NaN wins)."""
     vals = list(values)
     if not vals:
         return 0
     if all(is_exact(v) for v in vals):
         return sum(1 for v in vals if v)
-    return max(float(coeff_norm(v)) for v in vals)
+    return functools.reduce(worst_of, (float(coeff_norm(v)) for v in vals))
+
+
+def float_dtype(values):
+    """numpy dtype holding float or complex coefficients."""
+    return complex if any(isinstance(v, complex) for v in values) else float
 
 
 class LieAlgebra:
@@ -61,21 +78,35 @@ class LieAlgebra:
         self.dim = dim
         self.labels = tuple(labels)
         table = {}
+        signed = {}
         for (i, j), terms in structure.items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"bad index pair {(i, j)}")
-            kept = [(k, c) for k, c in terms if c]
+            kept = tuple((k, c) for k, c in terms if c)
             if kept:
-                table[(i, j)] = tuple(kept)
+                table[(i, j)] = kept
+                signed[(i, j)] = kept
+                signed[(j, i)] = tuple((k, -c) for k, c in kept)
         self.structure = table
+        self._signed = signed
+        self.exact = any(is_exact(c) for terms in table.values() for _, c in terms)
 
-    def bracket_basis(self, i: int, j: int):
-        """[T_i, T_j] as a list of (k, coeff), any index order."""
-        if i == j:
-            return []
-        if i < j:
-            return list(self.structure.get((i, j), ()))
-        return [(k, -c) for k, c in self.structure.get((j, i), ())]
+    def bracket_basis(self, i: int, j: int) -> tuple:
+        """[T_i, T_j] as a tuple of (k, coeff), any index order."""
+        return self._signed.get((i, j), ())
+
+    @functools.cached_property
+    def dense(self) -> np.ndarray | None:
+        """Read-only f[k, i, j] for a float or complex table; None if exact."""
+        if self.exact:
+            return None
+        coeffs = [c for terms in self.structure.values() for _, c in terms]
+        f = np.zeros((self.dim,) * 3, dtype=float_dtype(coeffs))
+        for (i, j), terms in self._signed.items():
+            for k, c in terms:
+                f[k, i, j] = c
+        f.flags.writeable = False
+        return f
 
     def bracket(self, x, y):
         """Bilinear extension to coefficient vectors of length dim."""
@@ -150,8 +181,62 @@ def ads_algebra(lam) -> LieAlgebra:
     return LieAlgebra(structure)
 
 
+def ads_tensor(lam: float) -> np.ndarray:
+    """``ads_algebra(lam).dense`` without building the algebra.
+
+    The table is affine in lam, so f = f(0) + lam * (f(1) - f(0)); the
+    entries are 0, +-1 or +-lam, so this equals the built tensor exactly.
+    """
+    flat, curved = _ads_pencil()
+    return flat + lam * curved
+
+
+@functools.cache
+def _ads_pencil():
+    flat = ads_algebra(0.0).dense
+    return flat, ads_algebra(1.0).dense - flat
+
+
+CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+@functools.cache
+def permuted_triples(dim: int, perms: tuple) -> tuple:
+    """Index arrays (a, b, c) over every i < j < k < dim, taken in the
+    order of each permutation p of perms in turn: a = (i, j, k)[p[0]], ..."""
+    rows = np.array(list(combinations(range(dim), 3)), dtype=int).reshape(-1, 3).T
+    return tuple(np.concatenate([rows[p[axis]] for p in perms]) for axis in range(3))
+
+
+def jacobi_residual_dense(f: np.ndarray):
+    """Max |[[T_i,T_j],T_k] + cyclic| over i < j < k from the dense table.
+
+    Like :func:`jacobi_residual_sparse` it returns integer 0 when no double
+    bracket of three distinct generators has a term, and a float otherwise.
+    """
+    dim = f.shape[0]
+    a, b, c = permuted_triples(dim, CYCLIC)
+    outer = f[:, a, b]  # [m, s]: component m of [T_a, T_b]
+    if not ((outer != 0) & (f != 0).any(axis=0)[:, c]).any():
+        return 0
+    # not a matrix product: its fused multiply-adds leave the rounding error
+    # of one of two cancelling products (1e-8 in the dual algebras at
+    # |lambda| ~ 1e6); einsum rounds each product as the sparse loop does
+    nested = np.einsum("ms,nms->ns", outer, f[:, :, c])
+    jac = nested.reshape(dim, len(CYCLIC), -1).sum(axis=1)
+    return float(np.max(np.abs(jac)))
+
+
 def jacobi_residual(g: LieAlgebra):
-    """Max residual of [[x,y],z] + cyclic over all basis triples."""
+    """Max residual of [[x,y],z] + cyclic over all basis triples: dense for
+    a float or complex table, sparse for an exact one."""
+    if not g.exact:
+        return jacobi_residual_dense(g.dense)
+    return jacobi_residual_sparse(g)
+
+
+def jacobi_residual_sparse(g: LieAlgebra):
+    """The Jacobi residual by loops over the sparse table, any coefficients."""
     worst: list = []
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
@@ -263,6 +348,15 @@ def rotate_basis(g: LieAlgebra, r3, rules=None) -> BasisRotation:
     rot = BasisRotation(m)
 
     # automorphism check: [phi(Ti), phi(Tj)] == phi([Ti, Tj])
+    if not exact and not g.exact:
+        mat, f = np.array(m), g.dense
+        dev = np.abs(mat.T @ f @ mat - np.tensordot(mat, f, axes=(1, 0)))
+        bad = np.argwhere(np.triu((dev > tol).any(axis=0), 1))
+        if len(bad):
+            i, j = bad[0]
+            raise NotOrthogonal(
+                f"rotation is not an automorphism at [{BASIS[i]},{BASIS[j]}]")
+        return rot
     for i in range(DIM):
         ei = [one if t == i else zero for t in range(DIM)]
         for j in range(i + 1, DIM):

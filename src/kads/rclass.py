@@ -12,8 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bialgebra import Bivector, cocommutator, mcybe_residual, mcybe_residual_components
-from .liealg import DIM, IDX, BasisRotation, LieAlgebra, ads_algebra, rotate_basis
+from .bialgebra import (Bivector, cocommutator, mcybe_residual_components,
+                        mcybe_residual_dense)
+from .liealg import (DIM, IDX, BasisRotation, LieAlgebra, ads_algebra, ads_tensor,
+                     rotate_basis)
 from .scalars import ONE, Frac, Scalar, accumulate, make_rule, reduce_mod, sym
 
 
@@ -292,10 +294,9 @@ def beta_aligned(ct, st, cp, sp, t):
 
 def numeric_family_residual(alpha, beta, kinv: float, lam: float) -> float:
     """Float Yang-Baxter residual of the family at a numeric point."""
-    g = ads_algebra(float(lam))
     r = family_r(tuple(float(a) for a in alpha), tuple(float(b) for b in beta),
                  float(kinv))
-    return mcybe_residual(g, r)
+    return mcybe_residual_dense(ads_tensor(float(lam)), r.matrix(DIM))
 
 
 def constraint_distance(alpha, beta, radius: float) -> float:

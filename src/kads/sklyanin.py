@@ -21,6 +21,7 @@ from .curvtrig import Dual, ch, eps_part, eta_of, re_part, sh
 from .group_geom import (GroupPoint, ambient_derivatives, ambient_jacobian,
                          ambient_from_local, coset_derivatives, field_derivatives,
                          group_element)
+from .liealg import worst_of
 
 LOCAL_LABELS = ("x0", "x1", "x2", "x3")
 AMBIENT_LABELS = ("s4", "s0", "s1", "s2", "s3")
@@ -188,11 +189,6 @@ def bracket_matrix_local(r: Bivector, point: GroupPoint, matrix=None):
 def bracket_matrix_ambient(r: Bivector, point: GroupPoint, matrix=None):
     """All {s^A, s^B} at a group point, ambient order (s4, s0, s1, s2, s3)."""
     return _bracket_matrix(r, point, matrix, ambient_derivatives, 5)
-
-
-def worst_of(a, b):
-    """The larger residual, where NaN is the largest: a NaN must fail its check."""
-    return a if a != a or a >= b else b
 
 
 def sample_points(n: int, lam: float, rng):

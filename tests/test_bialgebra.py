@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
-from kads.bialgebra import (Bivector, cocommutator, cocommutator_table_json,
-                            coisotropy_check, dual_jacobi_residual,
-                            mcybe_residual, schouten)
-from kads.liealg import BASIS, DIM, IDX, NotSubalgebra, ads_algebra, subalgebra
-from kads.rclass import (LORENTZ, SUBALG_2PLUS1, r_2plus1, r_kads,
+from kads.bialgebra import (Bivector, NotAntisymmetric, cocommutator,
+                            cocommutator_table_json, coisotropy_check,
+                            dual_jacobi_residual, mcybe_residual,
+                            mcybe_residual_components, schouten, schouten_dense)
+from kads.curvtrig import eta_of
+from kads.liealg import (BASIS, DIM, IDX, LieAlgebra, NotSubalgebra, ads_algebra,
+                         components_norm, jacobi_residual_sparse, subalgebra)
+from kads.rclass import (LORENTZ, SUBALG_2PLUS1, family_r, r_2plus1, r_kads,
                          r_kads_twisted, r_poincare, r_poincare_twisted)
 from kads.scalars import Scalar, rat, sym
 
@@ -220,3 +225,114 @@ def test_table_json_keys():
         {i: delta[i] for i in range(DIM)}, BASIS))
     assert data["P1"] == {"P0^P1": "-kinv"}
     assert data["P0"] == {}
+
+
+# -- the dense float kernel against the sparse loops -----------------------------
+
+ORACLE_LAMBDAS = (-2.0, -1e-8, 0.0, 1e-8, 0.5, 2.0)
+
+
+def assert_matches_sparse(dense, sparse, scale):
+    """Relative agreement to 1e-12; residuals at round-off agree to 1e-12
+    of the size of the terms that cancelled."""
+    assert abs(dense - sparse) <= 1e-12 * max(abs(sparse), scale), (dense, sparse)
+
+
+def random_bivector(rng, dim, imag=0.0):
+    """All dim*(dim-1)/2 components nonzero; complex when imag != 0."""
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    vals = rng.uniform(-1, 1, len(pairs)) + imag * 1j * rng.uniform(-1, 1, len(pairs))
+    return Bivector({p: complex(v) if imag else float(v.real) for p, v in zip(pairs, vals)})
+
+
+def sparse_dual_jacobi(delta: dict):
+    """The sparse loop on the dual table that dual_jacobi_residual builds."""
+    pairs = {}
+    for m, b in delta.items():
+        for key, c in b.components.items():
+            pairs.setdefault(key, []).append((m, c))
+    return jacobi_residual_sparse(LieAlgebra(pairs))
+
+
+def on_2plus1(r: Bivector) -> Bivector:
+    remap = {gi: p for p, gi in enumerate(SUBALG_2PLUS1)}
+    return Bivector({(remap[i], remap[j]): c for (i, j), c in r.components.items()})
+
+
+def test_dense_mcybe_matches_sparse_oracle():
+    rng = np.random.default_rng(0xB1A)
+    kv, vt = 0.31, 0.17
+    for lam in ORACLE_LAMBDAS:
+        eta_ = eta_of(lam)  # imaginary for lam > 0
+        g = ads_algebra(lam)
+        sub = subalgebra(g, SUBALG_2PLUS1)
+        n = rng.normal(size=3)
+        n /= np.linalg.norm(n)
+        cases = [(g, random_bivector(rng, DIM)), (g, random_bivector(rng, DIM, 0.5)),
+                 (g, r_kads(kv, eta_)), (g, r_kads_twisted(kv, eta_, vt)),
+                 (g, family_r(tuple(eta_ * kv * n), tuple(0.4 * n), kv)),
+                 (g, family_r(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(-1, 1, 3)),
+                              kv)),
+                 (sub, random_bivector(rng, 6)), (sub, on_2plus1(r_2plus1(kv)))]
+        for alg, r in cases:
+            dense = mcybe_residual(alg, r)
+            sparse = components_norm(mcybe_residual_components(alg, r))
+            scale = max(abs(c) for c in r.components.values()) ** 2 * max(1.0, abs(lam))
+            assert_matches_sparse(dense, sparse, scale)
+    # full random r-matrices are far from solutions; the flat ones solve it
+    assert mcybe_residual(ads_algebra(-0.7), random_bivector(rng, DIM)) > 0.1
+    for r in (r_poincare(kv), r_poincare_twisted(kv, vt)):
+        res = mcybe_residual(ads_algebra(0.0), r)
+        assert res == 0 and type(res) is int
+
+
+def test_dense_dual_jacobi_matches_sparse_oracle():
+    kv, vt = 0.31, 0.17
+    for lam in ORACLE_LAMBDAS:
+        eta_ = eta_of(lam)
+        g = ads_algebra(lam)
+        for r in (r_kads(kv, eta_), r_kads_twisted(kv, eta_, vt)):
+            delta = cocommutator(g, r)
+            corrupted = dict(delta)
+            corrupted[IDX["P1"]] = delta[IDX["P1"]] + biv(("J1", "J2", kv))
+            for d in (delta, corrupted):
+                assert_matches_sparse(dual_jacobi_residual(d), sparse_dual_jacobi(d), 1.0)
+            assert dual_jacobi_residual(corrupted) > 1e-3
+
+
+def test_dense_dual_jacobi_keeps_large_cancellations_exact():
+    # at |lambda| ~ 1e6..1e7 the dual tables hold entries ~ 1e6 whose products
+    # cancel in pairs; summed with fused multiply-adds they would leave
+    # 1e-8..1e-6, at or above the 1e-8 tolerance of check-bialgebra
+    for lam in (-3e6, -1.9e7, 3e6):
+        delta = cocommutator(ads_algebra(lam), r_kads_twisted(0.31, eta_of(lam), 0.17))
+        assert abs(dual_jacobi_residual(delta) - sparse_dual_jacobi(delta)) <= 1e-9, lam
+
+
+def test_dense_schouten_rejects_a_non_skew_matrix():
+    f = ads_algebra(-0.7).dense
+    rmat = r_kads(0.31, eta_of(-0.7)).matrix(DIM)
+    schouten_dense(f, rmat)  # skew: passes
+    for bad in (np.abs(rmat), rmat + np.eye(DIM) * 1e-3):
+        with pytest.raises(NotAntisymmetric):
+            schouten_dense(f, bad)
+
+
+def test_dense_schouten_stays_antisymmetric_at_large_lambda():
+    # f multiplies the products R[i, j] * R[k, l], as in the sparse loop, so
+    # the repeated-index entries cancel exactly; evaluated as (R.T @ f) @ R
+    # they reach 7e-9 at |lambda| = 1e9 and trip the 1e-9 check
+    for lam in (-1e9, 1e9):
+        for r in (r_kads(0.31, eta_of(lam)), r_kads_twisted(0.31, eta_of(lam), 0.17)):
+            schouten_dense(ads_algebra(lam).dense, r.matrix(DIM))
+
+
+def test_dense_residuals_let_nan_win():
+    g = ads_algebra(-0.7)
+    r = r_kads(0.31, eta_of(-0.7)) + biv(("P0", "K1", math.nan))
+    assert math.isnan(r.norm())
+    assert math.isnan(mcybe_residual(g, r))
+    delta = cocommutator(g, r_kads(0.31, eta_of(-0.7)))
+    delta[IDX["P2"]] = delta[IDX["P2"]] + biv(("J1", "J2", math.nan))
+    assert math.isnan(dual_jacobi_residual(delta))
+    assert math.isnan(Bivector.from_terms((0, 1, 1.0), (2, 3, math.nan)).norm())

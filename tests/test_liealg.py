@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from kads.liealg import (BASIS, DIM, IDX, LieAlgebra, NotOrthogonal,
-                         NotSubalgebra, ads_algebra, jacobi_residual,
-                         rotate_basis, subalgebra)
+                         NotSubalgebra, ads_algebra, ads_tensor, components_norm,
+                         jacobi_residual, jacobi_residual_sparse, rotate_basis,
+                         subalgebra)
 from kads.scalars import Scalar, rat, sym, trig_rules
 
 LAM = sym("Lambda")
@@ -193,3 +194,89 @@ def test_json_dump_keys():
     data = json.loads(g.to_json())
     assert data["[J1,J2]"] == {"J3": "1"}
     assert data["[P0,P1]"] == {"K1": "-Lambda"}
+
+
+def test_bracket_basis_is_the_exact_negation_under_swap():
+    for g in (ads_algebra(LAM), ads_algebra(-0.7)):
+        for i in range(DIM):
+            assert g.bracket_basis(i, i) == ()
+            for j in range(DIM):
+                assert g.bracket_basis(j, i) == tuple(
+                    (k, -c) for k, c in g.bracket_basis(i, j)), (i, j)
+
+
+def test_dense_table_matches_the_sparse_table():
+    assert ads_algebra(LAM).dense is None and ads_algebra(0).dense is None
+    for lam in (-2.0, -1e-8, -0.0, 0.0, 1e-8, 0.5, 2.0):
+        g = ads_algebra(lam)
+        f = g.dense
+        assert f.dtype == float and not f.flags.writeable
+        for i in range(DIM):
+            for j in range(DIM):
+                want = np.zeros(DIM)
+                for k, c in g.bracket_basis(i, j):
+                    want[k] = c
+                assert np.array_equal(f[:, i, j], want), (lam, i, j)
+        # the affine pencil gives the same tensor without building the algebra
+        assert np.array_equal(ads_tensor(lam), f), lam
+    complex_table = LieAlgebra({(0, 1): ((2, 1j),)}, dim=3)
+    assert complex_table.dense.dtype == complex
+
+
+def test_components_norm_lets_nan_win():
+    for values in ([1.0, math.nan], [0.0, math.nan], [math.nan, 1.0],
+                   [2.0, complex(math.nan, 0.0), 1.0]):
+        assert math.isnan(components_norm(values)), values
+    assert components_norm([0.5, -2.0, 1.0]) == 2.0
+    assert components_norm([]) == 0 and components_norm([rat(1), Scalar()]) == 1
+
+
+def test_float_jacobi_matches_the_sparse_loop():
+    rng = np.random.default_rng(7)
+    for lam in (-2.0, -1e-8, 0.0, 1e-8, 0.5, 2.0):
+        g = ads_algebra(lam)
+        dense, sparse = jacobi_residual(g), jacobi_residual_sparse(g)
+        assert dense == sparse == 0.0 and type(dense) is type(sparse) is float
+        # random tables violate Jacobi by O(1); real and complex coefficients
+        for imag in (0.0, 0.5):
+            table = {}
+            for i in range(DIM):
+                for j in range(i + 1, DIM):
+                    vals = rng.uniform(-1, 1, 3) + imag * 1j * rng.uniform(-1, 1, 3)
+                    table[(i, j)] = tuple(
+                        (int(k), complex(v) if imag else float(v.real))
+                        for k, v in zip(rng.choice(DIM, 3, replace=False), vals))
+            bad = LieAlgebra(table)
+            dense, sparse = jacobi_residual(bad), jacobi_residual_sparse(bad)
+            assert math.isclose(dense, sparse, rel_tol=1e-12) and dense > 0.1
+    # no double bracket of three distinct generators: integer 0 on both paths
+    for table in ({}, {(0, 1): ((2, 1.0),)}):
+        g = LieAlgebra(table, dim=3)
+        assert jacobi_residual(g) == jacobi_residual_sparse(g) == 0
+        assert type(jacobi_residual(g)) is int
+    nan_table = dict(ads_algebra(-0.7).structure)
+    nan_table[(IDX["J1"], IDX["J2"])] = ((IDX["J3"], math.nan),)
+    assert math.isnan(jacobi_residual(LieAlgebra(nan_table)))
+    assert math.isnan(jacobi_residual_sparse(LieAlgebra(nan_table)))
+
+
+def test_float_rotation_checks_still_raise():
+    rng = np.random.default_rng(3)
+    for lam in (-0.7, 2.0):
+        g = ads_algebra(lam)
+        r = numeric_rotation(*rng.uniform(0, 3, 2))
+        off = r.copy()
+        off[0, 1] += 1e-9
+        with pytest.raises(NotOrthogonal, match="R\\^T R"):
+            rotate_basis(g, off.tolist())
+        # an orthogonal reflection is no automorphism: [J1, J2] = J3 flips sign
+        with pytest.raises(NotOrthogonal, match="automorphism"):
+            rotate_basis(g, (np.diag([1.0, 1.0, -1.0]) @ r).tolist())
+    # the dense check names the pair the exact loop names
+    one, zero = rat(1), Scalar()
+    exact_refl = [[one, zero, zero], [zero, one, zero], [zero, zero, -one]]
+    with pytest.raises(NotOrthogonal, match="automorphism") as exact:
+        rotate_basis(ads_algebra(LAM), exact_refl)
+    with pytest.raises(NotOrthogonal, match="automorphism") as dense:
+        rotate_basis(ads_algebra(-0.7), np.diag([1.0, 1.0, -1.0]).tolist())
+    assert str(dense.value) == str(exact.value)
