@@ -17,7 +17,7 @@ import numpy as np
 
 from .liealg import (LieAlgebra, coeff_norm, components_norm, float_dtype,
                      is_exact, jacobi_residual, permuted_triples, subalgebra)
-from .scalars import Scalar, accumulate
+from .scalars import accumulate
 
 
 class NotAntisymmetric(ValueError):
@@ -102,14 +102,6 @@ class Bivector:
         for i, j, c in self.entries_signed():
             mat[i, j] = c
         return mat
-
-    def eval_numeric(self, values: dict) -> "Bivector":
-        b = Bivector()
-        for key, c in self.components.items():
-            v = c.eval_numeric(values) if isinstance(c, Scalar) else c
-            if v:
-                b.components[key] = v
-        return b
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Bivector):

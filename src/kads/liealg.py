@@ -123,16 +123,6 @@ class LieAlgebra:
         zero = 0.0 if any(not is_exact(v) for v in x + y if v is not None) else Scalar()
         return [zero if v is None else v for v in out]
 
-    def eval_numeric(self, values: dict) -> "LieAlgebra":
-        """Substitute numbers for the formal parameters in the table."""
-        structure = {}
-        for (i, j), terms in self.structure.items():
-            structure[(i, j)] = [
-                (k, c.eval_numeric(values) if isinstance(c, Scalar) else float(c))
-                for k, c in terms
-            ]
-        return LieAlgebra(structure, self.dim, self.labels)
-
     def to_json(self) -> str:
         """Audit dump keyed "[Ti,Tj]"."""
         out = {}
@@ -320,7 +310,7 @@ def rotate_basis(g: LieAlgebra, r3, rules=None) -> BasisRotation:
 
     ``r3`` is a 3x3 orthogonal matrix of Scalars or floats.  Orthogonality
     is checked exactly (after ``rules``-rewriting when given) or to
-    ``ROTATION_TOL``.
+    ``ROTATION_TOL``; a NaN or infinite deviation fails either check.
     """
     exact = all(is_exact(e) for row in r3 for e in row)
     tol = 0 if exact else ROTATION_TOL
@@ -335,7 +325,7 @@ def rotate_basis(g: LieAlgebra, r3, rules=None) -> BasisRotation:
         for b in range(3):
             dot = simp(sum(r3[a][i] * r3[b][i] for i in range(3)))
             expect = one if a == b else (Scalar() if exact else 0.0)
-            if coeff_norm(dot - expect) > tol:
+            if not coeff_norm(dot - expect) <= tol:
                 raise NotOrthogonal(f"R^T R != I at entry {(a, b)}")
 
     zero = Scalar() if exact else 0.0
@@ -351,7 +341,7 @@ def rotate_basis(g: LieAlgebra, r3, rules=None) -> BasisRotation:
     if not exact and not g.exact:
         mat, f = np.array(m), g.dense
         dev = np.abs(mat.T @ f @ mat - np.tensordot(mat, f, axes=(1, 0)))
-        bad = np.argwhere(np.triu((dev > tol).any(axis=0), 1))
+        bad = np.argwhere(np.triu((~(dev <= tol)).any(axis=0), 1))
         if len(bad):
             i, j = bad[0]
             raise NotOrthogonal(
@@ -367,7 +357,7 @@ def rotate_basis(g: LieAlgebra, r3, rules=None) -> BasisRotation:
                 rhs_vec[k] = rhs_vec[k] + c
             rhs = rot.apply(rhs_vec)
             for a in range(DIM):
-                if coeff_norm(simp(lhs[a] - rhs[a])) > tol:
+                if not coeff_norm(simp(lhs[a] - rhs[a])) <= tol:
                     raise NotOrthogonal(
                         f"rotation is not an automorphism at [{BASIS[i]},{BASIS[j]}]")
     return rot

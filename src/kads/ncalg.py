@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .scalars import Frac, NonTerminating, Scalar, accumulate, sym
+from .scalars import ONE, PARAM_INDEX, Frac, NonTerminating, Scalar, accumulate, sym
 
 Word = tuple
 
@@ -323,84 +323,73 @@ def kappa_minkowski(kinv=None, twist=None) -> NCAlgebra:
     return NCAlgebra(gens, rel)
 
 
-def _sphere_relations(names: dict, pos_of: dict, eta, kinv) -> dict:
-    """Space-sector quadratic relations in terms of generator positions.
+# The kappa-AdS relations, written once in the ambient labels of the paper
+# and ordered (s0, s1, s3, s2, s4): every right-hand word is normal in that
+# order and in its restrictions, (x1, x3, x2) and (x0, x1, x3, x2).
+def sphere_casimir_words(eta, kinv) -> dict:
+    """|s|^2 + eta*kinv s1 s2 as {label word: coefficient}."""
+    return {("s1", "s1"): ONE, ("s3", "s3"): ONE, ("s2", "s2"): ONE,
+            ("s1", "s2"): eta * kinv}
 
-    names: mapping 'x1'/'x2'/'x3' -> actual generator name.
-    """
-    ek = eta * kinv
-    x1, x2, x3 = names["x1"], names["x2"], names["x3"]
-    i1, i2, i3 = pos_of[x1], pos_of[x2], pos_of[x3]
-    rel = {}
-    # [x1, x2] = -ek (x3)^2 ; [x1, x3] = ek x3 x2 ; [x2, x3] = -ek x1 x3
-    rel[_okey(pos_of, x1, x2)] = _osign(pos_of, x1, x2, NCPoly.word((i3, i3), -ek))
-    rel[_okey(pos_of, x1, x3)] = _osign(pos_of, x1, x3, NCPoly({(i3, i2): ek}))
-    rel[_okey(pos_of, x2, x3)] = _osign(pos_of, x2, x3, NCPoly({(i1, i3): -ek}))
+
+def kads_relations(eta, kinv) -> dict:
+    """[a, b] for every pair a before b in the order (s0, s1, s3, s2, s4), as
+    {label word: coefficient}: the quantum kappa-AdS spacetime to all orders."""
+    ek, e2k = eta * kinv, eta * eta * kinv
+    rel = {("s1", "s3"): {("s3", "s2"): ek},
+           ("s1", "s2"): {("s3", "s3"): -ek},
+           ("s3", "s2"): {("s1", "s3"): ek}}
+    for a in ("s1", "s3", "s2"):
+        rel["s0", a] = {(a, "s4"): -kinv}
+        rel[a, "s4"] = {("s0", a): -e2k}
+    rel["s0", "s4"] = {w: -e2k * c for w, c in sphere_casimir_words(eta, kinv).items()}
     return rel
 
 
-def _okey(pos_of, a, b):
-    return (a, b) if pos_of[a] < pos_of[b] else (b, a)
+def _label_positions(gens) -> dict:
+    """Each generator's position, keyed by its ambient label (xa is sa)."""
+    return {"s" + g[1:]: i for i, g in enumerate(gens)}
 
 
-def _osign(pos_of, a, b, p: NCPoly) -> NCPoly:
-    return p if pos_of[a] < pos_of[b] else -p
+def _ncpoly(terms: dict, lpos: dict) -> NCPoly:
+    """Label words as generator words; letters outside ``lpos`` are set to 1."""
+    out: dict = {}
+    for w, c in terms.items():
+        accumulate(out, tuple(lpos[a] for a in w if a in lpos), c)
+    return NCPoly(out)
+
+
+def _restriction(gens, eta, kinv) -> NCAlgebra:
+    """The table's relations among ``gens`` (ambient labels or their x names)."""
+    eta = sym("eta") if eta is None else eta
+    kinv = sym("kinv") if kinv is None else kinv
+    lpos = _label_positions(gens)
+    rel = {(gens[lpos[a]], gens[lpos[b]]): _ncpoly(rhs, lpos)
+           for (a, b), rhs in kads_relations(eta, kinv).items()
+           if a in lpos and b in lpos}
+    return NCAlgebra(gens, rel)
 
 
 def quantum_sphere(eta=None, kinv=None) -> NCAlgebra:
-    """The space-sector quadratic algebra with normal order (x1, x3, x2)."""
-    eta = sym("eta") if eta is None else eta
-    kinv = sym("kinv") if kinv is None else kinv
-    gens = ("x1", "x3", "x2")
-    pos_of = {g: i for i, g in enumerate(gens)}
-    rel = _sphere_relations({"x1": "x1", "x2": "x2", "x3": "x3"}, pos_of, eta, kinv)
-    return NCAlgebra(gens, rel)
+    """The space sector (s1, s3, s2) renamed (x1, x3, x2), the normal order."""
+    return _restriction(("x1", "x3", "x2"), eta, kinv)
 
 
 def local_first_order(eta=None, kinv=None) -> NCAlgebra:
-    """First order in the curvature scale: flat time sector + quantum sphere."""
-    eta = sym("eta") if eta is None else eta
-    kinv = sym("kinv") if kinv is None else kinv
-    gens = ("x0", "x1", "x3", "x2")
-    pos_of = {g: i for i, g in enumerate(gens)}
-    rel = _sphere_relations({"x1": "x1", "x2": "x2", "x3": "x3"}, pos_of, eta, kinv)
-    for name in ("x1", "x2", "x3"):
-        rel[("x0", name)] = NCPoly.gen(pos_of[name], -kinv)
-    return NCAlgebra(gens, rel)
+    """First order in the curvature scale: s4 = 1 is central, so dropping it
+    leaves the flat time sector [x0, xa] = -kinv xa and the quantum sphere."""
+    return _restriction(("x0", "x1", "x3", "x2"), eta, kinv)
 
 
 def ambient_algebra(eta=None, kinv=None) -> NCAlgebra:
     """All-orders quantization in ambient coordinates, order (s0,s1,s3,s2,s4)."""
-    eta = sym("eta") if eta is None else eta
-    kinv = sym("kinv") if kinv is None else kinv
-    gens = ("s0", "s1", "s3", "s2", "s4")
-    pos_of = {g: i for i, g in enumerate(gens)}
-    e2k = eta * eta * kinv
-    rel = _sphere_relations({"x1": "s1", "x2": "s2", "x3": "s3"}, pos_of, eta, kinv)
-    sfr = sphere_casimir_words(pos_of, eta, kinv)
-    for name in ("s1", "s2", "s3"):
-        a = pos_of[name]
-        rel[(("s0", name))] = NCPoly({(a, pos_of["s4"]): -kinv})
-        rel[((name, "s4"))] = NCPoly({(pos_of["s0"], a): -e2k})
-    rel[("s0", "s4")] = sfr.scale(-e2k)
-    return NCAlgebra(gens, rel)
-
-
-def sphere_casimir_words(pos_of: dict, eta, kinv) -> NCPoly:
-    """|space|^2 + eta*kinv * (first space) (second space), normal-ordered."""
-    names = [n for n in ("x1", "x2", "x3", "s1", "s2", "s3") if n in pos_of]
-    one = {n[-1]: pos_of[n] for n in names}
-    i1, i2, i3 = one["1"], one["2"], one["3"]
-    terms = {(i1, i1): Frac.of(1), (i2, i2): Frac.of(1), (i3, i3): Frac.of(1)}
-    key = (i1, i2) if i1 <= i2 else (i2, i1)
-    terms[key] = Frac.of(eta) * Frac.of(kinv)
-    return NCPoly(terms)
+    return _restriction(("s0", "s1", "s3", "s2", "s4"), eta, kinv)
 
 
 def space_casimir(alg: NCAlgebra, eta=None, kinv=None) -> NCPoly:
     eta = sym("eta") if eta is None else eta
     kinv = sym("kinv") if kinv is None else kinv
-    return sphere_casimir_words(alg.pos, eta, kinv)
+    return _ncpoly(sphere_casimir_words(eta, kinv), _label_positions(alg.gens))
 
 
 def pseudosphere_casimir(alg: NCAlgebra, eta=None, kinv=None) -> NCPoly:
@@ -412,6 +401,29 @@ def pseudosphere_casimir(alg: NCAlgebra, eta=None, kinv=None) -> NCPoly:
     p = NCPoly({(i4, i4): Frac.of(1), (i0, i0): Frac.of(e2),
                 (i0, i4): Frac.of(-(e2 * kinv))})
     return p + space_casimir(alg, eta, kinv).scale(-e2)
+
+
+def poisson_reading(alg: NCAlgebra) -> dict:
+    """The first-order Poisson reading of ``alg``, the correspondence principle.
+
+    For every ordered pair of generator names (a, b), both orders, the part
+    of [a, b] linear in kinv with the letters commuting, as {sorted name
+    word: Scalar}.  The relations must have polynomial coefficients.
+    """
+    k = PARAM_INDEX["kinv"]
+    out = {}
+    for (i, j), rhs in alg.commutator_rhs.items():
+        terms: dict = {}
+        for w, c in rhs.terms.items():
+            if c.den != ONE:
+                raise ValueError(f"[{alg.gens[i]}, {alg.gens[j]}] has a "
+                                 f"non-polynomial coefficient {c}")
+            part = Scalar({m: q for m, q in c.num.terms.items() if m[k] == 1})
+            accumulate(terms, tuple(sorted(alg.gens[g] for g in w)), part)
+        a, b = alg.gens[i], alg.gens[j]
+        out[a, b] = terms
+        out[b, a] = {w: -c for w, c in terms.items()}
+    return out
 
 
 def _drop_generator(p: NCPoly, gen: int) -> NCPoly:

@@ -297,36 +297,21 @@ class Scalar:
             out = out + factor
         return out
 
-    def eval_numeric(self, values: Mapping[str, float]) -> float:
-        """Horner-style floating evaluation; every used parameter must be bound."""
+    def eval_numeric(self, values: Mapping[str, object]):
+        """Value at ``values`` by ring operations only, so floats, complex
+        numbers, dual numbers and Scalars all work; every used parameter must
+        be bound.  The zero polynomial evaluates to 0.0."""
         missing = self.params() - set(values)
         if missing:
             raise UnboundParameter(f"unbound parameters: {sorted(missing)}")
-        items = list(self.terms.items())
-
-        def rec(group, vi):
-            if not group:
-                return 0.0
-            if vi == NPARAMS:
-                return float(sum(c for _, c in group))
-            buckets: dict = {}
-            for m, c in group:
-                buckets.setdefault(m[vi], []).append((m, c))
-            if len(buckets) == 1 and 0 in buckets:
-                return rec(group, vi + 1)
-            x = float(values[PARAMS[vi]])
-            acc = 0.0
-            prev = None
-            for e in sorted(buckets, reverse=True):
-                if prev is not None:
-                    acc *= x ** (prev - e)
-                acc += rec(buckets[e], vi + 1)
-                prev = e
-            if prev:
-                acc *= x ** prev
-            return acc
-
-        return rec(items, 0)
+        total = None
+        for m, c in self.terms.items():
+            term = c
+            for i, e in enumerate(m):
+                if e:
+                    term = term * values[PARAMS[i]] ** e
+            total = term if total is None else total + term
+        return 0.0 if total is None else total
 
     # -- text form -----------------------------------------------------------
 
@@ -862,9 +847,6 @@ class Frac:
         return f"({self.num})/({self.den})"
 
     __repr__ = __str__
-
-    def eval_numeric(self, values: Mapping[str, float]) -> float:
-        return self.num.eval_numeric(values) / self.den.eval_numeric(values)
 
     def substitute(self, bindings) -> "Frac":
         return Frac(self.num.substitute(bindings), self.den.substitute(bindings))

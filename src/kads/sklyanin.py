@@ -1,15 +1,17 @@
-"""Sklyanin-bracket evaluation on the group and the closed-form Poisson
-tables it must reproduce (local, twisted, ambient), together with the
-small generic 3D Poisson construction and the expansion machinery.
+"""Sklyanin-bracket evaluation on the group and the Poisson tables it must
+reproduce (local, twisted, ambient), together with the small generic 3D
+Poisson construction and the expansion machinery.
 
-Closed forms are written through the curvature trig primitives, so one
-implementation serves negative, zero and positive cosmological constant
-(entries acquire the imaginary curvature scale eta for lam > 0) and also
-accepts dual-number coordinates or a dual eta for expansions.
+The local and twisted tables are closed forms in the curvature trig
+primitives; the ambient table is the quantum algebra's first-order Poisson
+reading at (eta, kinv).  Both serve negative, zero and positive
+cosmological constant (entries acquire the imaginary curvature scale eta
+for lam > 0) and accept dual-number coordinates or a dual eta.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -22,6 +24,7 @@ from .group_geom import (GroupPoint, ambient_derivatives, ambient_jacobian,
                          ambient_from_local, coset_derivatives, field_derivatives,
                          group_element)
 from .liealg import worst_of
+from .ncalg import ambient_algebra, poisson_reading
 
 LOCAL_LABELS = ("x0", "x1", "x2", "x3")
 AMBIENT_LABELS = ("s4", "s0", "s1", "s2", "s3")
@@ -66,21 +69,30 @@ def twisted_time_space(a: int, x, lam, eta, kinv, vtheta):
     return base
 
 
-def ambient_entry(i: int, j: int, s, lam, eta, kinv):
-    """{s^i, s^j} with ambient index order (s4, s0, s1, s2, s3), i < j."""
-    s4, s0, s1, s2, s3 = s
-    if i == 0:  # {s4, .}
-        if j == 1:
-            return -lam * kinv * (s1 * s1 + s2 * s2 + s3 * s3)  # -{s0,s4}
-        return -lam * kinv * s[j] * s0  # eta^2 = -lam
-    if i == 1:  # {s0, sa}
-        return -kinv * s[j] * s4
-    pair = (i, j)
-    if pair == (2, 3):
-        return -eta * kinv * s3 * s3
-    if pair == (2, 4):
-        return eta * kinv * s2 * s3
-    return -eta * kinv * s1 * s3
+def reading_terms(reading: dict, labels, values) -> dict:
+    """A first-order Poisson reading (``ncalg.poisson_reading``) over ``labels``:
+    {(i, j): [(coefficient, letter indices)]}, with the coefficients
+    evaluated at ``values`` (floats, complex numbers or duals) by ring operations."""
+    idx = {name: k for k, name in enumerate(labels)}
+    return {(idx[a], idx[b]): [(c.eval_numeric(values), tuple(idx[n] for n in word))
+                               for word, c in terms.items()]
+            for (a, b), terms in reading.items()}
+
+
+def reading_entry(terms: dict, i: int, j: int, coords):
+    """{x^i, x^j} of ``reading_terms``: sum of coefficient * letter product;
+    integer 0 for a pair without terms."""
+    total = 0
+    for c, word in terms.get((i, j), ()):
+        total = total + c * math.prod(map(coords.__getitem__, word))
+    return total
+
+
+@functools.cache
+def formal_reading(make) -> dict:
+    """``poisson_reading(make())`` with formal (eta, kinv), once per process:
+    it does not depend on lambda.  Callers must not mutate it."""
+    return poisson_reading(make())
 
 
 @dataclass
@@ -97,13 +109,15 @@ class BracketTable:
     def __post_init__(self):
         if self.eta is None:
             self.eta = eta_of(self.lam)
+        if self.name == "ambient":
+            self._terms = reading_terms(formal_reading(ambient_algebra), self.labels,
+                                        {"eta": self.eta, "kinv": self.kinv})
 
     def entry(self, i: int, j: int, coords):
         if i == j:
             return 0.0
         if i > j:
-            v = self.entry(j, i, coords)
-            return -v
+            return -self.entry(j, i, coords)
         if self.name in ("local", "twisted"):
             if i == 0:
                 if self.name == "twisted":
@@ -112,7 +126,7 @@ class BracketTable:
                 return local_time_space(j, coords, self.lam, self.eta, self.kinv)
             return local_space_space(i, j, coords, self.lam, self.eta, self.kinv)
         if self.name == "ambient":
-            return ambient_entry(i, j, coords, self.lam, self.eta, self.kinv)
+            return reading_entry(self._terms, i, j, coords)
         raise KeyError(self.name)
 
     @property

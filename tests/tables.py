@@ -41,3 +41,22 @@ def expected_curved_table():
     e["K3"] = biv(("K3", "P0", kinv), ("P1", "J2", kinv), ("P2", "J1", -kinv),
                   ("K1", "J1", ek), ("K2", "J2", ek))
     return {IDX[n]: b for n, b in e.items()}
+
+
+def expected_ambient_poisson():
+    """{s^a, s^b} of the ambient Poisson homogeneous space for a before b in
+    (s0, s1, s2, s3, s4), as {sorted label word: coefficient}."""
+    ek = eta * kinv
+    e2k = eta * eta * kinv
+    return {
+        ("s0", "s1"): {("s1", "s4"): -kinv},
+        ("s0", "s2"): {("s2", "s4"): -kinv},
+        ("s0", "s3"): {("s3", "s4"): -kinv},
+        ("s0", "s4"): {("s1", "s1"): -e2k, ("s2", "s2"): -e2k, ("s3", "s3"): -e2k},
+        ("s1", "s2"): {("s3", "s3"): -ek},
+        ("s1", "s3"): {("s2", "s3"): ek},
+        ("s1", "s4"): {("s0", "s1"): -e2k},
+        ("s2", "s3"): {("s1", "s3"): -ek},
+        ("s2", "s4"): {("s0", "s2"): -e2k},
+        ("s3", "s4"): {("s0", "s3"): -e2k},
+    }

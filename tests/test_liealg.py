@@ -280,3 +280,24 @@ def test_float_rotation_checks_still_raise():
     with pytest.raises(NotOrthogonal, match="automorphism") as dense:
         rotate_basis(ads_algebra(-0.7), np.diag([1.0, 1.0, -1.0]).tolist())
     assert str(dense.value) == str(exact.value)
+
+
+def test_nan_and_inf_rotations_fail_the_orthogonality_check():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(NotOrthogonal, match="R\\^T R"):
+            rotate_basis(ads_algebra(-1.0), [[bad, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                             [0.0, 0.0, 1.0]])
+
+
+def test_nan_and_inf_tables_fail_the_automorphism_checks():
+    identity = np.eye(3).tolist()
+    for bad in (math.nan, math.inf):
+        # dense: a float table
+        with pytest.raises(NotOrthogonal, match="automorphism"), np.errstate(invalid="ignore"):
+            rotate_basis(ads_algebra(bad), identity)
+        # loop: one exact entry puts a float table on the sparse path
+        g = LieAlgebra({(IDX["J1"], IDX["J2"]): ((IDX["J3"], 1),),
+                        (IDX["P1"], IDX["P2"]): ((IDX["J3"], bad),)})
+        assert g.exact and g.dense is None
+        with pytest.raises(NotOrthogonal, match="automorphism"):
+            rotate_basis(g, identity)

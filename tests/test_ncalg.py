@@ -1,14 +1,18 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 import sympy
 
+from kads.group_geom import pseudosphere_residual
 from kads.ncalg import (NCAlgebra, NCPoly, SingularSpecialization,
                         ambient_algebra, builtin_algebras,
                         displayed_brackets_ok, flat_limits_ok,
-                        kappa_minkowski, local_first_order, quantum_sphere,
-                        space_casimir)
-from kads.scalars import PARAM_INDEX, Frac, NonTerminating, rat, sym
+                        kappa_minkowski, local_first_order, poisson_reading,
+                        pseudosphere_casimir, quantum_sphere, space_casimir)
+from kads.scalars import PARAM_INDEX, PARAMS, Frac, NonTerminating, rat, sym
 from kads.sklyanin import quadratic_space_poisson
+from tables import expected_ambient_poisson
 
 eta, kinv, vth = sym("eta"), sym("kinv"), sym("vtheta")
 
@@ -48,6 +52,68 @@ def test_quantum_sphere_reads_commutatively_as_the_poisson_sphere():
                 monomial = monomial * point[int(A.gens[letter][1:]) - 1]
             read = read + c * Frac.of(monomial)
         assert read == poisson[p][q], (A.gens[i], A.gens[j])
+
+
+def test_ambient_poisson_reading_matches_the_expected_table():
+    # the kinv-linear part of every commutator, letters commuting; the
+    # ordering word -eta^3 kinv^2 s1 s2 of [s0, s4] is second order
+    reading = poisson_reading(ambient_algebra())
+    expected = expected_ambient_poisson()
+    assert len(reading) == 2 * len(expected) == 20
+    for (a, b), terms in expected.items():
+        assert reading[a, b] == terms, (a, b)
+        assert reading[b, a] == {w: -c for w, c in terms.items()}, (b, a)
+
+
+def _sympy(c):
+    """A Scalar as a sympy polynomial in its parameters."""
+    return sympy.Add(*(sympy.Rational(q.numerator, q.denominator)
+                       * sympy.Mul(*(sympy.Symbol(PARAMS[i]) ** e for i, e in enumerate(m)))
+                       for m, q in c.terms.items()))
+
+
+AMBIENT = {n: sympy.Symbol(n) for n in ("s0", "s1", "s2", "s3", "s4")}
+
+
+def _jacobiators(tensor):
+    """{s^a, {s^b, s^c}} + cyclic for every triple, from {pair: sympy entry}."""
+    def bracket(f, g):
+        return sympy.Add(*(sympy.diff(f, AMBIENT[a]) * sympy.diff(g, AMBIENT[b]) * v
+                           for (a, b), v in tensor.items()))
+    s = AMBIENT
+    return [sympy.expand(bracket(s[a], bracket(s[b], s[c]))
+                         + bracket(s[b], bracket(s[c], s[a]))
+                         + bracket(s[c], bracket(s[a], s[b])))
+            for a, b, c in combinations(AMBIENT, 3)]
+
+
+def test_ambient_poisson_reading_satisfies_jacobi_identically():
+    # an exact oracle in the ambient coordinates, which Scalar does not have
+    tensor = {pair: sympy.Add(*(_sympy(c) * sympy.Mul(*(AMBIENT[n] for n in w))
+                                for w, c in terms.items()))
+              for pair, terms in poisson_reading(ambient_algebra()).items()}
+    assert _jacobiators(tensor) == [0] * 10
+    # not vacuous: one flipped sign breaks it
+    tensor["s1", "s2"], tensor["s2", "s1"] = tensor["s2", "s1"], tensor["s1", "s2"]
+    assert any(_jacobiators(tensor))
+
+
+def test_pseudosphere_casimir_reads_as_the_quadric():
+    # at kinv = 0, with commuting letters, the central element is the
+    # quadric s4^2 - lam s0^2 + lam |s|^2 of the chart, with lam = -eta^2
+    alg = ambient_algebra()
+    cas = pseudosphere_casimir(alg).substitute({"kinv": rat(0)})
+    read = sympy.Add(*(_sympy(c.num) * sympy.Mul(*(AMBIENT[alg.gens[g]] for g in w))
+                       for w, c in cas.terms.items()))
+    s = tuple(AMBIENT[n] for n in ("s4", "s0", "s1", "s2", "s3"))
+    lam = -sympy.Symbol("eta") ** 2
+    assert sympy.expand(read - pseudosphere_residual(s, lam) - 1) == 0
+
+
+def test_poisson_reading_needs_polynomial_relations():
+    alg = NCAlgebra(("a", "b"), {("a", "b"): NCPoly.gen(0, Frac(kinv, eta))})
+    with pytest.raises(ValueError, match="non-polynomial"):
+        poisson_reading(alg)
 
 
 def test_commutators_match_defining_relations():

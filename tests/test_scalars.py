@@ -6,6 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from kads.curvtrig import Dual
 from kads.scalars import (PARAMS, CyclicSubstitution, Frac, NonTerminating, Scalar,
                           UnboundParameter, accumulate, make_rule, mono_key,
                           poly_divmod, rat, reduce_mod, sphere_rules, sym,
@@ -141,6 +142,17 @@ def test_eval_examples():
     assert (eta ** 2).eval_numeric({"eta": 3.0}) == 9.0
     with pytest.raises(UnboundParameter):
         (eta + kinv).eval_numeric({"eta": 1.0})
+
+
+def test_eval_by_ring_operations():
+    # one evaluator for complex, dual and exact values
+    p = eta * eta * kinv - 3 * eta + rat(1, 2)
+    assert p.eval_numeric({"eta": 1j, "kinv": 2.0}) == -1.5 - 3j
+    d = p.eval_numeric({"eta": Dual(0.0, 1.0), "kinv": 2.0})
+    assert (d.re, d.eps) == (0.5, -3.0)
+    assert p.eval_numeric({"eta": eta, "kinv": kinv}) == p
+    assert p.eval_numeric({"eta": rat(2), "kinv": rat(1, 4)}) == rat(-9, 2)
+    assert Scalar().eval_numeric({}) == 0.0
 
 
 def test_substitute_examples():
