@@ -23,6 +23,8 @@ SUITES = [
                     "--samples", "200"]),
     ("poisson_near_flat", ["poisson", "--lambda", "-1e-08", "--kappa-inv", "0.31",
                            "--samples", "200"]),
+    ("poisson_ds_near_flat", ["poisson", "--lambda", "1e-08", "--kappa-inv", "0.31",
+                              "--samples", "200"]),
     ("nc", ["nc"]),
     ("export", ["export", "--lambda", "-1.0", "--kappa-inv", "0.31",
                 "--samples", "50"]),
@@ -30,6 +32,8 @@ SUITES = [
                    "--samples", "50"]),
     ("export_near_flat", ["export", "--lambda", "-1e-08", "--kappa-inv", "0.31",
                           "--samples", "50"]),
+    ("export_ds_near_flat", ["export", "--lambda", "1e-08", "--kappa-inv", "0.31",
+                             "--samples", "50"]),
 ]
 
 

@@ -11,6 +11,11 @@ s there, so its one-parameter subgroup has the closed form
 group element is ten such two-column updates, with no matrix exponential.
 Derivatives are forward-mode duals whose ``eps`` holds one tangent per
 listed generator, so one chain per side serves every invariant field.
+
+Every function here takes a batch: coordinates as 1-D arrays of N points,
+group elements as an (N, 5, 5) stack.  A float coordinate or a single 5x5
+matrix is one point and gives the per-point result.  The named errors are
+raised when any point of the batch fails.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curvtrig
-from .curvtrig import Dual, ch, ct, eps_part, sh, sh_inv, st, tn_inv
+from .curvtrig import (Dual, NumericOverflow, any_of, ch, ct, eps_part, sh, sh_inv, st,
+                       tn_inv)
 from .liealg import DIM
 
 
@@ -37,13 +43,12 @@ class OutOfChart(ValueError):
     """Ambient point is outside the invertible chart (e.g. s4 <= 0)."""
 
 
-class NumericOverflow(OverflowError):
-    """Coordinates large enough to overflow the exponentials."""
-
-
 @dataclass(frozen=True)
 class GroupPoint:
-    """Local coordinates (x0, x, xi, th) and the cosmological constant."""
+    """Local coordinates (x0, x, xi, th) and the cosmological constant.
+
+    Each coordinate is a float, or a 1-D array of N points for a batch.
+    """
 
     x: tuple            # (x0, x1, x2, x3)
     xi: tuple = (0.0, 0.0, 0.0)
@@ -87,44 +92,45 @@ def _planes(lam: float) -> tuple:
 
 
 def group_element(p: GroupPoint) -> np.ndarray:
-    """Ordered product of the ten one-parameter subgroups, in closed form.
+    """Ordered product of the ten one-parameter subgroups, in closed form:
+    a 5x5 matrix, or an (N, 5, 5) stack for a batch.
 
     Order: time translation, space translations, boosts, rotations.  Each
-    factor ct(ab, c) I + st(ab, c) T_i rewrites the two columns of its plane.
+    factor ct(ab, c) I + st(ab, c) T_i rewrites the two columns of its plane;
+    a factor whose coordinate is 0 at every point is skipped (at a single
+    such point it is the identity, exactly).
     """
-    root = math.sqrt(abs(p.lam))
-    for c in p.x:
-        if abs(c) * root > 50.0:
-            raise NumericOverflow("translation coordinate too large for exp")
-    for c in p.xi:
-        if abs(c) > 50.0:
-            raise NumericOverflow("boost coordinate too large for exp")
-    m = [[1.0 if r == k else 0.0 for k in range(5)] for r in range(5)]
-    for (i, j, a, b), c in zip(_planes(p.lam), p.coords()):
-        if c != 0.0:
+    if any_of(np.abs(p.x) * math.sqrt(abs(p.lam)) > 50.0):
+        raise NumericOverflow("translation coordinate too large for exp")
+    if any_of(np.abs(p.xi) > 50.0):
+        raise NumericOverflow("boost coordinate too large for exp")
+    coords = p.coords()
+    shape = np.broadcast_shapes(*map(np.shape, coords))
+    m = np.multiply.outer(np.eye(5), np.ones(shape))  # m[r, k] holds the N points
+    for (i, j, a, b), c in zip(_planes(p.lam), coords):
+        if any_of(c):
             cc, sc = ct(a * b, c), st(a * b, c)
             sa, sb = sc * a, sc * b
-            for row in m:
-                u, v = row[i], row[j]
-                row[i] = cc * u + sa * v
-                row[j] = cc * v + sb * u
-    return np.array(m)
+            u, v = m[:, i], m[:, j]
+            m[:, i], m[:, j] = cc * u + sa * v, cc * v + sb * u
+    return np.moveaxis(m, (0, 1), (-2, -1))
 
 
-def isometry_residual(m: np.ndarray, lam: float) -> float:
+def isometry_residual(m: np.ndarray, lam: float):
+    """max |m^T B m - B| per group element (a float, or N of them)."""
     bf = bilinear_form(lam)
-    return float(np.max(np.abs(m.T @ bf @ m - bf)))
+    return np.max(np.abs(np.swapaxes(m, -1, -2) @ bf @ m - bf), axis=(-2, -1))
 
 
 def _chart_check(x, lam: float):
     bound = 0.5 * math.pi
     if lam < 0:
-        if abs(curvtrig.re_part(x[0])) * math.sqrt(-lam) >= bound:
+        if any_of(abs(curvtrig.re_part(x[0])) * math.sqrt(-lam) >= bound):
             raise ChartBoundary("time coordinate outside the principal chart")
     elif lam > 0:
         root = math.sqrt(lam)
         for c in x[1:]:
-            if abs(curvtrig.re_part(c)) * root >= bound:
+            if any_of(abs(curvtrig.re_part(c)) * root >= bound):
                 raise ChartBoundary("space coordinate outside the principal chart")
 
 
@@ -154,9 +160,9 @@ def local_from_ambient(s, lam: float, check: bool = True):
     """Invert the chart (x3 -> x2 -> x1 -> x0); accepts Dual components."""
     s4, s0, s1, s2, s3 = s
     if check:
-        if abs(curvtrig.re_part(pseudosphere_residual(s, lam))) > 1e-8:
+        if any_of(abs(curvtrig.re_part(pseudosphere_residual(s, lam))) > 1e-8):
             raise OffPseudosphere("ambient point misses the quadric")
-    if curvtrig.re_part(s4) <= 0.0:
+    if any_of(curvtrig.re_part(s4) <= 0.0):
         raise OutOfChart("s4 <= 0 is outside the principal chart")
     try:
         x3 = sh_inv(lam, s3)
@@ -171,25 +177,30 @@ def local_from_ambient(s, lam: float, check: bool = True):
 
 
 def metric_at(x, lam: float) -> np.ndarray:
-    """diag(c1^2 c2^2 c3^2, -c2^2 c3^2, -c3^2, -1) in local coordinates."""
+    """diag(c1^2 c2^2 c3^2, -c2^2 c3^2, -c3^2, -1) in local coordinates:
+    4x4, or (N, 4, 4) for a batch."""
     _chart_check(x, lam)
     c1, c2, c3 = ch(lam, x[1]), ch(lam, x[2]), ch(lam, x[3])
-    return np.diag([
-        (c1 * c2 * c3) ** 2,
-        -((c2 * c3) ** 2),
-        -(c3 ** 2),
-        -1.0,
-    ])
+    diag = ((c1 * c2 * c3) ** 2, -((c2 * c3) ** 2), -(c3 ** 2), -1.0)
+    out = np.zeros(np.shape(c1) + (4, 4))
+    for mu, d in enumerate(diag):
+        out[..., mu, mu] = d
+    return out
 
 
 def ambient_jacobian(x, lam: float) -> np.ndarray:
-    """5x4 Jacobian of ambient_from_local, by one forward-mode dual pass."""
-    xd = [Dual(float(c), seed) for c, seed in zip(x, np.eye(4))]
-    return np.array([eps_part(v) for v in ambient_from_local(xd, lam)])
+    """5x4 Jacobian of ambient_from_local (N x 5 x 4 for a batch), by one
+    forward-mode dual pass."""
+    x = np.asarray(x, dtype=float)                            # (4,) or (4, N)
+    seeds = np.eye(4).reshape((4, 4) + (1,) * (x.ndim - 1))  # seeds[mu] = d/dx^mu
+    s = ambient_from_local([Dual(c, seed) for c, seed in zip(x, seeds)], lam)
+    jac = np.array([np.broadcast_to(eps_part(v), x.shape) for v in s])  # (5, 4[, N])
+    return np.moveaxis(jac, -1, 0) if x.ndim == 2 else jac
 
 
 def metric_pullback(x, lam: float) -> np.ndarray:
-    """Pull the ambient flat metric back through the chart map.
+    """Pull the ambient flat metric back through the chart map: 4x4, or
+    (N, 4, 4) for a batch.
 
     The ambient metric is the bilinear form divided by the curvature -lam;
     at lam = 0 the degenerate first row drops out exactly.
@@ -199,51 +210,63 @@ def metric_pullback(x, lam: float) -> np.ndarray:
         amb = np.diag([0.0, 1.0, -1.0, -1.0, -1.0])
     else:
         amb = np.diag([-1.0 / lam, 1.0, -1.0, -1.0, -1.0])
-    return jac.T @ amb @ jac
+    return np.swapaxes(jac, -1, -2) @ amb @ jac
 
 
 # -- invariant vector fields ---------------------------------------------------
 
 
 def _tangents(m: np.ndarray, lam: float, gens, side: str) -> np.ndarray:
-    """Row k: d/dt at t = 0 of the first column of m exp(t T_i) (side "L")
-    or exp(t T_i) m (side "R"), for i = gens[k].
+    """tan[r, k, n]: d/dt at t = 0 of entry r of the first column of
+    m[n] exp(t T_i) (side "L") or exp(t T_i) m[n] (side "R"), i = gens[k],
+    for a stack m of shape (N, 5, 5).
 
     Every entry is a single product, so it equals the matrix product bit
     for bit.
     """
     planes = _planes(lam)
-    out = np.zeros((len(gens), 5))
+    out = np.zeros((5, len(gens), len(m)))
     for k, i in enumerate(gens):
         p, q, a, b = planes[i]
         if side == "L":
             if p == 0:  # T_i e_0 = a e_q; the Lorentz generators fix e_0
-                out[k] = m[:, q] * a
+                out[:, k] = m[:, :, q].T * a
         else:
-            out[k, q] = a * m[p, 0]
-            out[k, p] = b * m[q, 0]
+            out[q, k] = a * m[:, p, 0]
+            out[p, k] = b * m[:, q, 0]
     return out
 
 
+def _by_generator(gens, rows: np.ndarray, single: bool) -> dict:
+    """rows[:, k] keyed by gens[k]: a list per generator for one 5x5 matrix,
+    an (len(rows), N) array per generator for a stack."""
+    if single:
+        return {i: rows[:, k, 0].tolist() for k, i in enumerate(gens)}
+    return {i: rows[:, k] for k, i in enumerate(gens)}
+
+
 def _coset_duals(m: np.ndarray, lam: float, gens, side: str) -> tuple:
-    """The four coset coordinates as duals; eps[k] is the derivative along
-    the field of T_i, i = gens[k]."""
+    """The four coset coordinates of a stack m as duals; eps[k] is the
+    derivative along the field of T_i, i = gens[k]."""
     tan = _tangents(m, lam, gens, side)
-    col = tuple(Dual(float(m[r, 0]), eps) for r, eps in enumerate(tan.T))
+    col = tuple(Dual(m[:, r, 0], tan[r]) for r in range(5))
     return local_from_ambient(col, lam, check=False)
 
 
 def field_derivatives(m: np.ndarray, lam: float, gens, side: str, fns) -> dict:
     """X_i h for the listed generators and coset functions, from one dual
-    chain: map i -> [X_i h for h in fns].
+    chain over all points: map i -> [X_i h for h in fns] for one 5x5 matrix,
+    or i -> (len(fns), N) array for an (N, 5, 5) stack.
 
     Each ``h`` is a smooth function of the four coset coordinates (it
     receives a tuple of Dual numbers).
     """
-    coords = _coset_duals(m, lam, gens, side)
-    n = len(gens)
-    rows = np.array([np.broadcast_to(eps_part(h(coords)), (n,)) for h in fns])
-    return {i: rows[:, k].tolist() for k, i in enumerate(gens)}
+    m = np.asarray(m)
+    stack = m.reshape(-1, 5, 5)
+    coords = _coset_duals(stack, lam, gens, side)
+    shape = (len(gens), len(stack))
+    rows = np.array([np.broadcast_to(eps_part(h(coords)), shape) for h in fns])
+    return _by_generator(gens, rows, m.ndim == 2)
 
 
 def invariant_field(side: str, i: int, f, point: GroupPoint, matrix=None):
@@ -259,10 +282,13 @@ _COORDINATES = tuple((lambda c, mu=mu: c[mu]) for mu in range(4))
 
 
 def coset_derivatives(m: np.ndarray, lam: float, gens, side: str) -> dict:
-    """X_i x^mu for the listed generators: map i -> length-4 list."""
+    """X_i x^mu for the listed generators: map i -> length-4 list, or
+    i -> (4, N) array for a stack."""
     return field_derivatives(m, lam, gens, side, _COORDINATES)
 
 
 def ambient_derivatives(m: np.ndarray, lam: float, gens, side: str) -> dict:
-    """X_i s^A for the listed generators: map i -> length-5 list."""
-    return dict(zip(gens, _tangents(m, lam, gens, side).tolist()))
+    """X_i s^A for the listed generators: map i -> length-5 list, or
+    i -> (5, N) array for a stack."""
+    m = np.asarray(m)
+    return _by_generator(gens, _tangents(m.reshape(-1, 5, 5), lam, gens, side), m.ndim == 2)

@@ -38,6 +38,10 @@ class NotOrthogonal(ValueError):
     """A rotation matrix failed the orthogonality check."""
 
 
+class ExactnessMismatch(TypeError):
+    """A float rotation was applied to a table of exact Scalars."""
+
+
 def is_exact(c) -> bool:
     return isinstance(c, (Scalar, int, Fraction))
 
@@ -310,9 +314,16 @@ def rotate_basis(g: LieAlgebra, r3, rules=None) -> BasisRotation:
 
     ``r3`` is a 3x3 orthogonal matrix of Scalars or floats.  Orthogonality
     is checked exactly (after ``rules``-rewriting when given) or to
-    ``ROTATION_TOL``; a NaN or infinite deviation fails either check.
+    ``ROTATION_TOL``; a NaN or infinite deviation fails either check.  An
+    exact rotation of a table with float entries is checked in floats; a
+    float rotation of a table with Scalar entries raises ExactnessMismatch.
     """
     exact = all(is_exact(e) for row in r3 for e in row)
+    coeffs = [c for terms in g.structure.values() for _, c in terms]
+    if exact and not all(is_exact(c) for c in coeffs):
+        r3 = [[float(e.eval_numeric({}) if isinstance(e, Scalar) else e) for e in row]
+              for row in r3]
+        exact = False
     tol = 0 if exact else ROTATION_TOL
 
     def simp(c):
@@ -327,6 +338,10 @@ def rotate_basis(g: LieAlgebra, r3, rules=None) -> BasisRotation:
             expect = one if a == b else (Scalar() if exact else 0.0)
             if not coeff_norm(dot - expect) <= tol:
                 raise NotOrthogonal(f"R^T R != I at entry {(a, b)}")
+
+    if not exact and any(isinstance(c, Scalar) for c in coeffs):
+        raise ExactnessMismatch("a float rotation cannot act on exact Scalar structure "
+                                "constants; pass an exact rotation")
 
     zero = Scalar() if exact else 0.0
     m = [[zero] * DIM for _ in range(DIM)]

@@ -344,12 +344,14 @@ def require_on_surface(alpha, beta, kinv: float, lam: float, tol: float = 1e-9) 
 
 
 def canonicalize(theta: float, phi: float, twist: float, kinv: float,
-                 lam: float = -1.0, tol: float = 1e-9):
+                 lam: float = -1.0, tol: float = 1e-9, algebra=None):
     """Rotate a constraint-surface sample to the canonical r-matrix.
 
     The sample is alpha = R n(theta, phi), beta = twist * n(theta, phi)
     with R = eta * kinv.  Returns (rotated bivector, expected canonical
     bivector, transcript).  The expected twist parameter is -twist.
+    ``algebra`` is ``ads_algebra(float(lam))``, built here when not given;
+    a caller canonicalizing many samples at one lam builds it once.
     """
     if lam >= 0:
         raise ValueError("canonicalization sampling expects lam < 0 (real eta)")
@@ -368,7 +370,7 @@ def canonicalize(theta: float, phi: float, twist: float, kinv: float,
         # column-convention pushforward moves the axial vector by the matrix
         # itself, and rows (u, v, n) send n to the third axis
         r3 = rotation_to_pole(theta, phi)
-    g_num = ads_algebra(float(lam))
+    g_num = ads_algebra(float(lam)) if algebra is None else algebra
     rot = rotate_basis(g_num, r3)
     rotated = rotate_bivector(rot, family_r(alpha, beta, kinv))
     expected = r_kads(kinv, eta)

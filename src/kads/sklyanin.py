@@ -6,7 +6,9 @@ The local and twisted tables are closed forms in the curvature trig
 primitives; the ambient table is the quantum algebra's first-order Poisson
 reading at (eta, kinv).  Both serve negative, zero and positive
 cosmological constant (entries acquire the imaginary curvature scale eta
-for lam > 0) and accept dual-number coordinates or a dual eta.
+for lam > 0) and accept dual-number coordinates or a dual eta.  Every
+entry takes coordinate arrays of N points as well as floats, and the
+checks evaluate all their sample points as one batch.
 """
 
 from __future__ import annotations
@@ -162,95 +164,107 @@ def _support(r: Bivector) -> list:
     return sorted({i for key in r.components for i in key})
 
 
-def _contract(r: Bivector, dl: dict, dr: dict, mu, nu):
-    """r^ij (XL_i u XL_j v - XR_i u XR_j v) from derivative tables d[i][mu]."""
-    total = 0.0
+def _outer(u, v):
+    return u[:, None] * v[None]
+
+
+def _contract(r: Bivector, dl: dict, dr: dict) -> np.ndarray:
+    """r^ij (XL_i u XL_j v - XR_i u XR_j v) for every pair (u, v) of the n
+    functions differentiated in d[i] (shape (n, N)): an exactly
+    antisymmetric (n, n, N) array."""
+    n, count = next(iter(dl.values())).shape
+    total = np.zeros((n, n, count))
     for (i, j), c in r.components.items():
-        total = total + c * (
-            dl[i][mu] * dl[j][nu] - dl[j][mu] * dl[i][nu]
-            - dr[i][mu] * dr[j][nu] + dr[j][mu] * dr[i][nu])
-    return total
+        total = total + c * (_outer(dl[i], dl[j]) - _outer(dl[j], dl[i])
+                             - _outer(dr[i], dr[j]) + _outer(dr[j], dr[i]))
+    upper = np.triu_indices(n, 1)
+    out = np.zeros_like(total)
+    out[upper] = total[upper]
+    out[upper[::-1]] = -total[upper]
+    return out
 
 
 def sklyanin_bracket(r: Bivector, f, g, point: GroupPoint, matrix=None):
     """{f, g}(h) = r^ij (XL_i f XL_j g - XR_i f XR_j g) for coset functions."""
     m = group_element(point) if matrix is None else matrix
+    stack = np.reshape(m, (1, 5, 5))
     support = _support(r)
-    dl, dr = (field_derivatives(m, point.lam, support, side, (f, g)) for side in "LR")
-    return _contract(r, dl, dr, 0, 1)
+    dl, dr = (field_derivatives(stack, point.lam, support, side, (f, g)) for side in "LR")
+    return _contract(r, dl, dr)[0, 1, 0]
 
 
-def _bracket_matrix(r: Bivector, point: GroupPoint, matrix, derivatives, n: int):
-    """All n x n brackets of the coordinates that ``derivatives`` differentiates."""
-    m = group_element(point) if matrix is None else matrix
+def _bracket_matrix(r: Bivector, point: GroupPoint, matrix, derivatives):
+    """All brackets of the coordinates that ``derivatives`` differentiates:
+    n x n at one point, N x n x n for a batch point or matrix stack."""
+    m = group_element(point) if matrix is None else np.asarray(matrix)
+    stack = m.reshape(-1, 5, 5)
     support = _support(r)
-    dl = derivatives(m, point.lam, support, "L")
-    dr = derivatives(m, point.lam, support, "R")
-    out = np.zeros((n, n), dtype=complex)
-    for a in range(n):
-        for b in range(a + 1, n):
-            v = _contract(r, dl, dr, a, b)
-            out[a, b] = v
-            out[b, a] = -v
-    return out
+    dl = derivatives(stack, point.lam, support, "L")
+    dr = derivatives(stack, point.lam, support, "R")
+    out = np.moveaxis(_contract(r, dl, dr), -1, 0).astype(complex)
+    return out[0] if m.ndim == 2 else out
 
 
 def bracket_matrix_local(r: Bivector, point: GroupPoint, matrix=None):
-    """All {x^mu, x^nu} at a group point, as a 4x4 antisymmetric array."""
-    return _bracket_matrix(r, point, matrix, coset_derivatives, 4)
+    """All {x^mu, x^nu} at a group point, as a 4x4 antisymmetric array
+    (N x 4 x 4 for a batch)."""
+    return _bracket_matrix(r, point, matrix, coset_derivatives)
 
 
 def bracket_matrix_ambient(r: Bivector, point: GroupPoint, matrix=None):
-    """All {s^A, s^B} at a group point, ambient order (s4, s0, s1, s2, s3)."""
-    return _bracket_matrix(r, point, matrix, ambient_derivatives, 5)
+    """All {s^A, s^B} at a group point, ambient order (s4, s0, s1, s2, s3)
+    (N x 5 x 5 for a batch)."""
+    return _bracket_matrix(r, point, matrix, ambient_derivatives)
 
 
-def sample_points(n: int, lam: float, rng):
-    """Chart-safe random group points: |x| <= 0.8/max(1, sqrt|lam|), with
-    random Lorentz coordinates."""
+def sample_points(n: int, lam: float, rng) -> GroupPoint:
+    """n chart-safe random group points as one batch: |x| <= 0.8/max(1, sqrt|lam|),
+    with random Lorentz coordinates.  Point by point, x, xi, th are drawn
+    in that order."""
     box = 0.8 / max(1.0, math.sqrt(abs(lam)))
-    pts = []
-    for _ in range(n):
-        x = tuple(rng.uniform(-box, box) for _ in range(4))
-        xi = tuple(rng.uniform(-0.5, 0.5) for _ in range(3))
-        th = tuple(rng.uniform(-0.5, 0.5) for _ in range(3))
-        pts.append(GroupPoint(x=x, xi=xi, th=th, lam=lam))
-    return pts
+    half = np.array([box] * 4 + [0.5] * 6)
+    u = rng.uniform(-half, half, (n, 10)).T
+    return GroupPoint(x=tuple(u[:4]), xi=tuple(u[4:7]), th=tuple(u[7:]), lam=lam)
+
+
+def _first_worst(per_point: np.ndarray):
+    """Index of the first point that reaches the largest value (a NaN wins),
+    or None when every value is 0."""
+    nan = np.isnan(per_point)
+    if nan.any():
+        return int(np.argmax(nan))
+    worst = per_point.max()
+    return int(np.argmax(per_point == worst)) if worst > 0 else None
 
 
 def verify_table(r: Bivector, table: BracketTable, samples: int, lam: float,
                  seed: int = 0x5EED) -> dict:
     """Compare the Sklyanin bracket against a closed-form table on a grid,
-    and check that it does not depend on the Lorentz coordinates."""
+    and check that it does not depend on the Lorentz coordinates.
+
+    The samples and their Lorentz partners (same x, fresh xi and th, drawn
+    after all samples) form one batch: one group-element stack, one dual
+    chain per side and one table evaluation per pair.
+    """
     rng = np.random.default_rng(seed)
+    pts = sample_points(samples, lam, rng)
+    turn = rng.uniform(-0.5, 0.5, (samples, 6)).T
+    both = GroupPoint(x=tuple(np.concatenate([c, c]) for c in pts.x),
+                      xi=tuple(np.concatenate([c, t]) for c, t in zip(pts.xi, turn[:3])),
+                      th=tuple(np.concatenate([c, t]) for c, t in zip(pts.th, turn[3:])),
+                      lam=lam)
+    m = group_element(both)
     ambient = table.name == "ambient"
-    pair_dev: dict = {}
-    indep_dev = 0.0
-    worst = 0.0
-    worst_point = None
-    for point in sample_points(samples, lam, rng):
-        m = group_element(point)
-        if ambient:
-            got = bracket_matrix_ambient(r, point, matrix=m)
-            coords = tuple(float(m[k, 0]) for k in range(5))
-        else:
-            got = bracket_matrix_local(r, point, matrix=m)
-            coords = point.x
-        n = table.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                want = table.entry(i, j, coords)
-                dev = abs(got[i, j] - want)
-                key = f"{table.labels[i]}^{table.labels[j]}"
-                pair_dev[key] = worst_of(pair_dev.get(key, 0.0), dev)
-                if dev > worst or dev != dev and worst == worst:  # NaN is worst
-                    worst, worst_point = dev, point.coords()
-        other = GroupPoint(x=point.x,
-                           xi=tuple(rng.uniform(-0.5, 0.5) for _ in range(3)),
-                           th=tuple(rng.uniform(-0.5, 0.5) for _ in range(3)),
-                           lam=lam)
-        got2 = (bracket_matrix_ambient if ambient else bracket_matrix_local)(r, other)
-        indep_dev = worst_of(indep_dev, float(np.max(np.abs(got2 - got))))
+    got = (bracket_matrix_ambient if ambient else bracket_matrix_local)(r, both, matrix=m)
+    coords = tuple(m[:samples, k, 0] for k in range(5)) if ambient else pts.x
+    got, other = got[:samples], got[samples:]
+    pairs = list(combinations(range(table.dim), 2))
+    dev = np.array([np.broadcast_to(abs(got[:, i, j] - table.entry(i, j, coords)), (samples,))
+                    for i, j in pairs])
+    per_point = dev.max(axis=0)
+    k = _first_worst(per_point)
+    per_pair = {f"{table.labels[i]}^{table.labels[j]}": float(d.max())
+                for (i, j), d in zip(pairs, dev)}
     return {
         "table": table.name,
         "lambda": lam,
@@ -258,10 +272,10 @@ def verify_table(r: Bivector, table: BracketTable, samples: int, lam: float,
         "vtheta": table.vtheta,
         "samples": samples,
         "seed": seed,
-        "max_deviation": worst,
-        "worst_point": worst_point,
-        "per_pair": {k: pair_dev[k] for k in sorted(pair_dev)},
-        "lorentz_independence": indep_dev,
+        "max_deviation": 0.0 if k is None else float(per_point[k]),
+        "worst_point": None if k is None else tuple(float(c[k]) for c in pts.coords()),
+        "per_pair": {key: per_pair[key] for key in sorted(per_pair)},
+        "lorentz_independence": float(np.max(np.abs(other - got))),
     }
 
 
@@ -295,36 +309,41 @@ def _gradient(fn, x) -> list:
             for mu in range(len(x))]
 
 
-def table_jacobi_residual(table: BracketTable, samples: int, seed: int = 0x5EED) -> float:
-    """Max |{x,{y,z}} + cyclic| over random points, via dual-number chains.
+def table_jacobiators(table: BracketTable, coords) -> np.ndarray:
+    """{x^i,{x^j,x^k}} + cyclic for every triple i < j < k at N points
+    (``coords``: one array of N values per coordinate): a (triples, N) array.
 
-    One vector-seeded dual pass per pair gives its value and its gradient.
+    One vector-seeded dual pass over all points gives every pair's value
+    and its gradient.
     """
+    n, count = table.dim, len(coords[0])
+    xd = [Dual(c, e[:, None]) for c, e in zip(coords, np.eye(n))]  # eps (n, 1): d/dx^mu
+    val = [[0.0] * n for _ in range(n)]
+    grad = {}
+    for b, c in combinations(range(n), 2):
+        v = table.entry(b, c, xd)
+        val[b][c], val[c][b] = re_part(v), -re_part(v)
+        grad[b, c] = np.broadcast_to(eps_part(v), (n, count))  # a constant has zero gradient
+        grad[c, b] = -grad[b, c]  # entry(c, b) is -entry(b, c), exactly
+    out = []
+    for i, j, k in combinations(range(n), 3):
+        total = 0.0
+        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+            g = grad[b, c]
+            total = total + sum(val[a][mu] * g[mu] for mu in range(n))
+        out.append(np.broadcast_to(total, (count,)))
+    return np.array(out)
+
+
+def table_jacobi_residual(table: BracketTable, samples: int, seed: int = 0x5EED) -> float:
+    """Max |{x,{y,z}} + cyclic| over random points (a NaN wins)."""
     rng = np.random.default_rng(seed)
     box = 0.8 / max(1.0, math.sqrt(abs(table.lam)))
-    n = table.dim
-    worst = 0.0
-    for _ in range(samples):
-        if table.name == "ambient":
-            x = tuple(rng.uniform(-box, box) for _ in range(4))
-            coords = ambient_from_local(x, table.lam)
-        else:
-            coords = tuple(rng.uniform(-box, box) for _ in range(n))
-        xd = [Dual(float(c), e) for c, e in zip(coords, np.eye(n))]
-        val = [[0.0] * n for _ in range(n)]
-        grad = {}
-        for b, c in combinations(range(n), 2):
-            v = table.entry(b, c, xd)
-            val[b][c], val[c][b] = re_part(v), -re_part(v)
-            grad[b, c] = np.broadcast_to(eps_part(v), n).tolist()  # a constant has zero gradient
-            grad[c, b] = [-d for d in grad[b, c]]  # entry(c, b) is -entry(b, c), exactly
-        for i, j, k in combinations(range(n), 3):
-            total = 0.0
-            for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                g = grad[b, c]
-                total = total + sum(val[a][mu] * g[mu] for mu in range(n))
-            worst = worst_of(worst, abs(total))
-    return worst
+    if table.name == "ambient":
+        coords = ambient_from_local(tuple(rng.uniform(-box, box, (samples, 4)).T), table.lam)
+    else:
+        coords = tuple(rng.uniform(-box, box, (samples, table.dim)).T)
+    return worst_of(0.0, float(np.max(np.abs(table_jacobiators(table, coords)))))
 
 
 class Poisson3D:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -252,14 +253,24 @@ def test_nan_residual_fails_classify(tmp_path, monkeypatch):
 
 
 def test_run_all_checks_passes_every_suite(tmp_path, capsys):
-    # scripts/run_all_checks.py is the documented full run: 13 suites, each
+    # scripts/run_all_checks.py is the documented full run: 15 suites, each
     # exiting 0 with a passing report
     path = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_all_checks.py")
     spec = importlib.util.spec_from_file_location("run_all_checks", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     assert script.run(tmp_path) == 0
-    assert capsys.readouterr().out.count(": exit 0 ->") == len(script.SUITES) == 13
+    assert capsys.readouterr().out.count(": exit 0 ->") == len(script.SUITES) == 15
     reports = sorted(tmp_path.glob("*.json"))
-    assert len(reports) == 13
+    assert len(reports) == 15
     assert all(json.loads(p.read_text())["pass"] is True for p in reports)
+
+
+def test_poisson_and_export_raise_no_numpy_warnings(tmp_path):
+    # the lambda sweep of the benchmark: both signs, both sides of SERIES_CUT
+    out = str(tmp_path / "rep.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in (-1.0, -0.3, -1e-8, 1e-8, 0.3, 1.0):
+            for suite in ("poisson", "export"):
+                assert main([suite, f"--lambda={lam!r}", "--samples", "20", "--out", out]) == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from kads.curvtrig import Dual, ch, ct, sh, sh_inv, st, tn, tn_inv
+from kads.curvtrig import SERIES_CUT, Dual, ch, ct, sh, sh_inv, st, tn, tn_inv
 from kads.group_geom import (ChartBoundary, GroupPoint, NumericOverflow,
                              OffPseudosphere, OutOfChart, ambient_from_local,
                              ambient_derivatives, ambient_jacobian,
@@ -13,6 +13,8 @@ from kads.group_geom import (ChartBoundary, GroupPoint, NumericOverflow,
                              generator_matrix, metric_pullback,
                              pseudosphere_residual, vector_rep)
 from kads.liealg import DIM, IDX, ads_algebra
+
+from batches import STRADDLE_LAMBDAS, assert_same, single, straddling_batch
 
 LAMBDAS = (-1.0, -0.3, 0.0, 0.3, 1.0)
 
@@ -337,3 +339,96 @@ def test_ambient_jacobian_shape():
     jac0 = ambient_jacobian((0.1, 0.2, -0.1, 0.3), 0.0)
     assert np.allclose(jac0[1:, :], np.eye(4))
     assert np.allclose(jac0[0, :], 0.0)
+
+
+# -- batches: N points at once equal N single-point calls ------------------------
+
+@pytest.mark.parametrize("lam", STRADDLE_LAMBDAS)
+def test_straddling_batch_is_mixed(lam):
+    batch = straddling_batch(lam)
+    for c, scale in zip(batch.coords(), [lam] * 4 + [1.0] * 6):
+        small = abs(scale) * c * c < SERIES_CUT
+        assert small.any() and not small.all()
+
+
+@pytest.mark.parametrize("lam", STRADDLE_LAMBDAS)
+def test_primitives_on_a_mixed_batch_equal_single_points(lam):
+    x = straddling_batch(lam).x[0]
+    eps = np.array([np.ones_like(x), x])          # two tangents, tangent-major
+    for prim in (ct, st, ch, sh, tn, sh_inv, tn_inv):
+        arg = x if prim not in (sh_inv, tn_inv) else 0.5 * sh(lam, x)
+        vals, duals = prim(lam, arg), prim(lam, Dual(arg, eps))
+        # each element takes the branch it takes alone, so the arithmetic is
+        # the same and the values agree bit for bit
+        for k in range(len(x)):
+            assert vals[k] == prim(lam, float(arg[k]))
+            one = prim(lam, Dual(float(arg[k]), eps[:, k]))
+            assert duals.re[k] == one.re and (duals.eps[:, k] == one.eps).all()
+
+
+@pytest.mark.parametrize("lam", STRADDLE_LAMBDAS)
+def test_group_element_and_fields_on_a_mixed_batch_equal_single_points(lam):
+    batch = straddling_batch(lam)
+    m = group_element(batch)
+    assert m.shape == (6, 5, 5)
+    for side in ("L", "R"):
+        got = coset_derivatives(m, lam, range(DIM), side)
+        amb = ambient_derivatives(m, lam, range(DIM), side)
+        for k in range(6):
+            mk = group_element(single(batch, k))
+            assert_same(m[k], mk)
+            alone = coset_derivatives(mk, lam, range(DIM), side)
+            alone_amb = ambient_derivatives(mk, lam, range(DIM), side)
+            for i in range(DIM):
+                assert_same(got[i][:, k], alone[i])
+                assert_same(amb[i][:, k], alone_amb[i])
+
+
+@pytest.mark.parametrize("lam", STRADDLE_LAMBDAS)
+def test_charts_and_metric_on_a_mixed_batch_equal_single_points(lam):
+    x = straddling_batch(lam).x
+    s = ambient_from_local(x, lam)
+    back = local_from_ambient(s, lam)
+    metric, pull, jac = metric_at(x, lam), metric_pullback(x, lam), ambient_jacobian(x, lam)
+    assert pull.shape == (6, 4, 4) and jac.shape == (6, 5, 4)
+    for k in range(6):
+        xk = tuple(float(c[k]) for c in x)
+        sk = ambient_from_local(xk, lam)
+        assert_same([c[k] for c in s], sk)
+        assert_same([c[k] for c in back], local_from_ambient(sk, lam))
+        assert_same(metric[k], metric_at(xk, lam))
+        assert_same(pull[k], metric_pullback(xk, lam))
+        assert_same(jac[k], ambient_jacobian(xk, lam))
+
+
+def _with_bad_point(good, bad):
+    """Coordinates of three points, the bad one in the middle, as arrays."""
+    return tuple(np.array([g, b, g]) for g, b in zip(good, bad))
+
+
+BAD_POINTS = [
+    # (error, call, a good point, a bad point)
+    (ChartBoundary, lambda x: ambient_from_local(x, -1.0), (0.1, 0.2, 0.3, 1e-6),
+     (1.6, 0.0, 0.0, 0.0)),
+    (ChartBoundary, lambda x: metric_at(x, 1.0), (0.1, 0.2, 1e-6, 0.3), (0.0, 1.6, 0.0, 0.0)),
+    (NumericOverflow, lambda x: ambient_from_local(x, -1.0), (0.1, 0.2, 0.3, 1e-6),
+     (0.0, 800.0, 0.0, 0.0)),
+    (NumericOverflow, lambda x: group_element(GroupPoint(x=x, lam=-1.0)),
+     (0.1, 0.2, 0.3, 1e-6), (60.0, 0.0, 0.0, 0.0)),
+    (OutOfChart, lambda s: local_from_ambient(s, -1.0, check=False),
+     (1.0, 0.0, 1e-6, 0.2, 0.1), (-1.0, 0.9, 0.7, 0.0, math.sqrt(0.12))),
+    (OutOfChart, lambda s: local_from_ambient(s, 1.0, check=False),   # sh_inv domain
+     (1.0, 0.0, 1e-6, 0.2, 0.1), (1.0, 0.0, 0.0, 0.0, 1.5)),
+    (OutOfChart, lambda s: local_from_ambient(s, 1.0, check=False),   # tn_inv domain
+     (1.0, 1e-6, 0.2, 0.0, 0.1), (1.0, 1.2, 0.0, 0.0, 0.0)),
+]
+
+
+@pytest.mark.parametrize("error, call, good, bad", BAD_POINTS)
+def test_one_bad_point_fails_a_batch_as_it_fails_alone(error, call, good, bad):
+    call(good)
+    call(_with_bad_point(good, good))
+    with pytest.raises(error):
+        call(bad)
+    with pytest.raises(error):
+        call(_with_bad_point(good, bad))

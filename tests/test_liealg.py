@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from kads.liealg import (BASIS, DIM, IDX, LieAlgebra, NotOrthogonal,
+from kads.liealg import (BASIS, DIM, IDX, ExactnessMismatch, LieAlgebra, NotOrthogonal,
                          NotSubalgebra, ads_algebra, ads_tensor, components_norm,
                          jacobi_residual, jacobi_residual_sparse, rotate_basis,
                          subalgebra)
@@ -301,3 +301,24 @@ def test_nan_and_inf_tables_fail_the_automorphism_checks():
         assert g.exact and g.dense is None
         with pytest.raises(NotOrthogonal, match="automorphism"):
             rotate_basis(g, identity)
+
+
+def test_exact_rotation_of_a_float_table_is_checked_in_floats():
+    g = ads_algebra(-1.0)
+    unit = np.eye(DIM).tolist()
+    rot = rotate_basis(g, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert rot.apply(unit[IDX["J3"]]) == unit[IDX["J3"]]
+    quarter = [[0, -1, 0], [1, 0, 0], [0, 0, 1]]  # a quarter turn about the third axis
+    want = rotate_basis(g, np.array(quarter, dtype=float).tolist())
+    got = rotate_basis(g, quarter)
+    for name in ("P1", "K2", "J3"):
+        assert got.apply(unit[IDX[name]]) == want.apply(unit[IDX[name]])
+    with pytest.raises(NotOrthogonal, match="automorphism"):  # a reflection
+        rotate_basis(g, [[1, 0, 0], [0, 1, 0], [0, 0, -1]])
+    with pytest.raises(NotOrthogonal, match="R\\^T R"):
+        rotate_basis(g, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def test_float_rotation_of_an_exact_table_raises_a_named_error():
+    with pytest.raises(ExactnessMismatch):
+        rotate_basis(ads_algebra(-1), np.eye(3).tolist())

@@ -1,17 +1,21 @@
 import math
 
 import numpy as np
+import pytest
 from scipy.integrate import solve_ivp
 
+from batches import STRADDLE_LAMBDAS, assert_same, single, straddling_batch
 from kads.curvtrig import Dual, eta_of
-from kads.group_geom import GroupPoint, ambient_from_local
+from kads.group_geom import GroupPoint, ambient_from_local, group_element
 from kads.rclass import r_kads, r_kads_twisted, r_poincare, r_poincare_twisted
-from kads.sklyanin import (Poisson3D, bracket_matrix_local, closed_form_ambient,
+from kads.sklyanin import (Poisson3D, _first_worst, bracket_matrix_ambient,
+                           bracket_matrix_local, closed_form_ambient,
                            closed_form_local, closed_form_twisted,
                            eta_expansion_entry, project_2plus1,
                            push_local_to_ambient, quadratic_space_poisson,
-                           sklyanin_bracket, table_jacobi_residual,
-                           verify_table, worst_of)
+                           sample_points, sklyanin_bracket, table_jacobi_residual,
+                           table_jacobiators, verify_table, worst_of)
+
 
 KINV = 0.31
 VTH = 0.17
@@ -382,3 +386,71 @@ def test_nan_deviations_are_the_worst():
     assert math.isnan(rep["max_deviation"]) and math.isnan(rep["per_pair"]["x0^x2"])
     assert not math.isnan(rep["per_pair"]["x0^x1"])
     assert math.isnan(table_jacobi_residual(table, 2, seed=5))
+
+
+# -- batches: N points at once equal N single-point calls ------------------------
+
+
+def _tables(lam):
+    return (closed_form_local(lam, KINV), closed_form_twisted(lam, KINV, VTH),
+            closed_form_ambient(lam, KINV))
+
+
+def _table_coords(table, batch):
+    x = batch.x
+    return ambient_from_local(x, batch.lam) if table.name == "ambient" else x
+
+
+@pytest.mark.parametrize("lam", STRADDLE_LAMBDAS)
+def test_table_entries_and_jacobiators_on_a_mixed_batch_equal_single_points(lam):
+    batch = straddling_batch(lam)
+    for table in _tables(lam):
+        coords = _table_coords(table, batch)
+        jac = table_jacobiators(table, coords)
+        for k in range(6):
+            alone = tuple(c[k:k + 1] for c in coords)   # a batch of one
+            assert_same(jac[:, k:k + 1], table_jacobiators(table, alone))
+            for i in range(table.dim):
+                for j in range(table.dim):
+                    got = np.broadcast_to(table.entry(i, j, coords), (6,))[k]
+                    assert_same(got, table.entry(i, j, tuple(float(c[k]) for c in coords)))
+
+
+@pytest.mark.parametrize("lam", STRADDLE_LAMBDAS)
+def test_bracket_matrices_on_a_mixed_batch_equal_single_points(lam):
+    batch = straddling_batch(lam)
+    r = r_kads_twisted(KINV, eta_of(lam), VTH)
+    local, amb = bracket_matrix_local(r, batch), bracket_matrix_ambient(r, batch)
+    assert local.shape == (6, 4, 4) and amb.shape == (6, 5, 5)
+    for got in (local, amb):
+        assert (got == -np.swapaxes(got, 1, 2)).all()  # exactly antisymmetric
+    m = group_element(batch)
+    assert (bracket_matrix_local(r, batch, matrix=m) == local).all()
+    for k in range(6):
+        assert_same(local[k], bracket_matrix_local(r, single(batch, k)))
+        assert_same(amb[k], bracket_matrix_ambient(r, single(batch, k)))
+
+
+def test_worst_point_ties_go_to_the_first_sample():
+    assert _first_worst(np.array([0.1, 0.3, 0.2, 0.3])) == 1
+    assert _first_worst(np.array([0.4, math.nan, 0.5, math.nan])) == 1
+    assert _first_worst(np.zeros(3)) is None
+    # every sample deviates by inf: the first one is reported
+    table = closed_form_local(-1.0, KINV)
+    table.entry = lambda i, j, x: math.inf
+    rep = verify_table(r_kads(KINV, 1.0), table, 5, -1.0, seed=9)
+    first = sample_points(5, -1.0, np.random.default_rng(9)).coords()
+    assert rep["max_deviation"] == math.inf
+    assert rep["worst_point"] == tuple(float(c[0]) for c in first)
+
+
+def test_sample_points_keep_the_point_by_point_draw_order():
+    rng = np.random.default_rng(12)
+    pts = sample_points(3, -0.3, rng)
+    ref = np.random.default_rng(12)
+    box = 0.8  # |lam| < 1
+    for k in range(3):
+        want = ([ref.uniform(-box, box) for _ in range(4)]
+                + [ref.uniform(-0.5, 0.5) for _ in range(6)])
+        assert [float(c[k]) for c in pts.coords()] == want
+    assert rng.uniform() == ref.uniform()
