@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .scalars import ONE, PARAM_INDEX, Frac, NonTerminating, Scalar, accumulate, sym
+from .scalars import ONE, Frac, NonTerminating, Scalar, accumulate, sym
 
 Word = tuple
 
@@ -410,7 +410,6 @@ def poisson_reading(alg: NCAlgebra) -> dict:
     of [a, b] linear in kinv with the letters commuting, as {sorted name
     word: Scalar}.  The relations must have polynomial coefficients.
     """
-    k = PARAM_INDEX["kinv"]
     out = {}
     for (i, j), rhs in alg.commutator_rhs.items():
         terms: dict = {}
@@ -418,7 +417,7 @@ def poisson_reading(alg: NCAlgebra) -> dict:
             if c.den != ONE:
                 raise ValueError(f"[{alg.gens[i]}, {alg.gens[j]}] has a "
                                  f"non-polynomial coefficient {c}")
-            part = Scalar({m: q for m, q in c.num.terms.items() if m[k] == 1})
+            part = c.num.homogeneous_part("kinv", 1)
             accumulate(terms, tuple(sorted(alg.gens[g] for g in w)), part)
         a, b = alg.gens[i], alg.gens[j]
         out[a, b] = terms

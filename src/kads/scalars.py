@@ -3,19 +3,31 @@
 A :class:`Scalar` is a finite sum of monomials in a fixed, closed set of
 formal parameters (deformation scales, family parameters, algebraic
 stand-ins for the trigonometric functions of the two sphere angles).  The
-representation is a dict mapping exponent vectors to ``Fraction``
-coefficients, e.g.::
+representation is a dict mapping packed monomials (see below) to
+coefficients.  A coefficient is an ``int`` when its value is an integer and
+a ``Fraction`` otherwise, e.g.::
 
-    {(2, 1, 0, ..., 0): Fraction(3, 2), (0, ..., 0): Fraction(-1)}
+    {pack((2, 1, 0, ..., 0)): Fraction(3, 2), pack((0, ..., 0)): -1}
 
 which prints as ``3/2*eta^2*kinv - 1``.  Zero coefficients are never
 stored, so equality and zero-tests are structural.
 
+A monomial is one ``int``.  Each parameter has a 16-bit field, ``PARAMS[0]``
+in the most significant one; the top bit of a field is a guard bit, so an
+exponent is at most ``EXP_MAX`` = 2^15 - 1, and the weighted degree sits
+above all the fields.  Packing is linear: the product of two monomials is
+the sum of their ints, a quotient is the difference, and m * t^k is
+m + k*t.  A product whose exponent reaches a guard bit raises
+:class:`ExponentOverflow`; it never carries into the next field.
+:func:`unpack` gives the exponent vector back, and
+:meth:`Scalar.exponents` the whole polynomial by exponent vectors.
+
 Monomials are compared by a weighted degree (weights below) with a
-lexicographic tie-break on the exponent vector.  The weights are chosen so
-that every rewrite rule used in this project (sphere constraint, trig
-Pythagoras, curvature relation) replaces a monomial by strictly smaller
-ones, which makes :func:`reduce_mod` terminate.
+lexicographic tie-break on the exponent vector, which with this layout is
+the order of the ints themselves.  The weights are chosen so that every
+rewrite rule used in this project (sphere constraint, trig Pythagoras,
+curvature relation) replaces a monomial by strictly smaller ones, which
+makes :func:`reduce_mod` terminate.
 """
 
 from __future__ import annotations
@@ -53,8 +65,17 @@ _WEIGHTS = {
 }
 WEIGHTS = tuple(_WEIGHTS[p] for p in PARAMS)
 
-_ZERO_MONO = (0,) * NPARAMS
-_ONE_TERMS = {_ZERO_MONO: Fraction(1)}
+# Packed monomial layout.
+_BITS = 16
+EXP_MAX = (1 << (_BITS - 1)) - 1
+_FIELD = (1 << _BITS) - 1
+_SHIFTS = tuple(_BITS * (NPARAMS - 1 - i) for i in range(NPARAMS))
+_WSHIFT = _BITS * NPARAMS                     # the weighted degree sits here
+_FIELDS = (1 << _WSHIFT) - 1                  # every exponent field
+_GUARDS = sum(1 << (s + _BITS - 1) for s in _SHIFTS)
+
+_ZERO_MONO = 0
+_ONE_TERMS = {_ZERO_MONO: 1}
 
 Rational = Fraction  # invariants (gcd-reduced, positive denominator) hold by construction
 
@@ -71,40 +92,102 @@ class NonTerminating(ValueError):
     """A rewrite rule does not strictly decrease the monomial order."""
 
 
-def mono_weight(mono: tuple) -> int:
-    return sum(w * e for w, e in zip(WEIGHTS, mono))
+class ExponentOverflow(OverflowError):
+    """An exponent exceeds ``EXP_MAX``, the largest one a packed monomial holds."""
 
 
-_KEY_CACHE: dict = {}
+def pack(exps) -> int:
+    """The packed monomial of an exponent vector (one entry per ``PARAMS``)."""
+    if len(exps) != NPARAMS:
+        raise ValueError(f"an exponent vector has {NPARAMS} entries")
+    m = w = 0
+    for s, wt, e in zip(_SHIFTS, WEIGHTS, exps):
+        if e < 0:
+            raise ValueError("negative powers are not representable")
+        if e > EXP_MAX:
+            raise ExponentOverflow(f"exponent {e} exceeds {EXP_MAX}")
+        m |= e << s
+        w += wt * e
+    return m | w << _WSHIFT
 
 
-def mono_key(mono: tuple):
-    """Total order on monomials: weighted degree, then lex on exponents."""
-    k = _KEY_CACHE.get(mono)
-    if k is None:
-        k = (mono_weight(mono), mono)
-        _KEY_CACHE[mono] = k
-    return k
+def unpack(m: int) -> tuple:
+    """The exponent vector of a packed monomial."""
+    return tuple(m >> s & _FIELD for s in _SHIFTS)
 
 
-def mono_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+def _weighted(fields: int) -> int:
+    """The monomial with these exponent fields (its weighted degree added)."""
+    w = sum(wt * (fields >> s & _FIELD) for s, wt in zip(_SHIFTS, WEIGHTS))
+    return fields | w << _WSHIFT
 
 
-def mono_divides(d: tuple, m: tuple) -> bool:
-    return all(x <= y for x, y in zip(d, m))
+def _overflow(m: int) -> ExponentOverflow:
+    """The error for a sum of two monomials with a guard bit set."""
+    name = next(p for p, s in zip(PARAMS, _SHIFTS) if m >> s & _FIELD > EXP_MAX)
+    return ExponentOverflow(f"the exponent of {name} exceeds {EXP_MAX}")
 
 
-def mono_div(m: tuple, d: tuple) -> tuple:
-    return tuple(x - y for x, y in zip(m, d))
+def mono_mul(a: int, b: int) -> int:
+    m = a + b
+    if m & _GUARDS:
+        raise _overflow(m)
+    return m
 
 
-def _coerce_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def mono_divides(d: int, m: int) -> bool:
+    # a field's guard bit survives the subtraction iff its exponent in m is
+    # at least the one in d; no field borrows from the next
+    return ((m | _GUARDS) - d) & _GUARDS == _GUARDS
+
+
+def mono_div(m: int, d: int) -> int:
+    return m - d
+
+
+def mono_min(a: int, b: int) -> int:
+    """Componentwise minimum of two monomials (their gcd)."""
+    a &= _FIELDS
+    b &= _FIELDS
+    ge = (((a | _GUARDS) - b) & _GUARDS) >> (_BITS - 1)  # 1 where a_i >= b_i
+    take_b = ge * EXP_MAX
+    return _weighted(b & take_b | a & ~take_b)
+
+
+def _canon(q):
+    """An exact coefficient in canonical form: an integral Fraction as int."""
+    if type(q) is int or q.denominator != 1:
+        return q
+    return q.numerator
+
+
+def _coerce(x):
+    """``x`` as a canonical exact coefficient."""
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return _canon(x)
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"exact coefficient expected, got {type(x).__name__}")
+
+
+def _qdiv(a, b):
+    """a/b as a canonical exact coefficient; two ints give no float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _canon(Fraction(a) / b)
+
+
+_new = object.__new__
+
+
+def _wrap(terms: dict) -> "Scalar":
+    """A Scalar owning ``terms`` (packed monomials, canonical coefficients)."""
+    s = _new(Scalar)
+    s.terms = terms
+    return s
 
 
 class Scalar:
@@ -112,16 +195,17 @@ class Scalar:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[tuple, Fraction] | None = None):
-        # Internal constructor; assumes exponent vectors are canonical.
+    def __init__(self, terms: Mapping[int, int | Fraction] | None = None):
+        # Internal constructor; assumes packed monomials and canonical
+        # coefficients (int when integral, else Fraction).
         self.terms = dict(terms) if terms else {}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def rational(cls, q) -> "Scalar":
-        q = _coerce_fraction(q)
-        return cls({_ZERO_MONO: q}) if q else cls()
+        q = _coerce(q)
+        return _wrap({_ZERO_MONO: q}) if q else cls()
 
     @classmethod
     def param(cls, name: str, power: int = 1) -> "Scalar":
@@ -131,17 +215,16 @@ class Scalar:
             raise ValueError("negative powers are not representable")
         if power == 0:
             return cls.rational(1)
-        mono = list(_ZERO_MONO)
-        mono[PARAM_INDEX[name]] = power
-        return cls({tuple(mono): Fraction(1)})
+        return cls.monomial(1, **{name: power})
 
     @classmethod
     def monomial(cls, coeff, **powers: int) -> "Scalar":
-        mono = list(_ZERO_MONO)
+        mono = [0] * NPARAMS
         for name, e in powers.items():
             mono[PARAM_INDEX[name]] = e
-        c = _coerce_fraction(coeff)
-        return cls({tuple(mono): c}) if c else cls()
+        m = pack(mono)
+        c = _coerce(coeff)
+        return _wrap({m: c}) if c else cls()
 
     # -- ring structure ----------------------------------------------------
 
@@ -152,121 +235,146 @@ class Scalar:
         return not self.terms
 
     def __eq__(self, other) -> bool:
+        if type(other) is Scalar:
+            return self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            other = Scalar.rational(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.terms == other.terms
+            return self.terms == Scalar.rational(other).terms
+        return NotImplemented
 
     __hash__ = None  # mutable-dict backed; not hashable
 
     def __add__(self, other) -> "Scalar":
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Scalar:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Scalar.rational(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
+            if m in out:
+                s = out[m] + c
+                if s:
+                    out[m] = s if type(s) is int else _canon(s)
+                else:
+                    del out[m]
             else:
-                out.pop(m, None)
-        return Scalar(out)
+                out[m] = c
+        return _wrap(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar({m: -c for m, c in self.terms.items()})
+        return _wrap({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Scalar":
-        return self + (-other if isinstance(other, Scalar) else Scalar.rational(-_coerce_fraction(other)))
+        if type(other) is not Scalar:
+            other = Scalar.rational(other)
+        return self + -other
 
     def __rsub__(self, other) -> "Scalar":
         return (-self) + other
 
     def __mul__(self, other) -> "Scalar":
-        if isinstance(other, (int, Fraction)):
-            q = _coerce_fraction(other)
+        if type(other) is not Scalar:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            q = _coerce(other)
             if not q:
                 return Scalar()
-            return Scalar({m: c * q for m, c in self.terms.items()})
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        if self.terms == _ONE_TERMS:
+            return _wrap({m: _canon(c * q) for m, c in self.terms.items()})
+        a, b = self.terms, other.terms
+        if a == _ONE_TERMS:
             return other
-        if other.terms == _ONE_TERMS:
+        if b == _ONE_TERMS:
             return self
         out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                s = out.get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = m1 + m2
+                if m & _GUARDS:
+                    raise _overflow(m)
+                if m in out:
+                    s = out[m] + c1 * c2
+                    if s:
+                        out[m] = s if type(s) is int else _canon(s)
+                    else:
+                        del out[m]
                 else:
-                    out.pop(m, None)
-        return Scalar(out)
+                    s = c1 * c2
+                    out[m] = s if type(s) is int else _canon(s)
+        return _wrap(out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Scalar":
-        q = _coerce_fraction(other)
-        return self * (Fraction(1) / q)
+        return self * _qdiv(1, _coerce(other))
 
     def __pow__(self, n: int) -> "Scalar":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        # self^n has a term with n times self's largest exponent (in a lex
+        # order led by that parameter, its leading term is the n-th power of
+        # self's), so an overflow is known before any squaring; the weighted
+        # degree bounds every exponent
+        if self.terms and n * (max(self.terms) >> _WSHIFT) > EXP_MAX:
+            top = max(max(unpack(m)) for m in self.terms)
+            if n * top > EXP_MAX:
+                raise ExponentOverflow(f"exponent {n * top} exceeds {EXP_MAX}")
         out = Scalar.rational(1)
         base = self
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:  # no square beyond the highest bit: it could overflow
+                base = base * base
         return out
 
     # -- structure queries --------------------------------------------------
 
+    def exponents(self) -> dict:
+        """The terms by exponent vector: {(e_0, ..., e_17): coefficient}."""
+        return {unpack(m): c for m, c in self.terms.items()}
+
     def params(self) -> set:
-        used = set()
+        used = 0
         for m in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    used.add(PARAMS[i])
-        return used
+            used |= m
+        return {p for p, s in zip(PARAMS, _SHIFTS) if used >> s & _FIELD}
 
     def leading(self) -> tuple:
         """(monomial, coefficient) of the largest term; raises on zero."""
-        m = max(self.terms, key=mono_key)
+        m = max(self.terms)
         return m, self.terms[m]
 
     def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
+        return max((sum(unpack(m)) for m in self.terms), default=0)
 
-    def monomial_content(self) -> tuple:
+    def monomial_content(self) -> int:
         """Componentwise min exponent over all terms (the monomial gcd)."""
         its = iter(self.terms)
-        first = next(its)
-        lo = list(first)
+        lo = next(its)
         for m in its:
-            for i, e in enumerate(m):
-                if e < lo[i]:
-                    lo[i] = e
-        return tuple(lo)
+            if not lo:
+                break
+            lo = mono_min(lo, m)
+        return lo
 
     def normalized(self) -> "Scalar":
         """Strip the monomial content and divide by the leading coefficient."""
         if not self.terms:
             return self
         content = self.monomial_content()
-        _, lc = max(((m, c) for m, c in self.terms.items()), key=lambda t: mono_key(t[0]))
-        inv = Fraction(1) / lc
-        return Scalar({mono_div(m, content): c * inv for m, c in self.terms.items()})
+        inv = _qdiv(1, self.terms[max(self.terms)])
+        return _wrap({m - content: _canon(c * inv) for m, c in self.terms.items()})
 
     def degree_in(self, name: str) -> int:
-        i = PARAM_INDEX[name]
-        return max((m[i] for m in self.terms), default=0)
+        s = _SHIFTS[PARAM_INDEX[name]]
+        return max((m >> s & _FIELD for m in self.terms), default=0)
+
+    def homogeneous_part(self, name: str, degree: int) -> "Scalar":
+        """The terms in which ``name`` has exponent ``degree``."""
+        s = _SHIFTS[PARAM_INDEX[name]]
+        return _wrap({m: c for m, c in self.terms.items() if m >> s & _FIELD == degree})
 
     # -- substitution and evaluation -----------------------------------------
 
@@ -286,7 +394,7 @@ class Scalar:
         out = Scalar()
         for m, c in self.terms.items():
             factor = Scalar.rational(c)
-            for i, e in enumerate(m):
+            for i, e in enumerate(unpack(m)):
                 if not e:
                     continue
                 name = PARAMS[i]
@@ -307,7 +415,7 @@ class Scalar:
         total = None
         for m, c in self.terms.items():
             term = c
-            for i, e in enumerate(m):
+            for i, e in enumerate(unpack(m)):
                 if e:
                     term = term * values[PARAMS[i]] ** e
             total = term if total is None else total + term
@@ -319,11 +427,11 @@ class Scalar:
         if not self.terms:
             return "0"
         parts = []
-        for m in sorted(self.terms, key=mono_key, reverse=True):
+        for m in sorted(self.terms, reverse=True):
             c = self.terms[m]
             factors = [
                 PARAMS[i] + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(m) if e
+                for i, e in enumerate(unpack(m)) if e
             ]
             if not factors:
                 body = str(abs(c))
@@ -363,7 +471,7 @@ class Scalar:
         out = cls()
         for sgn, body in terms:
             coeff = Fraction(sgn)
-            mono = list(_ZERO_MONO)
+            mono = [0] * NPARAMS
             for factor in body.split("*"):
                 if not factor:
                     continue
@@ -375,7 +483,7 @@ class Scalar:
                     mono[PARAM_INDEX[name]] += int(e)
                 else:
                     mono[PARAM_INDEX[factor]] += 1
-            out = out + cls({tuple(mono): coeff} if coeff else {})
+            out = out + (_wrap({pack(mono): _canon(coeff)}) if coeff else cls())
         return out
 
 
@@ -412,13 +520,11 @@ class RewriteRule:
 
     __slots__ = ("lead", "rhs")
 
-    def __init__(self, lead: tuple, rhs: Scalar):
-        lk = mono_key(lead)
-        for m in rhs.terms:
-            if mono_key(m) >= lk:
-                raise NonTerminating(
-                    f"rule does not decrease the monomial order: "
-                    f"{Scalar({lead: Fraction(1)})} -> {rhs}")
+    def __init__(self, lead: int, rhs: Scalar):
+        if any(m >= lead for m in rhs.terms):
+            raise NonTerminating(
+                f"rule does not decrease the monomial order: "
+                f"{_wrap({lead: 1})} -> {rhs}")
         self.lead = lead
         self.rhs = rhs
 
@@ -428,7 +534,7 @@ def make_rule(poly: Scalar) -> RewriteRule:
     if poly.is_zero():
         raise ValueError("cannot orient the zero polynomial")
     lead, lc = poly.leading()
-    rest = Scalar({m: -c / lc for m, c in poly.terms.items() if m != lead})
+    rest = _wrap({m: _qdiv(-c, lc) for m, c in poly.terms.items() if m != lead})
     return RewriteRule(lead, rest)
 
 
@@ -445,7 +551,7 @@ def reduce_mod(p: Scalar, rules: Iterable[RewriteRule]) -> Scalar:
     steps = 0
     while True:
         hit = None
-        for m in sorted(p.terms, key=mono_key, reverse=True):
+        for m in sorted(p.terms, reverse=True):
             for r in rules:
                 if mono_divides(r.lead, m):
                     hit = (m, r)
@@ -456,9 +562,8 @@ def reduce_mod(p: Scalar, rules: Iterable[RewriteRule]) -> Scalar:
             return p
         m, r = hit
         c = p.terms[m]
-        q = mono_div(m, r.lead)
-        replacement = Scalar({q: c}) * r.rhs
-        p = p + replacement - Scalar({m: c})
+        replacement = _wrap({m - r.lead: c}) * r.rhs
+        p = p + replacement - _wrap({m: c})
         steps += 1
         if steps > REDUCE_STEPS:
             raise NonTerminating("rewriting exceeded the step budget")
@@ -492,23 +597,23 @@ def poly_divmod(p: Scalar, d: Scalar) -> tuple:
     r = Scalar()
     work = p
     while work.terms:
-        m = max(work.terms, key=mono_key)
+        m = max(work.terms)
         c = work.terms[m]
         if mono_divides(lead, m):
-            factor = Scalar({mono_div(m, lead): c / lc})
+            factor = _wrap({m - lead: _qdiv(c, lc)})
             q = q + factor
             work = work - factor * d
         else:
-            t = Scalar({m: c})
+            t = _wrap({m: c})
             r = r + t
             work = work - t
     return q, r
 
 
 # Univariate polynomials over Q, as lists of coefficients, constant term
-# first, without trailing zeros.  Zero coefficients may be the int 0.
+# first, without trailing zeros.  Coefficients are ints or Fractions, not
+# necessarily canonical; they are made canonical where they enter a Scalar.
 
-_Q1 = Fraction(1)
 _PRIME = (1 << 61) - 1  # modulus of the coprimality pre-test
 
 
@@ -535,7 +640,7 @@ def _udivmod(a: list, b: list) -> tuple:
     if len(a) <= nb:
         return [], list(a)
     rem = list(a)
-    inv = _Q1 / b[-1]
+    inv = _qdiv(1, b[-1])
     q = [0] * (len(a) - nb)
     for i in range(len(q) - 1, -1, -1):
         c = rem[i + nb] * inv
@@ -553,7 +658,7 @@ def _ugcd(a: list, b: list) -> list:
     """Monic gcd (Euclid over Q)."""
     while b:
         a, b = b, _udivmod(a, b)[1]
-    inv = _Q1 / a[-1]
+    inv = _qdiv(1, a[-1])
     return [x * inv for x in a]
 
 
@@ -608,7 +713,7 @@ def _gcd_with(f: list, polys: list) -> list:
                 break
             g = _ugcd_p(g, pp)
             if len(g) == 1:
-                return [_Q1]
+                return [1]
     g = f
     for p in polys:
         g = _ugcd(g, p)
@@ -617,9 +722,12 @@ def _gcd_with(f: list, polys: list) -> list:
     return g
 
 
-def _shift(m: tuple, t: tuple, k: int) -> tuple:
-    """The monomial m * t^k."""
-    return tuple(x + k * y for x, y in zip(m, t)) if k else m
+def _shift(m: int, t: int, k: int) -> int:
+    """The monomial m * t^k; k < 0 when t^-k divides m."""
+    # the weighted degree bounds every exponent, so below EXP_MAX nothing overflows
+    if k > 0 and (m >> _WSHIFT) + k * (t >> _WSHIFT) > EXP_MAX:
+        return pack(tuple(x + k * y for x, y in zip(unpack(m), unpack(t))))
+    return m + k * t
 
 
 def _den_view(den: Scalar):
@@ -633,7 +741,7 @@ def _den_view(den: Scalar):
         c = _ZERO_MONO
     else:
         c = den.monomial_content()
-        terms = {mono_div(m, c): a for m, a in terms.items()}
+        terms = {m - c: a for m, a in terms.items()}
         if _ZERO_MONO not in terms:
             return None
     if len(terms) == 1:
@@ -645,23 +753,25 @@ def _den_view(den: Scalar):
             coeffs[0] = a
             continue
         if t is None:
-            g = gcd(*m)
-            t = tuple(e // g for e in m)
-            i0 = next(i for i, e in enumerate(t) if e)
-        k = m[i0] // t[i0]
-        if _shift(_ZERO_MONO, t, k) != m:
+            exps = unpack(m)
+            g = gcd(*exps)
+            te = tuple(e // g for e in exps)
+            t, tmax = pack(te), max(te)
+            s0, e0 = next((s, e) for s, e in zip(_SHIFTS, te) if e)
+        k = (m >> s0 & _FIELD) // e0
+        if k * tmax > EXP_MAX or k * t != m:
             return None
         coeffs[k] = a
     return c, t, _dense(coeffs)
 
 
-def _den_scalar(c: tuple, t, f: list) -> Scalar:
+def _den_scalar(c: int, t, f: list) -> Scalar:
     if t is None:
-        return Scalar({c: f[0]})
-    return Scalar({_shift(c, t, k): a for k, a in enumerate(f) if a})
+        return _wrap({c: _canon(f[0])})
+    return _wrap({_shift(c, t, k): _canon(a) for k, a in enumerate(f) if a})
 
 
-def _cancel(num: Scalar, c: tuple, t, f: list) -> tuple:
+def _cancel(num: Scalar, c: int, t, f: list) -> tuple:
     """Divide num and x^c * f(t) (f monic) by their gcd.
 
     The gcd is x^e * G with e the componentwise min of c and the monomial
@@ -673,17 +783,17 @@ def _cancel(num: Scalar, c: tuple, t, f: list) -> tuple:
     if not num.terms:
         return num, c, t, f
     if c != _ZERO_MONO:
-        e = tuple(map(min, num.monomial_content(), c))
-        if any(e):
-            num = Scalar({mono_div(m, e): a for m, a in num.terms.items()})
-            c = mono_div(c, e)
+        e = mono_min(num.monomial_content(), c)
+        if e:
+            num = _wrap({m - e: a for m, a in num.terms.items()})
+            c -= e
     if len(f) == 1 or len(num.terms) == 1:
         return num, c, t, f
-    supp = [(i, e) for i, e in enumerate(t) if e]
+    supp = [(s, e) for s, e in zip(_SHIFTS, unpack(t)) if e]
     coords: dict = {}
     for m, a in num.terms.items():
-        k = min(m[i] // e for i, e in supp)
-        r = _shift(m, t, -k)
+        k = min((m >> s & _FIELD) // e for s, e in supp)
+        r = m - k * t
         p = coords.get(r)
         if p is None:
             coords[r] = p = {}
@@ -696,8 +806,8 @@ def _cancel(num: Scalar, c: tuple, t, f: list) -> tuple:
     for r, p in polys.items():
         for k, a in enumerate(_udivmod(p, g)[0]):
             if a:
-                out[_shift(r, t, k)] = a
-    return Scalar(out), c, t, _udivmod(f, g)[0]
+                out[_shift(r, t, k)] = _canon(a)
+    return _wrap(out), c, t, _udivmod(f, g)[0]
 
 
 def _same_t(v1, v2):
@@ -708,8 +818,7 @@ def _same_t(v1, v2):
     return t1 if t2 is None else False
 
 
-_ONE_VIEW = (_ZERO_MONO, None, (_Q1,))
-_new = object.__new__
+_ONE_VIEW = (_ZERO_MONO, None, (1,))
 
 
 class Frac:
@@ -725,7 +834,8 @@ class Frac:
     gcd(num, g) is left to cancel; multiplication cancels crosswise.  Any
     other denominator keeps the plain rule (exact division of numerator by
     denominator, else a monic denominator) and has ``_dv`` None; otherwise
-    ``_dv`` is the view (c, t, f) of the denominator.
+    ``_dv`` is the view (c, t, f) of the denominator, c and t packed
+    monomials.
     """
 
     __slots__ = ("num", "den", "_dv")
@@ -744,20 +854,21 @@ class Frac:
             else:
                 _, lc = den.leading()
                 if lc != 1:
-                    num, den = num * (_Q1 / lc), den * (_Q1 / lc)
+                    inv = _qdiv(1, lc)
+                    num, den = num * inv, den * inv
             self.num, self.den, self._dv = num, den, dv
             return
         c, t, f = dv
         if f[-1] != 1:
-            inv = _Q1 / f[-1]
+            inv = _qdiv(1, f[-1])
             num, f = num * inv, [a * inv for a in f]
         _fill(self, *_cancel(num, c, t, f))
 
     @classmethod
     def of(cls, x) -> "Frac":
-        if isinstance(x, Frac):
+        if type(x) is Frac:
             return x
-        if isinstance(x, Scalar):
+        if type(x) is Scalar:
             return cls(x)
         return cls(Scalar.rational(x))
 
@@ -784,14 +895,14 @@ class Frac:
         if b == d:
             return _frac(*_cancel(a + c, *v1))
         (c1, _, f1), (c2, _, f2) = v1, v2
-        cm = tuple(map(min, c1, c2))
-        g = _gcd_with(f1, [f2]) if len(f1) > 1 and len(f2) > 1 else [_Q1]
+        cm = mono_min(c1, c2)
+        g = _gcd_with(f1, [f2]) if len(f1) > 1 and len(f2) > 1 else [1]
         f1g, f2g = _udivmod(f1, g)[0], _udivmod(f2, g)[0]
-        num = (a * _den_scalar(mono_div(c2, cm), t, f2g)
-               + c * _den_scalar(mono_div(c1, cm), t, f1g))
+        num = (a * _den_scalar(c2 - cm, t, f2g)
+               + c * _den_scalar(c1 - cm, t, f1g))
         num, cg, _, gr = _cancel(num, cm, t, g)
         # b*d/g over what gcd(num, g) = x^(cm - cg) * (g/gr) leaves of it
-        cd = tuple(x + y - 2 * z + w for x, y, z, w in zip(c1, c2, cm, cg))
+        cd = c1 + c2 - 2 * cm + cg
         return _frac(num, cd, t, _umul(_umul(f1g, f2g), gr))
 
     __radd__ = __add__
@@ -826,7 +937,7 @@ class Frac:
             return Frac(self.num * other.den, self.den * other.num)
         # the reciprocal of a canonical fraction is canonical once monic
         c, t, f = v
-        inv = _Q1 / f[-1]
+        inv = _qdiv(1, f[-1])
         return _mul(self, _frac(other.den * inv, c, t, [a * inv for a in f]))
 
     def __eq__(self, other) -> bool:
@@ -852,7 +963,7 @@ class Frac:
         return Frac(self.num.substitute(bindings), self.den.substitute(bindings))
 
 
-def _fill(out: Frac, num: Scalar, c: tuple, t, f: list) -> Frac:
+def _fill(out: Frac, num: Scalar, c: int, t, f: list) -> Frac:
     """Set ``out`` to num / (x^c * f(t)), given coprime and f monic."""
     if len(f) == 1:
         t = None
@@ -863,7 +974,7 @@ def _fill(out: Frac, num: Scalar, c: tuple, t, f: list) -> Frac:
     return out
 
 
-def _frac(num: Scalar, c: tuple, t, f: list) -> Frac:
+def _frac(num: Scalar, c: int, t, f: list) -> Frac:
     return _fill(_new(Frac), num, c, t, f)
 
 

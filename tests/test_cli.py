@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -80,6 +81,40 @@ def test_determinism_across_processes(tmp_path):
         proc = run_cli(args + ["--out", str(out)])
         assert proc.returncode == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of the exact reports as the Fraction-and-tuple kernel wrote them,
+# before int coefficients and packed monomials; they hold no float, so they
+# do not depend on the machine
+PINNED_REPORTS = {
+    "nc": "d5f71b191714104472dd9d81bd1c7f698ffe2b1721340b0909c08e6a5b85fd18",
+    "check-bialgebra --lambda formal":
+        "954abaa4d95d5d7675727c1005538db761cf24b76965f1804141d0990b1362a7",
+}
+
+
+@pytest.mark.parametrize("suite", PINNED_REPORTS)
+def test_exact_report_matches_its_pinned_digest(tmp_path, suite):
+    out = tmp_path / "rep.json"
+    assert main(suite.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_REPORTS[suite]
+
+
+def test_classify_exact_fields_match_the_pinned_values(tmp_path):
+    out = tmp_path / "rep.json"
+    assert main(["classify", "--samples", "6", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["constraint_polynomials"] == [
+        "alpha1*beta2 - alpha2*beta1",
+        "alpha1*beta3 - alpha3*beta1",
+        "alpha1^2 + alpha2^2 + alpha3^2 - eta^2*kinv^2",
+        "alpha2*beta3 - alpha3*beta2",
+    ]
+    assert rep["ideal_equivalence"] == {
+        "equal": True,
+        "extracted_mod_reference": ["0"] * 4,
+        "reference_mod_extracted": ["0"] * 4,
+    }
 
 
 def test_cli_process_entrypoint_and_env(tmp_path):

@@ -69,7 +69,7 @@ def _sympy(c):
     """A Scalar as a sympy polynomial in its parameters."""
     return sympy.Add(*(sympy.Rational(q.numerator, q.denominator)
                        * sympy.Mul(*(sympy.Symbol(PARAMS[i]) ** e for i, e in enumerate(m)))
-                       for m, q in c.terms.items()))
+                       for m, q in c.exponents().items()))
 
 
 AMBIENT = {n: sympy.Symbol(n) for n in ("s0", "s1", "s2", "s3", "s4")}
@@ -352,7 +352,7 @@ CHEBYSHEV_U = {n: sympy.Poly(sympy.chebyshevu(n, E / 2), E) for n in range(2, 9,
 def _den_in_E(den):
     ie, ik = PARAM_INDEX["eta"], PARAM_INDEX["kinv"]
     out = sympy.Integer(0)
-    for m, c in den.terms.items():
+    for m, c in den.exponents().items():
         assert m[ie] == m[ik] and sum(m) == 2 * m[ie], den
         out += sympy.Rational(c.numerator, c.denominator) * E ** m[ie]
     return sympy.Poly(out, E)

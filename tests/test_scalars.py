@@ -7,10 +7,11 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from kads.curvtrig import Dual
-from kads.scalars import (PARAMS, CyclicSubstitution, Frac, NonTerminating, Scalar,
-                          UnboundParameter, accumulate, make_rule, mono_key,
-                          poly_divmod, rat, reduce_mod, sphere_rules, sym,
-                          trig_rules)
+from kads.scalars import (EXP_MAX, NPARAMS, PARAMS, WEIGHTS, CyclicSubstitution,
+                          ExponentOverflow, Frac, NonTerminating, Scalar,
+                          UnboundParameter, _shift, accumulate, make_rule, mono_div,
+                          mono_divides, mono_min, mono_mul, pack, poly_divmod, rat,
+                          reduce_mod, sphere_rules, sym, trig_rules, unpack)
 
 eta, kinv = sym("eta"), sym("kinv")
 a1, a2, a3 = sym("alpha1"), sym("alpha2"), sym("alpha3")
@@ -22,7 +23,7 @@ a1, a2, a3 = sym("alpha1"), sym("alpha2"), sym("alpha3")
 
 def dense_of(s: Scalar, vi=0, vj=1):
     rows = {}
-    for m, c in s.terms.items():
+    for m, c in s.exponents().items():
         for k, e in enumerate(m):
             if e and k not in (vi, vj):
                 raise ValueError("oracle handles two variables only")
@@ -276,7 +277,7 @@ T_MONOMIALS = {"eta*kinv": eta * kinv, "kinv": kinv, "Lambda": sym("Lambda")}
 
 def sympy_of(s: Scalar):
     out = sympy.Integer(0)
-    for m, c in s.terms.items():
+    for m, c in s.exponents().items():
         term = sympy.Rational(c.numerator, c.denominator)
         for x, e in zip(SYMPY_PARAMS, m):
             term *= x ** e
@@ -330,9 +331,115 @@ def test_frac_ops_give_the_canonical_form(p1, qc1, shift, p2, qc2):
 
 
 def test_monomial_order_is_multiplicative():
-    m1 = sorted((eta ** 2).terms)[0]
-    m2 = sorted((sym("Lambda")).terms)[0]
-    m3 = sorted((kinv).terms)[0]
-    from kads.scalars import mono_mul
-    assert mono_key(m1) > mono_key(m2)
-    assert mono_key(mono_mul(m1, m3)) > mono_key(mono_mul(m2, m3))
+    # packed monomials compare as ints: weighted degree, then lex
+    m1 = pack(sorted((eta ** 2).exponents())[0])
+    m2 = pack(sorted((sym("Lambda")).exponents())[0])
+    m3 = pack(sorted((kinv).exponents())[0])
+    assert m1 > m2
+    assert mono_mul(m1, m3) > mono_mul(m2, m3)
+
+
+# -- packed monomials against a tuple reference ----------------------------------
+
+exponent_st = st.one_of(st.integers(0, 3), st.integers(0, EXP_MAX))
+exponents_st = st.lists(exponent_st, min_size=NPARAMS, max_size=NPARAMS).map(tuple)
+
+
+def tuple_key(e):
+    """The reference monomial order: weighted degree, then lex."""
+    return sum(w * x for w, x in zip(WEIGHTS, e)), e
+
+
+@settings(max_examples=150, deadline=None)
+@given(exponents_st, exponents_st)
+def test_packed_monomials_match_the_tuple_reference(a, b):
+    pa, pb = pack(a), pack(b)
+    assert unpack(pa) == a and unpack(pb) == b
+    assert (pa < pb) == (tuple_key(a) < tuple_key(b))
+    assert (pa == pb) == (a == b)
+    prod = tuple(x + y for x, y in zip(a, b))
+    if max(prod) > EXP_MAX:
+        with pytest.raises(ExponentOverflow):
+            mono_mul(pa, pb)
+    else:
+        assert mono_mul(pa, pb) == pack(prod)
+    divides = all(x <= y for x, y in zip(a, b))
+    assert mono_divides(pa, pb) == divides
+    if divides:
+        assert mono_div(pb, pa) == pack(tuple(y - x for x, y in zip(a, b)))
+    assert mono_min(pa, pb) == pack(tuple(map(min, a, b)))
+
+
+def test_exponent_overflow_is_named_and_never_carries():
+    with pytest.raises(ExponentOverflow):
+        pack((EXP_MAX + 1,) + (0,) * (NPARAMS - 1))
+    with pytest.raises(ExponentOverflow):
+        sym("kinv", EXP_MAX + 1)
+    # the last field (sphi) and a middle one: no carry into the neighbour
+    for name in ("sphi", "kinv", "eta"):
+        top = sym(name, EXP_MAX)
+        assert top.degree_in(name) == EXP_MAX
+        with pytest.raises(ExponentOverflow):
+            top * sym(name)
+    with pytest.raises(ExponentOverflow):
+        (eta * kinv - 1) * sym("kinv", EXP_MAX)
+    with pytest.raises(ExponentOverflow):
+        eta ** 40000
+    # raised up front: squaring a dense base to degree 16384 first takes minutes
+    with pytest.raises(ExponentOverflow):
+        (eta + kinv ** 2 + 1) ** 20000
+    # square-and-multiply squares no further than the highest bit needs
+    assert (eta ** 20000).exponents() == {(20000,) + (0,) * (NPARAMS - 1): 1}
+
+
+def test_shift_past_the_weight_bound():
+    # alpha1^12000 weighs 36000 > EXP_MAX, yet every exponent fits
+    m, t = pack((0, 0, 0, 12000) + (0,) * (NPARAMS - 4)), pack((1, 1) + (0,) * (NPARAMS - 2))
+    assert unpack(_shift(m, t, 3)) == (3, 3, 0, 12000) + (0,) * (NPARAMS - 4)
+    assert _shift(_shift(m, t, 3), t, -3) == m
+    with pytest.raises(ExponentOverflow):
+        _shift(m, t, EXP_MAX + 1)
+
+
+# -- exactness: coefficients stay int or Fraction ---------------------------------
+
+def canonical_exact(x) -> bool:
+    """Every coefficient of a Scalar or Frac is an int, or a Fraction that is
+    not an integer."""
+    polys = (x.num, x.den) if isinstance(x, Frac) else (x,)
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for p in polys for c in p.terms.values())
+
+
+rational_st = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+rational_scalars_st = st.builds(
+    lambda coeffs: sum(
+        (Scalar.monomial(c, eta=i % 3, kinv=(i // 3) % 3, alpha1=i % 2)
+         for i, c in enumerate(coeffs)),
+        Scalar()),
+    st.lists(rational_st, min_size=0, max_size=6),
+)
+
+
+def test_make_rule_divides_exactly():
+    rule = make_rule(eta - 1)
+    assert rule.rhs == 1 and type(rule.rhs.terms[pack((0,) * NPARAMS)]) is int
+    rule = make_rule(2 * eta - 1)
+    assert rule.rhs.terms == {pack((0,) * NPARAMS): Fraction(1, 2)}
+
+
+@settings(max_examples=120, deadline=None)
+@given(rational_scalars_st, rational_scalars_st, rational_st.filter(bool))
+def test_exact_kernel_makes_no_float(p, q, k):
+    out = [p + q, p - q, p * q, -p, p * k, p / k, p ** 3, p.normalized(),
+           p.substitute({"eta": rat(1, 2), "kinv": sym("vtheta") / 3}),
+           p.substitute({"alpha1": sym("eta") * k})]
+    if not q.is_zero():
+        rule = make_rule(q)
+        out += [rule.rhs, reduce_mod(p, [rule]), *poly_divmod(p * q + p, q)]
+        x, y = Frac(p, q), Frac(q + 1, (eta * kinv - 2) * k)
+        out += [x, y, x + y, x - y, x * y, -x, x + 1, y * k]
+        if not p.is_zero():
+            out.append(y / x)
+    for r in out:
+        assert canonical_exact(r), r
