@@ -3,7 +3,7 @@ the flat noncommutative spacetime: Lie bialgebra layer, r-matrix
 classification, group-level Poisson brackets, and the quadratic quantum
 algebras with their Casimir certificates."""
 
-from .scalars import Frac, Rational, Scalar, rat, reduce_mod, make_rule, sym
+from .scalars import Frac, Scalar, rat, reduce_mod, make_rule, sym
 from .liealg import (BASIS, IDX, LieAlgebra, ads_algebra, jacobi_residual,
                      rotate_basis, subalgebra)
 from .bialgebra import (Bivector, Trivector, cocommutator, coisotropy_check,
@@ -13,10 +13,8 @@ from .rclass import (canonicalize, constraint_residuals, family_r,
                      r_kads_twisted, r_poincare, r_poincare_twisted, sphere_param)
 from .curvtrig import Dual, eta_of
 from .group_geom import (GroupPoint, ambient_from_local, group_element,
-                         invariant_field, local_from_ambient, metric_at,
-                         vector_rep)
-from .sklyanin import (Poisson3D, closed_form_ambient, closed_form_local,
-                       closed_form_twisted, project_2plus1, sklyanin_bracket,
+                         local_from_ambient, metric_at)
+from .sklyanin import (closed_form_ambient, closed_form_local, closed_form_twisted,
                        verify_table)
 from .ncalg import NCAlgebra, NCPoly, SingularSpecialization, builtin_algebras
 

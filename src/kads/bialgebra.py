@@ -11,7 +11,6 @@ skew matrix of r and the table ``f[k, i, j]``.
 from __future__ import annotations
 
 import functools
-import json
 
 import numpy as np
 
@@ -109,10 +108,6 @@ class Bivector:
         return not (self - other).components
 
     __hash__ = None
-
-    def to_json(self, labels) -> dict:
-        return {f"{labels[i]}^{labels[j]}": str(c)
-                for (i, j), c in sorted(self.components.items())}
 
 
 class Trivector:
@@ -296,10 +291,3 @@ def dual_jacobi_residual(delta: dict, dim: int | None = None):
     structure = {key: tuple(terms) for key, terms in pairs.items()}
     dual = LieAlgebra(structure, dim=dim, labels=[f"e{i}" for i in range(dim)])
     return jacobi_residual(dual)
-
-
-def cocommutator_table_json(delta: dict, labels) -> str:
-    out = {}
-    for m in sorted(delta):
-        out[labels[m]] = delta[m].to_json(labels)
-    return json.dumps(out, sort_keys=True, indent=1)

@@ -28,7 +28,6 @@ import numpy as np
 from . import curvtrig
 from .curvtrig import (Dual, NumericOverflow, any_of, ch, ct, eps_part, sh, sh_inv, st,
                        tn_inv)
-from .liealg import DIM
 
 
 class ChartBoundary(ValueError):
@@ -63,28 +62,10 @@ def bilinear_form(lam: float) -> np.ndarray:
     return np.diag([1.0, -lam, lam, lam, lam])
 
 
-def vector_rep(coeffs, lam: float) -> np.ndarray:
-    """Matrix of x0 P0 + xa Pa + xia Ka + tha Ja in the 5-dim representation."""
-    x0, x1, x2, x3, k1, k2, k3, j1, j2, j3 = (float(c) for c in coeffs)
-    return np.array([
-        [0.0, lam * x0, -lam * x1, -lam * x2, -lam * x3],
-        [x0, 0.0, k1, k2, k3],
-        [x1, k1, 0.0, -j3, j2],
-        [x2, k2, j3, 0.0, -j1],
-        [x3, k3, -j2, j1, 0.0],
-    ])
-
-
-def generator_matrix(i: int, lam: float) -> np.ndarray:
-    coeffs = [0.0] * DIM
-    coeffs[i] = 1.0
-    return vector_rep(coeffs, lam)
-
-
 def _planes(lam: float) -> tuple:
-    """(p, q, a, b) per generator, read off ``vector_rep``: T_i e_p = a e_q,
-    T_i e_q = b e_p and T_i vanishes on the other basis vectors, so
-    T_i^2 = a*b on span(e_p, e_q)."""
+    """(p, q, a, b) per generator T_i of the 5-dim vector representation:
+    T_i e_p = a e_q, T_i e_q = b e_p and T_i vanishes on the other basis
+    vectors, so T_i^2 = a*b on span(e_p, e_q)."""
     return ((0, 1, 1.0, lam),                                        # P0
             (0, 2, 1.0, -lam), (0, 3, 1.0, -lam), (0, 4, 1.0, -lam),  # Pa
             (1, 2, 1.0, 1.0), (1, 3, 1.0, 1.0), (1, 4, 1.0, 1.0),     # Ka
@@ -267,15 +248,6 @@ def field_derivatives(m: np.ndarray, lam: float, gens, side: str, fns) -> dict:
     shape = (len(gens), len(stack))
     rows = np.array([np.broadcast_to(eps_part(h(coords)), shape) for h in fns])
     return _by_generator(gens, rows, m.ndim == 2)
-
-
-def invariant_field(side: str, i: int, f, point: GroupPoint, matrix=None):
-    """Derivative of f along the left- or right-invariant field of T_i.
-
-    Cross-checked in the tests against central finite differences.
-    """
-    m = group_element(point) if matrix is None else matrix
-    return field_derivatives(m, point.lam, (i,), side, (f,))[i][0]
 
 
 _COORDINATES = tuple((lambda c, mu=mu: c[mu]) for mu in range(4))

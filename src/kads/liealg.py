@@ -14,7 +14,6 @@ loops, which the tests use as the float oracle.
 from __future__ import annotations
 
 import functools
-import json
 from fractions import Fraction
 from itertools import combinations
 
@@ -126,14 +125,6 @@ class LieAlgebra:
                     out[k] = term if out[k] is None else out[k] + term
         zero = 0.0 if any(not is_exact(v) for v in x + y if v is not None) else Scalar()
         return [zero if v is None else v for v in out]
-
-    def to_json(self) -> str:
-        """Audit dump keyed "[Ti,Tj]"."""
-        out = {}
-        for (i, j), terms in sorted(self.structure.items()):
-            key = f"[{self.labels[i]},{self.labels[j]}]"
-            out[key] = {self.labels[k]: str(c) for k, c in terms}
-        return json.dumps(out, sort_keys=True, indent=1)
 
 
 def ads_algebra(lam) -> LieAlgebra:
@@ -297,13 +288,6 @@ class BasisRotation:
     def generator_image(self, j: int):
         """Coefficients of phi(T_j): the j-th column."""
         return [row[j] for row in self.matrix]
-
-    def compose(self, other: "BasisRotation") -> "BasisRotation":
-        """self after other: matrix product self.matrix @ other.matrix."""
-        n = len(self.matrix)
-        prod = [[sum(self.matrix[i][m] * other.matrix[m][j] for m in range(n))
-                 for j in range(n)] for i in range(n)]
-        return BasisRotation(prod)
 
 
 ROTATION_TOL = 1e-12  # float orthogonality and automorphism tolerance

@@ -117,9 +117,6 @@ class NCPoly:
 
     __hash__ = None
 
-    def max_degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
     def render(self, labels) -> str:
         if not self.terms:
             return "0"

@@ -90,14 +90,6 @@ class RFamily:
     params: list
     directions: dict
 
-    def at(self, values: dict) -> Bivector:
-        r = self.const
-        for p in self.params:
-            c = values.get(p, 0)
-            if c:
-                r = r + self.directions[p].scale(c)
-        return r
-
 
 WEDGE_PAIRS = [(i, j) for i in range(DIM) for j in range(i + 1, DIM)]
 

@@ -77,8 +77,6 @@ _GUARDS = sum(1 << (s + _BITS - 1) for s in _SHIFTS)
 _ZERO_MONO = 0
 _ONE_TERMS = {_ZERO_MONO: 1}
 
-Rational = Fraction  # invariants (gcd-reduced, positive denominator) hold by construction
-
 
 class CyclicSubstitution(ValueError):
     """A substitution binds a parameter that occurs in a binding value."""
@@ -139,10 +137,6 @@ def mono_divides(d: int, m: int) -> bool:
     # a field's guard bit survives the subtraction iff its exponent in m is
     # at least the one in d; no field borrows from the next
     return ((m | _GUARDS) - d) & _GUARDS == _GUARDS
-
-
-def mono_div(m: int, d: int) -> int:
-    return m - d
 
 
 def mono_min(a: int, b: int) -> int:
@@ -445,47 +439,6 @@ class Scalar:
 
     __repr__ = __str__
 
-    @classmethod
-    def parse(cls, text: str) -> "Scalar":
-        """Inverse of ``str``; also accepts a unicode minus."""
-        text = text.replace("−", "-").replace(" ", "")
-        if text in ("", "0"):
-            return cls()
-        # split into signed terms
-        terms = []
-        sign, start = 1, 0
-        if text[0] in "+-":
-            sign = -1 if text[0] == "-" else 1
-            start = 1
-        i = start
-        cur = []
-        while i <= len(text):
-            if i == len(text) or text[i] in "+-":
-                terms.append((sign, "".join(cur)))
-                if i < len(text):
-                    sign = -1 if text[i] == "-" else 1
-                    cur = []
-            else:
-                cur.append(text[i])
-            i += 1
-        out = cls()
-        for sgn, body in terms:
-            coeff = Fraction(sgn)
-            mono = [0] * NPARAMS
-            for factor in body.split("*"):
-                if not factor:
-                    continue
-                if factor[0].isdigit():
-                    coeff *= Fraction(factor)
-                    continue
-                if "^" in factor:
-                    name, e = factor.split("^")
-                    mono[PARAM_INDEX[name]] += int(e)
-                else:
-                    mono[PARAM_INDEX[factor]] += 1
-            out = out + (_wrap({pack(mono): _canon(coeff)}) if coeff else cls())
-        return out
-
 
 ONE = Scalar.rational(1)
 
@@ -567,21 +520,6 @@ def reduce_mod(p: Scalar, rules: Iterable[RewriteRule]) -> Scalar:
         steps += 1
         if steps > REDUCE_STEPS:
             raise NonTerminating("rewriting exceeded the step budget")
-
-
-# Standard rule sets.
-
-def trig_rules() -> list:
-    """ctheta^2 -> 1 - stheta^2 and cphi^2 -> 1 - sphi^2."""
-    return [
-        make_rule(sym("ctheta") ** 2 + sym("stheta") ** 2 - 1),
-        make_rule(sym("cphi") ** 2 + sym("sphi") ** 2 - 1),
-    ]
-
-
-def sphere_rules() -> list:
-    """a1^2 + a2^2 + a3^2 = R^2 oriented as a1^2 -> R^2 - a2^2 - a3^2."""
-    return [make_rule(sym("a1") ** 2 + sym("a2") ** 2 + sym("a3") ** 2 - sym("R") ** 2)]
 
 
 # -- polynomial division and fractions ----------------------------------------

@@ -1,6 +1,6 @@
 """Sklyanin-bracket evaluation on the group and the Poisson tables it must
-reproduce (local, twisted, ambient), together with the small generic 3D
-Poisson construction and the expansion machinery.
+reproduce (local, twisted, ambient), with their curvature expansion and
+Jacobi checks.
 
 The local and twisted tables are closed forms in the curvature trig
 primitives; the ambient table is the quantum algebra's first-order Poisson
@@ -22,9 +22,8 @@ import numpy as np
 
 from .bialgebra import Bivector
 from .curvtrig import Dual, ch, eps_part, eta_of, re_part, sh
-from .group_geom import (GroupPoint, ambient_derivatives, ambient_jacobian,
-                         ambient_from_local, coset_derivatives, field_derivatives,
-                         group_element)
+from .group_geom import (GroupPoint, ambient_derivatives, ambient_from_local,
+                         coset_derivatives, group_element)
 from .liealg import worst_of
 from .ncalg import ambient_algebra, poisson_reading
 
@@ -148,15 +147,6 @@ def closed_form_ambient(lam: float, kinv: float) -> BracketTable:
     return BracketTable("ambient", AMBIENT_LABELS, lam, kinv)
 
 
-def project_2plus1(table: BracketTable):
-    """Pin x3 = 0: returns entry(i, j, (x0, x1, x2))."""
-
-    def entry(i, j, coords3):
-        return table.entry(i, j, (coords3[0], coords3[1], coords3[2], 0.0))
-
-    return entry
-
-
 # -- Sklyanin evaluation --------------------------------------------------------
 
 
@@ -182,15 +172,6 @@ def _contract(r: Bivector, dl: dict, dr: dict) -> np.ndarray:
     out[upper] = total[upper]
     out[upper[::-1]] = -total[upper]
     return out
-
-
-def sklyanin_bracket(r: Bivector, f, g, point: GroupPoint, matrix=None):
-    """{f, g}(h) = r^ij (XL_i f XL_j g - XR_i f XR_j g) for coset functions."""
-    m = group_element(point) if matrix is None else matrix
-    stack = np.reshape(m, (1, 5, 5))
-    support = _support(r)
-    dl, dr = (field_derivatives(stack, point.lam, support, side, (f, g)) for side in "LR")
-    return _contract(r, dl, dr)[0, 1, 0]
 
 
 def _bracket_matrix(r: Bivector, point: GroupPoint, matrix, derivatives):
@@ -279,7 +260,7 @@ def verify_table(r: Bivector, table: BracketTable, samples: int, lam: float,
     }
 
 
-# -- expansions, Jacobi, the 3D construction -------------------------------------
+# -- expansions and Jacobi -----------------------------------------------------
 
 
 def eta_expansion_entry(table_name: str, i: int, j: int, coords, kinv: float,
@@ -292,21 +273,6 @@ def eta_expansion_entry(table_name: str, i: int, j: int, coords, kinv: float,
     t = BracketTable(table_name, labels, 0.0, kinv, vtheta, eta=Dual(0.0, 1.0))
     v = t.entry(i, j, coords)
     return re_part(v), eps_part(v)
-
-
-def _keep(c):
-    """Coordinate pass-through tolerating nested duals and exact rationals."""
-    return float(c) if isinstance(c, (int, float)) else c
-
-
-def _gradient(fn, x) -> list:
-    """[d fn / d x^mu for each mu], one dual evaluation per coordinate.
-
-    Integer seeds keep exact (Fraction) coordinates exact.
-    """
-    return [eps_part(fn(tuple(Dual(_keep(c), 1 if k == mu else 0)
-                              for k, c in enumerate(x))))
-            for mu in range(len(x))]
 
 
 def table_jacobiators(table: BracketTable, coords) -> np.ndarray:
@@ -344,50 +310,3 @@ def table_jacobi_residual(table: BracketTable, samples: int, seed: int = 0x5EED)
     else:
         coords = tuple(rng.uniform(-box, box, (samples, table.dim)).T)
     return worst_of(0.0, float(np.max(np.abs(table_jacobiators(table, coords)))))
-
-
-class Poisson3D:
-    """{x1,x2} = f dF/dx3 and cyclic; F is a Casimir by construction."""
-
-    def __init__(self, f, casimir):
-        self.f = f
-        self.casimir = casimir
-
-    def matrix(self, x) -> list:
-        """All nine {x^a, x^b} at x, from one Casimir gradient and one f."""
-        grad = _gradient(self.casimir, x)
-        fv = self.f(x)
-        v01, v12, v02 = fv * grad[2], fv * grad[0], -fv * grad[1]  # {x1,x3} = -{x3,x1}
-        return [[0, v01, v02], [-v01, 0, v12], [-v02, -v12, 0]]
-
-    def entry(self, i: int, j: int, x):
-        return self.matrix(x)[i][j]
-
-    def bracket_with(self, h, x):
-        """{x^a, h} for a smooth h, evaluated at x: returns length-3 list."""
-        gh = _gradient(h, x)
-        mat = self.matrix(x)
-        return [sum(mat[a][b] * gh[b] for b in range(3)) for a in range(3)]
-
-
-def quadratic_space_poisson(eta, kinv) -> Poisson3D:
-    """The curvature-deformed space sector from F = |x|^2, f = -eta*kinv*x3/2.
-
-    Works with floats, exact Fractions or formal Scalars (division by 2
-    stays exact).
-    """
-    return Poisson3D(lambda x: -(eta * kinv * x[2]) / 2,
-                     lambda x: x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
-
-
-def push_local_to_ambient(table: BracketTable, x) -> np.ndarray:
-    """{s^A, s^B} induced from the local table through the chart Jacobian."""
-    lam = table.lam
-    jac = ambient_jacobian(x, lam)
-    loc = np.zeros((4, 4), dtype=complex)
-    for mu in range(4):
-        for nu in range(mu + 1, 4):
-            v = table.entry(mu, nu, x)
-            loc[mu, nu] = v
-            loc[nu, mu] = -v
-    return jac @ loc @ jac.T

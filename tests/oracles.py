@@ -1,0 +1,137 @@
+"""Independent references that the tests check the program against.
+
+None of this runs in a CLI suite.  Each function is a slower or more
+general form of something the program computes another way: the rewrite
+rules of the sphere and the trig stand-ins, the full 5x5 representation
+matrices, one invariant field or one Sklyanin bracket at a time, and the
+generic 3D Poisson construction from a multiplier and a Casimir.
+"""
+
+import numpy as np
+
+from kads.bialgebra import Bivector
+from kads.curvtrig import Dual, eps_part
+from kads.group_geom import GroupPoint, ambient_jacobian, field_derivatives, group_element
+from kads.liealg import DIM
+from kads.scalars import make_rule, sym
+from kads.sklyanin import BracketTable, _contract, _support
+
+
+# -- rewrite rules -------------------------------------------------------------
+
+
+def trig_rules() -> list:
+    """ctheta^2 -> 1 - stheta^2 and cphi^2 -> 1 - sphi^2."""
+    return [
+        make_rule(sym("ctheta") ** 2 + sym("stheta") ** 2 - 1),
+        make_rule(sym("cphi") ** 2 + sym("sphi") ** 2 - 1),
+    ]
+
+
+def sphere_rules() -> list:
+    """a1^2 + a2^2 + a3^2 = R^2 oriented as a1^2 -> R^2 - a2^2 - a3^2."""
+    return [make_rule(sym("a1") ** 2 + sym("a2") ** 2 + sym("a3") ** 2 - sym("R") ** 2)]
+
+
+# -- the vector representation, one field or bracket at a time -----------------
+
+
+def vector_rep(coeffs, lam: float) -> np.ndarray:
+    """Matrix of x0 P0 + xa Pa + xia Ka + tha Ja in the 5-dim representation."""
+    x0, x1, x2, x3, k1, k2, k3, j1, j2, j3 = (float(c) for c in coeffs)
+    return np.array([
+        [0.0, lam * x0, -lam * x1, -lam * x2, -lam * x3],
+        [x0, 0.0, k1, k2, k3],
+        [x1, k1, 0.0, -j3, j2],
+        [x2, k2, j3, 0.0, -j1],
+        [x3, k3, -j2, j1, 0.0],
+    ])
+
+
+def generator_matrix(i: int, lam: float) -> np.ndarray:
+    coeffs = [0.0] * DIM
+    coeffs[i] = 1.0
+    return vector_rep(coeffs, lam)
+
+
+def invariant_field(side: str, i: int, f, point: GroupPoint, matrix=None):
+    """Derivative of f along the left- or right-invariant field of T_i.
+
+    Cross-checked in the tests against central finite differences.
+    """
+    m = group_element(point) if matrix is None else matrix
+    return field_derivatives(m, point.lam, (i,), side, (f,))[i][0]
+
+
+def sklyanin_bracket(r: Bivector, f, g, point: GroupPoint, matrix=None):
+    """{f, g}(h) = r^ij (XL_i f XL_j g - XR_i f XR_j g) for coset functions."""
+    m = group_element(point) if matrix is None else matrix
+    stack = np.reshape(m, (1, 5, 5))
+    support = _support(r)
+    dl, dr = (field_derivatives(stack, point.lam, support, side, (f, g)) for side in "LR")
+    return _contract(r, dl, dr)[0, 1, 0]
+
+
+# -- the generic 3D Poisson construction ---------------------------------------
+
+
+def _keep(c):
+    """Coordinate pass-through tolerating nested duals and exact rationals."""
+    return float(c) if isinstance(c, (int, float)) else c
+
+
+def _gradient(fn, x) -> list:
+    """[d fn / d x^mu for each mu], one dual evaluation per coordinate.
+
+    Integer seeds keep exact (Fraction) coordinates exact.
+    """
+    return [eps_part(fn(tuple(Dual(_keep(c), 1 if k == mu else 0)
+                              for k, c in enumerate(x))))
+            for mu in range(len(x))]
+
+
+class Poisson3D:
+    """{x1,x2} = f dF/dx3 and cyclic; F is a Casimir by construction."""
+
+    def __init__(self, f, casimir):
+        self.f = f
+        self.casimir = casimir
+
+    def matrix(self, x) -> list:
+        """All nine {x^a, x^b} at x, from one Casimir gradient and one f."""
+        grad = _gradient(self.casimir, x)
+        fv = self.f(x)
+        v01, v12, v02 = fv * grad[2], fv * grad[0], -fv * grad[1]  # {x1,x3} = -{x3,x1}
+        return [[0, v01, v02], [-v01, 0, v12], [-v02, -v12, 0]]
+
+    def entry(self, i: int, j: int, x):
+        return self.matrix(x)[i][j]
+
+    def bracket_with(self, h, x):
+        """{x^a, h} for a smooth h, evaluated at x: returns length-3 list."""
+        gh = _gradient(h, x)
+        mat = self.matrix(x)
+        return [sum(mat[a][b] * gh[b] for b in range(3)) for a in range(3)]
+
+
+def quadratic_space_poisson(eta, kinv) -> Poisson3D:
+    """The curvature-deformed space sector from F = |x|^2, f = -eta*kinv*x3/2.
+
+    Works with floats, exact Fractions or formal Scalars (division by 2
+    stays exact).
+    """
+    return Poisson3D(lambda x: -(eta * kinv * x[2]) / 2,
+                     lambda x: x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
+
+
+def push_local_to_ambient(table: BracketTable, x) -> np.ndarray:
+    """{s^A, s^B} induced from the local table through the chart Jacobian."""
+    lam = table.lam
+    jac = ambient_jacobian(x, lam)
+    loc = np.zeros((4, 4), dtype=complex)
+    for mu in range(4):
+        for nu in range(mu + 1, 4):
+            v = table.entry(mu, nu, x)
+            loc[mu, nu] = v
+            loc[nu, mu] = -v
+    return jac @ loc @ jac.T

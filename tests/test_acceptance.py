@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from oracles import quadratic_space_poisson
 from tables import expected_curved_table, expected_flat_table
 
 from kads.bialgebra import Bivector, cocommutator, mcybe_residual
@@ -24,9 +25,7 @@ from kads.rclass import (SUBALG_2PLUS1, canonicalize, constraint_distance,
                          r_poincare_twisted)
 from kads.scalars import sym
 from kads.sklyanin import (closed_form_ambient, closed_form_local,
-                           closed_form_twisted, eta_expansion_entry,
-                           project_2plus1, quadratic_space_poisson,
-                           verify_table)
+                           closed_form_twisted, eta_expansion_entry, verify_table)
 
 ETA, KINV, VTH = sym("eta"), sym("kinv"), sym("vtheta")
 KINV_NUM = 0.31
@@ -196,8 +195,7 @@ def test_criterion_7_limits_and_expansions():
         for a in (1, 2, 3):
             z, f = eta_expansion_entry("local", 0, a, x, KINV_NUM)
             exact_first &= (f == 0.0)
-    proj = project_2plus1(closed_form_local(-1.0, KINV_NUM))
-    proj_zero = proj(1, 2, (0.4, 0.3, 0.2)) == 0.0
+    proj_zero = closed_form_local(-1.0, KINV_NUM).entry(1, 2, (0.4, 0.3, 0.2, 0.0)) == 0.0
     ok = worst_limit < 1e-10 and exact_first and proj_zero
     report(7, ok, f"flat_limit_dev={worst_limit:.2e} (< 1e-10) "
                   f"first_order_exact={exact_first} projection_zero={proj_zero}")

@@ -63,6 +63,10 @@ def test_poisson_report(tmp_path):
     assert set(rep["tables"]) == {"local", "twisted", "ambient"}
     assert rep["tables"]["local"]["max_deviation"] < 1e-8
     assert rep["tables"]["local"]["seed"] == 0x5EED
+    assert [c["name"] for c in rep["checks"]] == [
+        f"{table}.{check}" for table in ("local", "twisted", "ambient")
+        for check in ("sklyanin_match", "lorentz_independence", "jacobi")
+    ] + ["first_order_expansion", "sphere_leaf_conservation"]
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -154,19 +158,35 @@ def test_csv_export_needs_out(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_poisson_runs_without_scipy(tmp_path):
-    # the sphere Casimir check is exact: no integrator, so no scipy import
-    out = tmp_path / "rep.json"
+# numpy is the only runtime dependency: the test-only packages and the
+# references under tests/ must not be loaded by any suite
+TEST_ONLY_MODULES = ("scipy", "sympy", "hypothesis", "oracles", "tables", "batches")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-bialgebra", "--lambda=formal"],
+    ["classify", "--samples=2"],
+    ["poisson", "--lambda=-1", "--samples=2"],
+    ["nc"],
+    ["export", "--lambda=-1", "--samples=2"],
+    ["export", "--lambda=-1", "--samples=2", "--format=csv"],
+], ids=["check-bialgebra", "classify", "poisson", "nc", "export", "export-csv"])
+def test_poisson_runs_without_scipy(tmp_path, argv):
+    out = tmp_path / ("rep.csv" if "--format=csv" in argv else "rep.json")
     probe = ("import sys\n"
              "from kads.cli import main\n"
-             f"code = main(['poisson', '--lambda=-1', '--samples=2', '--out', {str(out)!r}])\n"
-             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+             f"code = main({argv + ['--out', str(out)]!r})\n"
+             f"roots = {TEST_ONLY_MODULES!r}\n"
+             "print(code, sorted(m for m in sys.modules if m.split('.')[0] in roots))\n")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "[]"]
-    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
-    assert checks["sphere_leaf_conservation"] == {
-        "name": "sphere_leaf_conservation", "residual": 0, "tolerance": 0, "pass": True}
+    # a csv export also prints its JSON report; the probe's line comes last
+    assert proc.stdout.splitlines()[-1].split() == ["0", "[]"]
+    if argv[0] == "poisson":
+        # the sphere Casimir check is exact: no integrator, so no scipy import
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        assert checks["sphere_leaf_conservation"] == {
+            "name": "sphere_leaf_conservation", "residual": 0, "tolerance": 0, "pass": True}
 
 
 def test_main_reuses_one_parser():

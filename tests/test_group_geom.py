@@ -8,13 +8,13 @@ from kads.curvtrig import SERIES_CUT, Dual, ch, ct, sh, sh_inv, st, tn, tn_inv
 from kads.group_geom import (ChartBoundary, GroupPoint, NumericOverflow,
                              OffPseudosphere, OutOfChart, ambient_from_local,
                              ambient_derivatives, ambient_jacobian,
-                             coset_derivatives, group_element, invariant_field,
+                             coset_derivatives, group_element,
                              isometry_residual, local_from_ambient, metric_at,
-                             generator_matrix, metric_pullback,
-                             pseudosphere_residual, vector_rep)
+                             metric_pullback, pseudosphere_residual)
 from kads.liealg import DIM, IDX, ads_algebra
 
 from batches import STRADDLE_LAMBDAS, assert_same, single, straddling_batch
+from oracles import generator_matrix, invariant_field, vector_rep
 
 LAMBDAS = (-1.0, -0.3, 0.0, 0.3, 1.0)
 

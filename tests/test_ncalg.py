@@ -11,7 +11,7 @@ from kads.ncalg import (NCAlgebra, NCPoly, SingularSpecialization,
                         kappa_minkowski, local_first_order, poisson_reading,
                         pseudosphere_casimir, quantum_sphere, space_casimir)
 from kads.scalars import PARAM_INDEX, PARAMS, Frac, NonTerminating, rat, sym
-from kads.sklyanin import quadratic_space_poisson
+from oracles import quadratic_space_poisson
 from tables import expected_ambient_poisson
 
 eta, kinv, vth = sym("eta"), sym("kinv"), sym("vtheta")
@@ -208,7 +208,7 @@ def test_degree_never_raised():
     for _ in range(40):
         w = tuple(int(v) for v in rng.integers(0, 5, rng.integers(2, 5)))
         nf = A.normal_form(NCPoly.word(w))
-        assert nf.max_degree() <= len(w)
+        assert max((len(t) for t in nf.terms), default=0) <= len(w)
 
 
 def test_strategy_independence():

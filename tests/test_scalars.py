@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 from kads.curvtrig import Dual
 from kads.scalars import (EXP_MAX, NPARAMS, PARAMS, WEIGHTS, CyclicSubstitution,
                           ExponentOverflow, Frac, NonTerminating, Scalar,
-                          UnboundParameter, _shift, accumulate, make_rule, mono_div,
+                          UnboundParameter, _shift, accumulate, make_rule,
                           mono_divides, mono_min, mono_mul, pack, poly_divmod, rat,
-                          reduce_mod, sphere_rules, sym, trig_rules, unpack)
+                          reduce_mod, sym, unpack)
+
+from oracles import sphere_rules, trig_rules
 
 eta, kinv = sym("eta"), sym("kinv")
 a1, a2, a3 = sym("alpha1"), sym("alpha2"), sym("alpha3")
@@ -216,12 +218,9 @@ def test_rules_must_decrease_order():
 def test_serialization_round_trip():
     p = rat(3, 2) * eta ** 2 * kinv - 1
     assert str(p) == "3/2*eta^2*kinv - 1"
-    assert Scalar.parse(str(p)) == p
-    assert Scalar.parse("0") == Scalar()
+    assert str(Scalar()) == "0"
     q = -eta + rat(1, 3) * sym("vtheta") ** 2
-    assert Scalar.parse(str(q)) == q
-    # unicode minus accepted
-    assert Scalar.parse("eta − kinv") == eta - kinv
+    assert str(q) == "1/3*vtheta^2 - eta"
 
 
 def test_poly_divmod_exact_and_remainder():
@@ -240,12 +239,6 @@ def test_frac_arithmetic():
     assert h == Frac(rat(2), 1 - (eta * kinv) ** 2)
     assert (g - g).is_zero()
     assert (g * Frac(1 - (eta * kinv) ** 2)) == Frac(rat(1))
-
-
-@settings(max_examples=80, deadline=None)
-@given(scalars_st)
-def test_serialization_round_trips_random(p):
-    assert Scalar.parse(str(p)) == p
 
 
 @settings(max_examples=60, deadline=None)
@@ -366,7 +359,7 @@ def test_packed_monomials_match_the_tuple_reference(a, b):
     divides = all(x <= y for x, y in zip(a, b))
     assert mono_divides(pa, pb) == divides
     if divides:
-        assert mono_div(pb, pa) == pack(tuple(y - x for x, y in zip(a, b)))
+        assert pb - pa == pack(tuple(y - x for x, y in zip(a, b)))
     assert mono_min(pa, pb) == pack(tuple(map(min, a, b)))
 
 

@@ -5,15 +5,15 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from batches import STRADDLE_LAMBDAS, assert_same, single, straddling_batch
+from oracles import (Poisson3D, push_local_to_ambient, quadratic_space_poisson,
+                     sklyanin_bracket)
 from kads.curvtrig import Dual, eta_of
 from kads.group_geom import GroupPoint, ambient_from_local, group_element
 from kads.rclass import r_kads, r_kads_twisted, r_poincare, r_poincare_twisted
-from kads.sklyanin import (Poisson3D, _first_worst, bracket_matrix_ambient,
+from kads.sklyanin import (_first_worst, bracket_matrix_ambient,
                            bracket_matrix_local, closed_form_ambient,
                            closed_form_local, closed_form_twisted,
-                           eta_expansion_entry, project_2plus1,
-                           push_local_to_ambient, quadratic_space_poisson,
-                           sample_points, sklyanin_bracket, table_jacobi_residual,
+                           eta_expansion_entry, sample_points, table_jacobi_residual,
                            table_jacobiators, verify_table, worst_of)
 
 
@@ -284,15 +284,14 @@ def test_leaf_conservation():
 def test_projection_to_lower_dimension():
     lam = -1.0
     t = closed_form_local(lam, KINV)
-    proj = project_2plus1(t)
-    x3 = (0.1, 0.3, 0.2)  # (x0, x1, x2)
-    assert proj(1, 2, x3) == 0.0
+    x = (0.1, 0.3, 0.2, 0.0)  # x3 = 0 pins the 2+1 slice
+    assert t.entry(1, 2, x) == 0.0
     want = -KINV * math.tanh(0.3) / math.cosh(0.2) ** 2
-    assert abs(proj(0, 1, x3) - want) < 1e-15
-    # flat limit of the projection
-    proj0 = project_2plus1(closed_form_local(0.0, KINV))
-    assert abs(proj0(0, 1, x3) + KINV * 0.3) < 1e-15
-    assert proj0(1, 2, x3) == 0.0
+    assert abs(t.entry(0, 1, x) - want) < 1e-15
+    # flat limit of the slice
+    t0 = closed_form_local(0.0, KINV)
+    assert abs(t0.entry(0, 1, x) + KINV * 0.3) < 1e-15
+    assert t0.entry(1, 2, x) == 0.0
 
 
 def test_local_table_pushes_to_ambient_table():
