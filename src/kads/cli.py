@@ -57,6 +57,8 @@ class RunConfig:
                 raise ConfigError(f"{flag} must be finite, got {value!r}")
         if self.samples < 1:
             raise ConfigError("samples must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.tolerance <= 0:
             raise ConfigError("tolerance must be positive")
         if self.fmt not in ("json", "csv"):

@@ -9,17 +9,20 @@ constant ``lam`` (they depend on the curvature scale only through
     ch(lam, x) = cosh(eta x)       = sum (-lam)^n x^(2n) / (2n)!
     sh(lam, x) = sinh(eta x) / eta = sum (-lam)^n x^(2n+1) / (2n+1)!
 
-Near lam * x^2 = 0 a short Taylor series avoids cancellation, which also
-makes every primitive work on :class:`Dual` arguments (the series is pure
-ring arithmetic).  Identities ct^2 - lam*st^2 = 1 and ch^2 + lam*sh^2 = 1.
+At lam == 0 (-0.0 included) every primitive returns its exact flat value,
+1 for ct and ch, the argument itself for st, sh and the inverses.  At every
+other lam it evaluates the closed form through the sqrt(|lam|) scaling,
+which keeps full relative accuracy however small |lam| x^2 is: there is no
+cancellation to avoid, down to the smallest subnormal lam.  The lifted
+elementary functions below make every primitive work on :class:`Dual`
+arguments.  Identities ct^2 - lam*st^2 = 1 and ch^2 + lam*sh^2 = 1.
 
 Every primitive takes ``x`` as a float, a 1-D array of N points, or a
 :class:`Dual` whose ``re`` has shape (N,) and whose ``eps`` has shape
-(k, N) (tangent-major, so ``re * eps`` broadcasts).  The series cut is
-decided per element: a batch on one side of it evaluates one branch, a
-mixed batch evaluates both and selects with ``np.where``.  ``lam`` is a
-float.  A hyperbolic argument |eta x| past ``EXP_ARG_MAX`` raises
-:class:`NumericOverflow` rather than returning inf.
+(k, N) (tangent-major, so ``re * eps`` broadcasts); a batch takes the same
+arithmetic as each of its points alone.  ``lam`` is a float.  A hyperbolic
+argument |eta x| past ``EXP_ARG_MAX`` raises :class:`NumericOverflow`
+rather than returning inf.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ import math
 
 import numpy as np
 
-SERIES_CUT = 1e-8
 EXP_ARG_MAX = 710.0  # cosh and sinh overflow a double just past 710.47
 
 
@@ -139,74 +141,63 @@ def any_of(mask) -> bool:
     return np.count_nonzero(mask) > 0
 
 
-def _branch(lam: float, x, series, closed):
-    """Per element: series(lam, x) where |lam| x^2 < SERIES_CUT, else
-    closed(lam, x, q) with q = |lam| x^2; a batch on one side evaluates one
-    branch only."""
-    r = re_part(x)
-    q = abs(lam) * (r * r)
-    small = q < SERIES_CUT
-    count = np.count_nonzero(small)
-    if count == np.size(small):
-        return series(lam, x)
-    if not count:
-        return closed(lam, x, q)
-    a, b = series(lam, x), closed(lam, x, q)
+def _const_like(v, c):
+    return np.full_like(v, c) if isinstance(v, np.ndarray) else c
+
+
+def _branch(lam: float, x, closed, odd: bool):
+    """closed(lam, x) at every lam != 0.  At lam == 0 (-0.0 included) the
+    exact flat value in the argument's shape and type: x itself when the
+    primitive is odd, else 1 (with derivative 0 for a Dual)."""
+    if lam != 0:
+        return closed(lam, x)
+    if odd:
+        return x
     if isinstance(x, Dual):
-        return Dual(np.where(small, a.re, b.re), np.where(small, a.eps, b.eps))
-    return np.where(small, a, b)
+        return Dual(_const_like(x.re, 1.0), _const_like(x.eps, 0.0))
+    return _const_like(x, 1.0)
 
 
-def _check_exp(q):
-    """NumericOverflow where cosh or sinh of sqrt(q) would overflow."""
-    if any_of(q > EXP_ARG_MAX ** 2):
+def _check_exp(u):
+    """NumericOverflow where cosh or sinh of u would overflow."""
+    if any_of(abs(re_part(u)) > EXP_ARG_MAX):
         raise NumericOverflow(f"curvature argument |eta x| past {EXP_ARG_MAX} "
                               "overflows cosh and sinh")
 
 
-def _ch_series(lam, x):
-    x2 = x * x
-    return 1.0 - lam * x2 * (1.0 / 2 - lam * x2 * (1.0 / 24 - lam * x2 * (1.0 / 720)))
-
-
-def _ch_closed(lam, x, q):
-    rt = math.sqrt(abs(lam))
+def _ch_closed(lam, x):
+    u = math.sqrt(abs(lam)) * x
     if lam > 0:
-        return cos(rt * x)
-    _check_exp(q)
-    return cosh(rt * x)
+        return cos(u)
+    _check_exp(u)
+    return cosh(u)
 
 
-def _sh_series(lam, x):
-    x2 = x * x
-    return x * (1.0 - lam * x2 * (1.0 / 6 - lam * x2 * (1.0 / 120 - lam * x2 * (1.0 / 5040))))
-
-
-def _sh_closed(lam, x, q):
+def _sh_closed(lam, x):
     rt = math.sqrt(abs(lam))
+    u = rt * x
     if lam > 0:
-        return sin(rt * x) / rt
-    _check_exp(q)
-    return sinh(rt * x) / rt
+        return sin(u) / rt
+    _check_exp(u)
+    return sinh(u) / rt
 
 
 def ct(lam: float, x):
-    """ch(-lam, x), bit for bit: the two series differ only in the sign of
-    every lam * x2 factor, and the closed forms coincide."""
-    return _branch(-lam, x, _ch_series, _ch_closed)
+    """ch(-lam, x), bit for bit: the closed forms coincide."""
+    return _branch(-lam, x, _ch_closed, False)
 
 
 def st(lam: float, x):
     """sh(-lam, x), bit for bit, as for ct."""
-    return _branch(-lam, x, _sh_series, _sh_closed)
+    return _branch(-lam, x, _sh_closed, True)
 
 
 def ch(lam: float, x):
-    return _branch(lam, x, _ch_series, _ch_closed)
+    return _branch(lam, x, _ch_closed, False)
 
 
 def sh(lam: float, x):
-    return _branch(lam, x, _sh_series, _sh_closed)
+    return _branch(lam, x, _sh_closed, True)
 
 
 def tn(lam: float, x):
@@ -214,12 +205,7 @@ def tn(lam: float, x):
     return st(lam, x) / ct(lam, x)
 
 
-def _sh_inv_series(lam, y):
-    y2 = y * y
-    return y * (1.0 + lam * y2 * (1.0 / 6 + lam * y2 * (3.0 / 40)))
-
-
-def _sh_inv_closed(lam, y, q):
+def _sh_inv_closed(lam, y):
     rt = math.sqrt(abs(lam))
     u = rt * y
     if lam > 0:
@@ -232,15 +218,10 @@ def _sh_inv_closed(lam, y, q):
 def sh_inv(lam: float, y):
     """Inverse of sh in the principal chart; ValueError when any element is
     out of domain."""
-    return _branch(lam, y, _sh_inv_series, _sh_inv_closed)
+    return _branch(lam, y, _sh_inv_closed, True)
 
 
-def _tn_inv_series(lam, t):
-    t2 = t * t
-    return t * (1.0 + lam * t2 * (1.0 / 3 + lam * t2 * (1.0 / 5)))
-
-
-def _tn_inv_closed(lam, t, q):
+def _tn_inv_closed(lam, t):
     rt = math.sqrt(abs(lam))
     u = rt * t
     if lam > 0:
@@ -253,4 +234,4 @@ def _tn_inv_closed(lam, t, q):
 def tn_inv(lam: float, t):
     """Inverse of tn in the principal chart; ValueError when any element is
     out of domain."""
-    return _branch(lam, t, _tn_inv_series, _tn_inv_closed)
+    return _branch(lam, t, _tn_inv_closed, True)

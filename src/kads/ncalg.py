@@ -11,9 +11,10 @@ itself with coefficient (eta*kinv)^2 after two steps.  The reducer
 therefore memoizes words, detects re-entry, and solves the resulting
 one-dimensional linear fixpoints x = p + c*x exactly, which localizes
 coefficients at the zeros of 1 - c.  Coefficients are exact fractions of
-Scalars in canonical form (coprime, monic denominator; see ``Frac``), so
-every denominator is a polynomial in E = eta*kinv (in kinv alone, or a
-constant, once parameters are specialized) whose roots are true poles.
+Scalars in ``Frac``'s one canonical form (coprime, with a monic
+denominator x^c * f(t) in one monomial t), so every denominator is a
+polynomial in E = eta*kinv (in kinv alone, or a constant, once parameters
+are specialized) whose roots are true poles.
 Specializing the parameters at such a root, in the fixpoint solve or in
 ``NCPoly.substitute``, raises :class:`SingularSpecialization`.
 Confluence is certified a posteriori by the Jacobi certificates and a

@@ -94,6 +94,11 @@ class ExponentOverflow(OverflowError):
     """An exponent exceeds ``EXP_MAX``, the largest one a packed monomial holds."""
 
 
+class UnsupportedDenominator(ValueError):
+    """A Frac denominator is not x^c * f(t) for one primitive monomial t, or
+    two denominators are polynomials in different monomials t."""
+
+
 def pack(exps) -> int:
     """The packed monomial of an exponent vector (one entry per ``PARAMS``)."""
     if len(exps) != NPARAMS:
@@ -672,7 +677,7 @@ def _den_view(den: Scalar):
     """Write den = x^c * f(t), t a primitive monomial, f(0) != 0.
 
     Returns (c, t, f) with f a coefficient list (t is None when f is a
-    constant), or None when den has no such form.
+    constant); raises UnsupportedDenominator when den has no such form.
     """
     terms = den.terms
     if _ZERO_MONO in terms:
@@ -681,7 +686,7 @@ def _den_view(den: Scalar):
         c = den.monomial_content()
         terms = {m - c: a for m, a in terms.items()}
         if _ZERO_MONO not in terms:
-            return None
+            raise UnsupportedDenominator(f"{den} is not x^c * f(t) for one t")
     if len(terms) == 1:
         return c, None, [terms[_ZERO_MONO]]
     t = None
@@ -698,7 +703,7 @@ def _den_view(den: Scalar):
             s0, e0 = next((s, e) for s, e in zip(_SHIFTS, te) if e)
         k = (m >> s0 & _FIELD) // e0
         if k * tmax > EXP_MAX or k * t != m:
-            return None
+            raise UnsupportedDenominator(f"{den} is not x^c * f(t) for one t")
         coeffs[k] = a
     return c, t, _dense(coeffs)
 
@@ -749,11 +754,14 @@ def _cancel(num: Scalar, c: int, t, f: list) -> tuple:
 
 
 def _same_t(v1, v2):
-    """The common t of two denominator views, False when they have none."""
+    """The common t of two denominator views; UnsupportedDenominator when
+    they have none."""
     t1, t2 = v1[1], v2[1]
     if t1 is None or t1 == t2:
         return t2
-    return t1 if t2 is None else False
+    if t2 is None:
+        return t1
+    raise UnsupportedDenominator("denominators in different monomials t")
 
 
 _ONE_VIEW = (_ZERO_MONO, None, (1,))
@@ -762,16 +770,15 @@ _ONE_VIEW = (_ZERO_MONO, None, (1,))
 class Frac:
     """Fraction of Scalars; used where rewriting demands a localization.
 
-    Canonical form: when the denominator is a monomial x^c times a
-    polynomial f(t) in one primitive monomial t, numerator and denominator
-    are coprime and the denominator is monic (leading coefficient 1).  That
-    covers every denominator the NC engine and the r-matrix reduction
-    build (t = eta*kinv, kinv, Lambda, or a constant), and there equal
-    values have equal ``num`` and ``den``.  Addition follows Henrici:
-    with g = gcd(b, d), a/b + c/d = (a*(d/g) + c*(b/g)) / (b*d/g), and only
-    gcd(num, g) is left to cancel; multiplication cancels crosswise.  Any
-    other denominator keeps the plain rule (exact division of numerator by
-    denominator, else a monic denominator) and has ``_dv`` None; otherwise
+    Canonical form: the denominator is a monomial x^c times a monic
+    polynomial f(t) in one primitive monomial t, coprime to the numerator,
+    so equal values have equal ``num`` and ``den``.  That covers every
+    denominator the NC engine and the r-matrix reduction build (t =
+    eta*kinv, kinv, Lambda, or a constant); any other denominator, or a sum
+    or product of two in different t, raises
+    :class:`UnsupportedDenominator`.  Addition follows Henrici: with
+    g = gcd(b, d), a/b + c/d = (a*(d/g) + c*(b/g)) / (b*d/g), and only
+    gcd(num, g) is left to cancel; multiplication cancels crosswise.
     ``_dv`` is the view (c, t, f) of the denominator, c and t packed
     monomials.
     """
@@ -784,19 +791,7 @@ class Frac:
             return
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        dv = _den_view(den) if num.terms else _ONE_VIEW
-        if dv is None:
-            q, r = poly_divmod(num, den)
-            if r.is_zero():
-                num, den, dv = q, ONE, _ONE_VIEW
-            else:
-                _, lc = den.leading()
-                if lc != 1:
-                    inv = _qdiv(1, lc)
-                    num, den = num * inv, den * inv
-            self.num, self.den, self._dv = num, den, dv
-            return
-        c, t, f = dv
+        c, t, f = _den_view(den) if num.terms else _ONE_VIEW
         if f[-1] != 1:
             inv = _qdiv(1, f[-1])
             num, f = num * inv, [a * inv for a in f]
@@ -821,17 +816,13 @@ class Frac:
         a, b, v1 = self.num, self.den, self._dv
         c, d, v2 = other.num, other.den, other._dv
         # gcd(a + c*b, b) = gcd(a, b) = 1
-        if v2 is _ONE_VIEW and v1 is not None:
+        if v2 is _ONE_VIEW:
             return _frac(a + c * b, *v1)
-        if v1 is _ONE_VIEW and v2 is not None:
+        if v1 is _ONE_VIEW:
             return _frac(a * d + c, *v2)
-        t = False if v1 is None or v2 is None else _same_t(v1, v2)
-        if t is False:
-            if b == d:
-                return Frac(a + c, b)
-            return Frac(a * d + c * b, b * d)
         if b == d:
             return _frac(*_cancel(a + c, *v1))
+        t = _same_t(v1, v2)
         (c1, _, f1), (c2, _, f2) = v1, v2
         cm = mono_min(c1, c2)
         g = _gcd_with(f1, [f2]) if len(f1) > 1 and len(f2) > 1 else [1]
@@ -870,11 +861,8 @@ class Frac:
         other = Frac.of(other)
         if other.num.is_zero():
             raise ZeroDivisionError("division by zero Frac")
-        v = None if other._dv is None else _den_view(other.num)
-        if v is None:
-            return Frac(self.num * other.den, self.den * other.num)
         # the reciprocal of a canonical fraction is canonical once monic
-        c, t, f = v
+        c, t, f = _den_view(other.num)
         inv = _qdiv(1, f[-1])
         return _mul(self, _frac(other.den * inv, c, t, [a * inv for a in f]))
 
@@ -882,11 +870,7 @@ class Frac:
         if not isinstance(other, (Frac, Scalar, int, Fraction)):
             return NotImplemented
         other = Frac.of(other)
-        if self.den == other.den:
-            return self.num == other.num
-        if self._dv is not None and other._dv is not None:
-            return False  # distinct canonical forms
-        return (self.num * other.den - other.num * self.den).is_zero()
+        return self.num == other.num and self.den == other.den
 
     __hash__ = None
 
@@ -921,9 +905,7 @@ def _mul(x: Frac, y: Frac) -> Frac:
     v1, v2 = x._dv, y._dv
     if v1 is _ONE_VIEW and v2 is _ONE_VIEW:
         return _frac(x.num * y.num, *_ONE_VIEW)
-    t = False if v1 is None or v2 is None else _same_t(v1, v2)
-    if t is False:
-        return Frac(x.num * y.num, x.den * y.den)
+    t = _same_t(v1, v2)
     a, c2, _, f2 = _cancel(x.num, *v2)
     c, c1, _, f1 = _cancel(y.num, *v1)
     return _frac(a * c, mono_mul(c1, c2), t, _umul(f1, f2))

@@ -179,7 +179,7 @@ def _bracket_matrix(r: Bivector, point: GroupPoint, matrix, derivatives):
     n x n at one point, N x n x n for a batch point or matrix stack."""
     m = group_element(point) if matrix is None else np.asarray(matrix)
     stack = m.reshape(-1, 5, 5)
-    support = _support(r)
+    support = _support(r) or [0]  # the zero r: one direction gives the shape
     dl = derivatives(stack, point.lam, support, "L")
     dr = derivatives(stack, point.lam, support, "R")
     out = np.moveaxis(_contract(r, dl, dr), -1, 0).astype(complex)

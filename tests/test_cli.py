@@ -160,7 +160,8 @@ def test_csv_export_needs_out(tmp_path, monkeypatch):
 
 # numpy is the only runtime dependency: the test-only packages and the
 # references under tests/ must not be loaded by any suite
-TEST_ONLY_MODULES = ("scipy", "sympy", "hypothesis", "oracles", "tables", "batches")
+TEST_ONLY_MODULES = ("scipy", "sympy", "mpmath", "hypothesis", "oracles", "tables",
+                     "batches")
 
 
 @pytest.mark.parametrize("argv", [
@@ -206,6 +207,24 @@ def test_main_reuses_one_parser():
 @pytest.mark.parametrize("lam", ["formal", "-1"])
 def test_kappa_inv_formal_is_a_config_error(suite, lam):
     assert main([suite, f"--lambda={lam}", "--kappa-inv", "formal"]) == 3
+
+
+@pytest.mark.parametrize("suite", ["check-bialgebra", "classify", "poisson", "nc",
+                                   "export"])
+def test_negative_seed_is_a_config_error(tmp_path, suite):
+    with pytest.raises(ConfigError):
+        RunConfig(seed=-1)
+    assert main([suite, "--seed=-1", "--out", str(tmp_path / "rep.json")]) == 3
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("lam", ["-1", "1"])
+def test_poisson_at_zero_kappa_inv(tmp_path, lam):
+    # the zero r-matrix: the Sklyanin brackets and the tables are all 0
+    out = tmp_path / "rep.json"
+    assert main(["poisson", f"--lambda={lam}", "--kappa-inv=0", "--samples", "20",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["pass"] is True
 
 
 def test_kappa_inv_is_used_under_formal_lambda(tmp_path):
@@ -322,7 +341,7 @@ def test_run_all_checks_passes_every_suite(tmp_path, capsys):
 
 
 def test_poisson_and_export_raise_no_numpy_warnings(tmp_path):
-    # the lambda sweep of the benchmark: both signs, both sides of SERIES_CUT
+    # the lambda sweep of the benchmark: both signs, ordinary and near flat
     out = str(tmp_path / "rep.json")
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -1,10 +1,12 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from kads.curvtrig import SERIES_CUT, Dual, ch, ct, sh, sh_inv, st, tn, tn_inv
+from kads.curvtrig import Dual, ch, ct, sh, sh_inv, st, tn, tn_inv
 from kads.group_geom import (ChartBoundary, GroupPoint, NumericOverflow,
                              OffPseudosphere, OutOfChart, ambient_from_local,
                              ambient_derivatives, ambient_jacobian,
@@ -13,7 +15,7 @@ from kads.group_geom import (ChartBoundary, GroupPoint, NumericOverflow,
                              metric_pullback, pseudosphere_residual)
 from kads.liealg import DIM, IDX, ads_algebra
 
-from batches import STRADDLE_LAMBDAS, assert_same, single, straddling_batch
+from batches import SCALE, STRADDLE_LAMBDAS, assert_same, single, straddling_batch
 from oracles import generator_matrix, invariant_field, vector_rep
 
 LAMBDAS = (-1.0, -0.3, 0.0, 0.3, 1.0)
@@ -181,28 +183,13 @@ def test_metric_values_and_pullback():
             assert np.max(np.abs(metric_at(xx, lam) - metric_pullback(xx, lam))) < 1e-8
 
 
-def test_curvtrig_identities_and_series():
+def test_curvtrig_identities_and_flat_limit():
     rng = np.random.default_rng(10)
     for lam in (-1.0, -0.3, 0.0, 0.3, 1.0, 1e-7, -1e-7):
         for _ in range(40):
             x = float(rng.uniform(-1.2, 1.2))
             assert abs(ch(lam, x) ** 2 + lam * sh(lam, x) ** 2 - 1.0) < 1e-12
             assert abs(ct(lam, x) ** 2 - lam * st(lam, x) ** 2 - 1.0) < 1e-12
-    # series fallback agrees with the closed forms to 1e-12 near lam = 0
-    for x in (0.3, -0.9, 1.2):
-        for lam in (1e-7, -1e-7, 1e-9, -1e-9):
-            root = math.sqrt(abs(lam))
-            if lam < 0:
-                true_sh = math.sinh(root * x) / root
-                true_st = math.sin(root * x) / root
-                true_ch = math.cosh(root * x)
-            else:
-                true_sh = math.sin(root * x) / root
-                true_st = math.sinh(root * x) / root
-                true_ch = math.cos(root * x)
-            assert abs(sh(lam, x) - true_sh) < 1e-12
-            assert abs(st(lam, x) - true_st) < 1e-12
-            assert abs(ch(lam, x) - true_ch) < 1e-12
     # smooth flat limit and invertibility at exactly lam = 0
     for x in (0.3, -0.9):
         for lam in (1e-9, -1e-9, 0.0):
@@ -210,6 +197,75 @@ def test_curvtrig_identities_and_series():
             assert abs(sh(lam, x) - x) < 1e-6
             assert abs(tn_inv(lam, tn(lam, x)) - x) < 1e-12
             assert abs(sh_inv(lam, sh(lam, x)) - x) < 1e-12
+
+
+PRIMITIVES = {"ct": ct, "st": st, "ch": ch, "sh": sh, "sh_inv": sh_inv, "tn_inv": tn_inv}
+
+
+def _reference(name, lam, x):
+    """(value, d/dx) of a primitive at 50 digits, from its closed form."""
+    if name in ("ct", "st"):  # ct(lam) = ch(-lam), st(lam) = sh(-lam)
+        name, lam = {"ct": "ch", "st": "sh"}[name], -lam
+    with mpmath.workdps(50):
+        r = mpmath.sqrt(abs(mpmath.mpf(lam)))
+        u = r * mpmath.mpf(x)
+        neg = lam < 0
+        if name == "ch":
+            out = (mpmath.cosh(u), r * mpmath.sinh(u)) if neg else (mpmath.cos(u), -r * mpmath.sin(u))
+        elif name == "sh":
+            out = (mpmath.sinh(u) / r, mpmath.cosh(u)) if neg else (mpmath.sin(u) / r, mpmath.cos(u))
+        elif name == "sh_inv":
+            s = 1 if neg else -1
+            out = ((mpmath.asinh(u) if neg else mpmath.asin(u)) / r, 1 / mpmath.sqrt(1 + s * u * u))
+        else:  # tn_inv: tn is tan(r x)/r for lam < 0, tanh(r x)/r above
+            s = 1 if neg else -1
+            out = ((mpmath.atan(u) if neg else mpmath.atanh(u)) / r, 1 / (1 + s * u * u))
+        return out
+
+
+def _rel_err(got, want):
+    with mpmath.workdps(50):
+        return float(abs((mpmath.mpf(got) - want) / want))
+
+
+@pytest.mark.parametrize("lam", [s * m for m in (1.0, 3e-5, 1e-8, 1e-300, 5e-324)
+                                 for s in (-1.0, 1.0)])
+def test_curvtrig_matches_a_50_digit_reference(lam):
+    # |lam| x^2 from 1e-24 to 0.25, both signs of x, as one batch
+    q = np.array([1e-24, 1e-20, 1e-16, 1e-12, 1e-8, 1e-4, 1e-2, 0.25])
+    x = np.concatenate([np.sqrt(q), -np.sqrt(q)]) / math.sqrt(abs(lam))
+    assert np.isfinite(x).all()
+    for name, prim in PRIMITIVES.items():
+        vals, duals = prim(lam, x), prim(lam, Dual(x, np.ones_like(x)))
+        for k, xk in enumerate(x):
+            value, deriv = _reference(name, lam, float(xk))
+            for got, want in ((vals[k], value), (duals.re[k], value), (duals.eps[k], deriv)):
+                if abs(want) >= sys.float_info.min:  # a normal double
+                    assert _rel_err(got, want) < 1e-15, (name, lam, xk, got, want)
+
+
+@pytest.mark.parametrize("lam", [0.0, -0.0])
+def test_curvtrig_flat_values_are_exact(lam):
+    rng = np.random.default_rng(12)
+    arr = rng.uniform(-2.0, 2.0, 5)
+    eps = rng.uniform(-1.0, 1.0, (3, 5))
+    for x in (0.7, -1.3, arr, Dual(0.7, eps[:, 0]), Dual(arr, eps)):
+        for prim in (ct, ch):
+            got = prim(lam, x)
+            if isinstance(x, Dual):
+                assert isinstance(got, Dual)
+                assert np.shape(got.re) == np.shape(x.re) and np.shape(got.eps) == np.shape(x.eps)
+                assert np.all(got.re == 1.0) and np.all(got.eps == 0.0)
+            else:
+                assert type(got) is type(x) and np.shape(got) == np.shape(x)
+                assert np.all(got == 1.0)
+        for prim in (st, sh, sh_inv, tn_inv, tn):
+            got = prim(lam, x)
+            if isinstance(x, Dual):
+                assert isinstance(got, Dual)
+                assert np.array_equal(got.re, x.re) and np.array_equal(got.eps, x.eps)
+            else:
+                assert type(got) is type(x) and np.array_equal(got, x)
 
 
 def test_dual_arithmetic():
@@ -347,8 +403,8 @@ def test_ambient_jacobian_shape():
 def test_straddling_batch_is_mixed(lam):
     batch = straddling_batch(lam)
     for c, scale in zip(batch.coords(), [lam] * 4 + [1.0] * 6):
-        small = abs(scale) * c * c < SERIES_CUT
-        assert small.any() and not small.all()
+        tiny = abs(scale) * c * c < SCALE
+        assert tiny.any() and not tiny.all()
 
 
 @pytest.mark.parametrize("lam", STRADDLE_LAMBDAS)
@@ -358,8 +414,8 @@ def test_primitives_on_a_mixed_batch_equal_single_points(lam):
     for prim in (ct, st, ch, sh, tn, sh_inv, tn_inv):
         arg = x if prim not in (sh_inv, tn_inv) else 0.5 * sh(lam, x)
         vals, duals = prim(lam, arg), prim(lam, Dual(arg, eps))
-        # each element takes the branch it takes alone, so the arithmetic is
-        # the same and the values agree bit for bit
+        # each element takes the arithmetic it takes alone, so the values
+        # agree bit for bit
         for k in range(len(x)):
             assert vals[k] == prim(lam, float(arg[k]))
             one = prim(lam, Dual(float(arg[k]), eps[:, k]))

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from kads.curvtrig import Dual
 from kads.scalars import (EXP_MAX, NPARAMS, PARAMS, WEIGHTS, CyclicSubstitution,
                           ExponentOverflow, Frac, NonTerminating, Scalar,
-                          UnboundParameter, _shift, accumulate, make_rule,
-                          mono_divides, mono_min, mono_mul, pack, poly_divmod, rat,
-                          reduce_mod, sym, unpack)
+                          UnboundParameter, UnsupportedDenominator, _shift,
+                          accumulate, make_rule, mono_divides, mono_min, mono_mul,
+                          pack, poly_divmod, rat, reduce_mod, sym, unpack)
 
 from oracles import sphere_rules, trig_rules
 
@@ -232,8 +232,11 @@ def test_poly_divmod_exact_and_remainder():
 
 
 def test_frac_arithmetic():
-    f = Frac(eta ** 2 - kinv ** 2, eta - kinv)
-    assert f == Frac(eta + kinv)
+    t = eta * kinv
+    f = Frac(t ** 2 - 1, t - 1)
+    assert f == Frac(t + 1)
+    with pytest.raises(UnsupportedDenominator):  # eta - kinv is no x^c * f(t)
+        Frac(eta ** 2 - kinv ** 2, eta - kinv)
     g = Frac(rat(1), 1 - (eta * kinv) ** 2)
     h = g + g
     assert h == Frac(rat(2), 1 - (eta * kinv) ** 2)
@@ -241,17 +244,27 @@ def test_frac_arithmetic():
     assert (g * Frac(1 - (eta * kinv) ** 2)) == Frac(rat(1))
 
 
+# numerators a Frac can divide by: x^c * f(eta*kinv)
+view_st = st.builds(
+    lambda coeffs, c: sum((Scalar.monomial(Fraction(a), eta=k, kinv=k + c, alpha1=c)
+                           for k, a in enumerate(coeffs)), Scalar()),
+    st.lists(st.integers(-6, 6), min_size=0, max_size=4), st.integers(0, 1))
+
+
 @settings(max_examples=60, deadline=None)
-@given(scalars_st, scalars_st)
-def test_frac_field_axioms(p, q):
+@given(scalars_st, scalars_st, view_st)
+def test_frac_field_axioms(p, q, v):
     den = eta * kinv - 1  # nonzero localized denominator
     a = Frac(p, den)
     b = Frac(q, den * den)
     assert a + b == b + a
     assert a * b == b * a
     assert (a - a).is_zero()
-    if not b.is_zero():
-        assert (a / b) * b == a
+    c = Frac(v, den * den)
+    if not c.is_zero():
+        assert (a / c) * c == a
+    with pytest.raises(UnsupportedDenominator):  # a divisor with numerator eta + kinv
+        a / Frac(eta + kinv, den)
 
 
 def test_frac_eq_with_foreign_operands():
@@ -310,8 +323,8 @@ def test_frac_canonical_form_matches_sympy_cancel(tname, p, qc, shift, gc):
 
 
 @settings(max_examples=60, deadline=None)
-@given(numerators_st, ucoeffs_st, st.integers(0, 1), numerators_st, ucoeffs_st)
-def test_frac_ops_give_the_canonical_form(p1, qc1, shift, p2, qc2):
+@given(numerators_st, ucoeffs_st, st.integers(0, 1), numerators_st, ucoeffs_st, ucoeffs_st)
+def test_frac_ops_give_the_canonical_form(p1, qc1, shift, p2, qc2, vc):
     t = eta * kinv
     q1, q2 = t ** shift * upoly(t, qc1), upoly(t, qc2)
     x, y = Frac(p1, q1), Frac(p2, q2)
@@ -319,8 +332,10 @@ def test_frac_ops_give_the_canonical_form(p1, qc1, shift, p2, qc2):
                       (x - y, Frac(p1 * q2 - p2 * q1, q1 * q2)),
                       (x * y, Frac(p1 * p2, q1 * q2))):
         assert (got.num, got.den) == (want.num, want.den)
-    if not p2.is_zero():
-        assert x / y == Frac(p1 * q2, q1 * p2)
+    v = upoly(t, vc)  # a divisor numerator of the form f(t)
+    assert x / Frac(v, q2) == Frac(p1 * q2, q1 * v)
+    with pytest.raises(UnsupportedDenominator):  # a divisor with numerator eta + kinv
+        x / Frac(eta + kinv, q2)
 
 
 def test_monomial_order_is_multiplicative():
@@ -430,9 +445,15 @@ def test_exact_kernel_makes_no_float(p, q, k):
     if not q.is_zero():
         rule = make_rule(q)
         out += [rule.rhs, reduce_mod(p, [rule]), *poly_divmod(p * q + p, q)]
-        x, y = Frac(p, q), Frac(q + 1, (eta * kinv - 2) * k)
+    # a polynomial in eta alone is x^c * f(t) with t = eta: a valid
+    # denominator and divisor
+    pe, qe = (s.substitute({"kinv": rat(1), "alpha1": rat(1)}) for s in (p, q))
+    if not qe.is_zero():
+        x, y = Frac(p, qe), Frac(q + 1, (eta - 2) * k)
         out += [x, y, x + y, x - y, x * y, -x, x + 1, y * k]
-        if not p.is_zero():
-            out.append(y / x)
+        if not pe.is_zero():
+            out.append(y / Frac(pe, qe))
     for r in out:
         assert canonical_exact(r), r
+    with pytest.raises(UnsupportedDenominator):  # polynomials in different t
+        Frac(rat(1), 1 - eta * kinv) + Frac(rat(1), 1 - sym("Lambda"))

@@ -7,6 +7,7 @@ from scipy.integrate import solve_ivp
 from batches import STRADDLE_LAMBDAS, assert_same, single, straddling_batch
 from oracles import (Poisson3D, push_local_to_ambient, quadratic_space_poisson,
                      sklyanin_bracket)
+from kads.bialgebra import Bivector
 from kads.curvtrig import Dual, eta_of
 from kads.group_geom import GroupPoint, ambient_from_local, group_element
 from kads.rclass import r_kads, r_kads_twisted, r_poincare, r_poincare_twisted
@@ -167,9 +168,21 @@ def test_generic_bracket_antisymmetry_and_leibniz():
     assert abs(lhs - rhs) < 1e-12
 
 
+@pytest.mark.parametrize("lam", [-1.0, 1.0])
+def test_zero_r_matrix_gives_zero_brackets(lam):
+    # r_kads(0, eta) is the zero bivector: every bracket vanishes, in the usual shape
+    assert not r_kads(0.0, eta_of(lam)).components
+    p = GroupPoint(x=(0.2, 0.1, -0.3, 0.25), xi=(0.1, 0.0, -0.2), th=(0.3, -0.1, 0.2), lam=lam)
+    batch = sample_points(3, lam, np.random.default_rng(4))
+    for bracket, n in ((bracket_matrix_local, 4), (bracket_matrix_ambient, 5)):
+        one, many = bracket(Bivector(), p), bracket(Bivector(), batch)
+        assert one.shape == (n, n) and many.shape == (3, n, n)
+        assert not one.any() and not many.any()
+
+
 def test_sklyanin_bracket_matches_bracket_matrix():
-    # both contract the same invariant-field derivatives, on both sides of
-    # SERIES_CUT and for the complex positive-lambda r-matrix
+    # both contract the same invariant-field derivatives, ordinary and near
+    # flat, and for the complex positive-lambda r-matrix
     for lam in (-1.0, -1e-9, 0.5):
         r = r_kads_twisted(KINV, eta_of(lam), VTH)
         p = GroupPoint(x=(0.2, 0.1, -0.3, 0.25), xi=(0.1, 0.0, -0.2),
