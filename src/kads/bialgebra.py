@@ -120,23 +120,22 @@ class Trivector:
         return components_norm(self.components.values())
 
 
-def cocommutator(g: LieAlgebra, r: Bivector) -> dict:
-    """delta(T_m) = [T_m (x) 1 + 1 (x) T_m, r] for every generator m.
+def cocommutator_of(g: LieAlgebra, r: Bivector, m: int) -> Bivector:
+    """delta(T_m) = [T_m (x) 1 + 1 (x) T_m, r] in the wedge basis."""
+    store: dict = {}
+    for (i, j), c in r.components.items():
+        for k, cb in g.bracket_basis(m, i):
+            _wedge2(store, k, j, c * cb)
+        for k, cb in g.bracket_basis(m, j):
+            _wedge2(store, i, k, c * cb)
+    b = Bivector()
+    b.components = store
+    return b
 
-    Returns a map generator index -> Bivector in the wedge basis.
-    """
-    table = {}
-    for m in range(g.dim):
-        store: dict = {}
-        for (i, j), c in r.components.items():
-            for k, cb in g.bracket_basis(m, i):
-                _wedge2(store, k, j, c * cb)
-            for k, cb in g.bracket_basis(m, j):
-                _wedge2(store, i, k, c * cb)
-        b = Bivector()
-        b.components = store
-        table[m] = b
-    return table
+
+def cocommutator(g: LieAlgebra, r: Bivector) -> dict:
+    """delta(T_m) for every generator m: a map index -> Bivector."""
+    return {m: cocommutator_of(g, r, m) for m in range(g.dim)}
 
 
 def schouten(g: LieAlgebra, r: Bivector) -> Trivector:

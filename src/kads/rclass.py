@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bialgebra import (Bivector, cocommutator, mcybe_residual_components,
+from .bialgebra import (Bivector, cocommutator_of, mcybe_residual_components,
                         mcybe_residual_dense)
 from .liealg import (DIM, IDX, BasisRotation, LieAlgebra, ads_algebra, ads_tensor,
                      rotate_basis)
@@ -125,8 +125,8 @@ def impose_primitivity(fam: RFamily, g: LieAlgebra, x_index: int) -> RFamily:
     Returns the reduced family: the affine solution set re-parametrized by
     fresh parameters t0, t1, ... (directions with polynomial entries).
     """
-    delta_const = cocommutator(g, fam.const)[x_index]
-    delta_dirs = {p: cocommutator(g, fam.directions[p])[x_index] for p in fam.params}
+    delta_const = cocommutator_of(g, fam.const, x_index)
+    delta_dirs = {p: cocommutator_of(g, fam.directions[p], x_index) for p in fam.params}
 
     keys = set(delta_const.components)
     for d in delta_dirs.values():

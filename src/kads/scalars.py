@@ -557,7 +557,7 @@ def poly_divmod(p: Scalar, d: Scalar) -> tuple:
 # first, without trailing zeros.  Coefficients are ints or Fractions, not
 # necessarily canonical; they are made canonical where they enter a Scalar.
 
-_PRIME = (1 << 61) - 1  # modulus of the coprimality pre-test
+_PRIME = (1 << 61) - 1  # modulus of the modular gcd
 
 
 def _dense(coeffs: dict) -> list:
@@ -622,7 +622,7 @@ def _mod_p(a: list):
 
 
 def _ugcd_p(a: list, b: list) -> list:
-    """A gcd over GF(_PRIME) (not normalized; only its degree is used)."""
+    """A gcd over GF(_PRIME), not monic (see _lift)."""
     while b:
         nb = len(b) - 1
         inv = pow(b[-1], -1, _PRIME)
@@ -639,30 +639,64 @@ def _ugcd_p(a: list, b: list) -> list:
     return a
 
 
-def _gcd_with(f: list, polys: list) -> list:
-    """Monic gcd of the monic f and every polynomial of ``polys``.
+def _lift(g: list) -> list:
+    """The monic form of g over GF(_PRIME), lifted to symmetric integers."""
+    inv = pow(g[-1], -1, _PRIME)
+    out = []
+    for x in g:
+        x = x * inv % _PRIME
+        out.append(x - _PRIME if x > _PRIME >> 1 else x)
+    return out
 
-    Pre-test modulo p = 2^61 - 1: if no coefficient denominator is
-    divisible by p, the rational gcd G is monic with p-integral coefficients
-    (f is) and G mod p divides every image, so a gcd of degree 0 mod p
-    proves G = 1.  Otherwise Euclid runs over Q.
+
+def _cofactors(g: list, f: list, polys: list):
+    """(f/g, [P/g, ...]) when the monic g divides f and every P, else None."""
+    out = []
+    for p in (f, *polys):
+        q, r = _udivmod(p, g)
+        if r:
+            return None
+        out.append(q)
+    return out[0], out[1:]
+
+
+def _gcd_with(f: list, polys: list) -> tuple:
+    """Monic gcd G of the monic f and every polynomial of ``polys``, with its
+    cofactors: (G, f/G, [P/G for P in polys]).
+
+    Modular gcd (Brown 1971) with p = 2^61 - 1.  When no coefficient
+    denominator is divisible by p, G is monic with p-integral coefficients
+    (f is), so G mod p divides every image and deg gcd_p >= deg G.  A gcd
+    of degree 0 mod p thus proves G = 1.  Otherwise, when f has integer
+    coefficients (so has G, by Gauss's lemma), the monic gcd_p is lifted to
+    symmetric integers; a lift that divides f and every P exactly is a
+    monic common divisor of degree >= deg G, so it is G, and the divisions
+    give the cofactors.  Euclid over Q runs only when a coefficient
+    denominator is divisible by p, a coefficient of f is not an integer, or
+    the lift does not divide: G has a coefficient beyond +-2^60, or p
+    divides a resultant and deg gcd_p > deg G.
     """
-    polys = sorted(polys, key=len)
     g = _mod_p(f)
     if g is not None:
-        for p in polys:
+        for p in sorted(polys, key=len):
             pp = _mod_p(p)
             if pp is None:
                 break
             g = _ugcd_p(g, pp)
             if len(g) == 1:
-                return [1]
+                return [1], f, polys
+        else:
+            if all(type(a) is int for a in f):
+                g = _lift(g)
+                cof = _cofactors(g, f, polys)
+                if cof is not None:
+                    return (g, *cof)
     g = f
     for p in polys:
         g = _ugcd(g, p)
         if len(g) == 1:
-            break
-    return g
+            return [1], f, polys
+    return (g, *_cofactors(g, f, polys))
 
 
 def _shift(m: int, t: int, k: int) -> int:
@@ -741,16 +775,15 @@ def _cancel(num: Scalar, c: int, t, f: list) -> tuple:
         if p is None:
             coords[r] = p = {}
         p[k] = a
-    polys = {r: _dense(p) for r, p in coords.items()}
-    g = _gcd_with(f, list(polys.values()))
+    g, fg, quots = _gcd_with(f, [_dense(p) for p in coords.values()])
     if len(g) == 1:
         return num, c, t, f
     out = {}
-    for r, p in polys.items():
-        for k, a in enumerate(_udivmod(p, g)[0]):
+    for r, q in zip(coords, quots):
+        for k, a in enumerate(q):
             if a:
                 out[_shift(r, t, k)] = _canon(a)
-    return _wrap(out), c, t, _udivmod(f, g)[0]
+    return _wrap(out), c, t, fg
 
 
 def _same_t(v1, v2):
@@ -779,6 +812,9 @@ class Frac:
     :class:`UnsupportedDenominator`.  Addition follows Henrici: with
     g = gcd(b, d), a/b + c/d = (a*(d/g) + c*(b/g)) / (b*d/g), and only
     gcd(num, g) is left to cancel; multiplication cancels crosswise.
+    Every gcd over Q[t] is a modular one (:func:`_gcd_with`): taken modulo
+    p = 2^61 - 1, lifted to integers and accepted when it divides exactly,
+    the divisions giving the cofactors; Euclid over Q is the fallback.
     ``_dv`` is the view (c, t, f) of the denominator, c and t packed
     monomials.
     """
@@ -825,8 +861,10 @@ class Frac:
         t = _same_t(v1, v2)
         (c1, _, f1), (c2, _, f2) = v1, v2
         cm = mono_min(c1, c2)
-        g = _gcd_with(f1, [f2]) if len(f1) > 1 and len(f2) > 1 else [1]
-        f1g, f2g = _udivmod(f1, g)[0], _udivmod(f2, g)[0]
+        if len(f1) > 1 and len(f2) > 1:
+            g, f1g, (f2g,) = _gcd_with(f1, [f2])
+        else:
+            g, f1g, f2g = [1], f1, f2
         num = (a * _den_scalar(c2 - cm, t, f2g)
                + c * _den_scalar(c1 - cm, t, f1g))
         num, cg, _, gr = _cancel(num, cm, t, g)

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import numpy as np
@@ -338,11 +339,24 @@ def test_substitute_at_a_pole_is_named():
     assert not nf.substitute({"eta": rat(1), "kinv": rat(1, 2)}).is_zero()
 
 
+# (a, b): largest total denominator degree of the x2^a x1^b ladder, and the
+# sha256 of its coefficients' exact values at eta = 3/7, kinv = 5/11
+LADDERS = {
+    (3, 3): (36, "c7866f0b8f692b12641ea22e0b894e39998c5df299c3cf0d14eac18ec9c60bfc"),
+    (4, 4): (84, "3ff0f8596f9884cbb42415d2d3746205e79f72d9e86bd26505689d04ac7063d9"),
+}
+
+
 def test_reduced_denominator_degree():
-    # the x2^3 x1^3 ladder: degree 36 once gcds cancel (68 without)
-    A = quantum_sphere()
-    nf = A.normal_form(NCPoly.word((A.pos["x2"],) * 3 + (A.pos["x1"],) * 3))
-    assert max(c.den.total_degree() for c in nf.terms.values()) == 36
+    # 68 for x2^3 x1^3 without gcd cancellation; x2^4 x1^4 (degree 42 in
+    # eta) is longer than any ladder of the benchmark
+    point = {"eta": rat(3, 7), "kinv": rat(5, 11)}
+    for (a, b), (degree, digest) in LADDERS.items():
+        A = quantum_sphere()
+        nf = A.normal_form(NCPoly.word((A.pos["x2"],) * a + (A.pos["x1"],) * b))
+        assert max(c.den.total_degree() for c in nf.terms.values()) == degree
+        text = ";".join(f"{w}={nf.terms[w].substitute(point)}" for w in sorted(nf.terms))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 E = sympy.Symbol("E")

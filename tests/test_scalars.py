@@ -6,12 +6,14 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from kads import scalars
 from kads.curvtrig import Dual
 from kads.scalars import (EXP_MAX, NPARAMS, PARAMS, WEIGHTS, CyclicSubstitution,
                           ExponentOverflow, Frac, NonTerminating, Scalar,
-                          UnboundParameter, UnsupportedDenominator, _shift,
-                          accumulate, make_rule, mono_divides, mono_min, mono_mul,
-                          pack, poly_divmod, rat, reduce_mod, sym, unpack)
+                          UnboundParameter, UnsupportedDenominator, _gcd_with,
+                          _shift, _umul, accumulate, make_rule, mono_divides,
+                          mono_min, mono_mul, pack, poly_divmod, rat, reduce_mod,
+                          sym, unpack)
 
 from oracles import sphere_rules, trig_rules
 
@@ -311,10 +313,15 @@ def test_frac_canonical_form_matches_sympy_cancel(tname, p, qc, shift, gc):
     q = t ** shift * upoly(t, qc)
     g = upoly(t, gc)
     f = Frac(p * g, q * g)
-    assert f.den.leading()[1] == 1
     if p.is_zero():
         assert f.is_zero() and f.den == Scalar.rational(1)
         return
+    assert_cancelled(f, p, q)
+
+
+def assert_cancelled(f: Frac, p: Scalar, q: Scalar):
+    """f is p/q in lowest terms with a monic denominator (sympy.cancel)."""
+    assert f.den.leading()[1] == 1
     num, den = sympy.fraction(sympy.cancel(sympy_of(p) / sympy_of(q)))
     k = sympy.cancel(den / sympy_of(f.den))
     assert k.is_Rational and k != 0
@@ -407,6 +414,72 @@ def test_shift_past_the_weight_bound():
     assert _shift(_shift(m, t, 3), t, -3) == m
     with pytest.raises(ExponentOverflow):
         _shift(m, t, EXP_MAX + 1)
+
+
+# -- the modular gcd and its cofactors ---------------------------------------------
+
+P61 = (1 << 61) - 1
+
+# common factor G, cofactors of f and P (in t, constant term first), and
+# whether Euclid over Q must run
+GCD_CASES = {
+    "lift divides": ([3, 1], [2, 1], [-1, 1], False),
+    "lift beyond 2^60": ([2 ** 62 + 3, 1], [2, 1], [-1, 1], True),
+    "f denominator divisible by p": ([Fraction(1, P61), 1], [3, 1], [-1, 1], True),
+    "P denominator divisible by p": ([1, 1], [3, 1], [Fraction(-1, P61), 1], True),
+    "non-integer f coefficient": ([Fraction(1, 2), 1], [3, 1], [-1, 1], True),
+}
+
+
+def assert_cofactors(f: list, polys: list) -> list:
+    """_gcd_with's monic gcd, after checking G * cofactor == input for each."""
+    g, fq, quots = _gcd_with(f, polys)
+    assert g[-1] == 1
+    for p, q in zip([f, *polys], [fq, *quots]):
+        assert _umul(g, q) == list(p)
+    return g
+
+
+@pytest.mark.parametrize("case", sorted(GCD_CASES))
+def test_gcd_branches_match_sympy_cancel(case, monkeypatch):
+    g, fc, pc, euclid = GCD_CASES[case]
+    ugcd, calls = scalars._ugcd, []
+    monkeypatch.setattr(scalars, "_ugcd", lambda a, b: calls.append(1) or ugcd(a, b))
+    f, p = _umul(g, fc), _umul(g, pc)
+    assert assert_cofactors(f, [p]) == g
+    assert bool(calls) == euclid
+    t = eta * kinv
+    x = Frac(upoly(t, p), upoly(t, f))
+    assert (x.num, x.den) == (upoly(t, pc), upoly(t, fc))
+    assert_cancelled(x, upoly(t, p), upoly(t, f))
+
+
+ucoeff_st = st.one_of(st.integers(-6, 6), st.fractions(-3, 3, max_denominator=4))
+upoly_st = st.lists(ucoeff_st, min_size=1, max_size=4).filter(lambda c: c[-1] != 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(upoly_st, upoly_st, st.lists(upoly_st, min_size=1, max_size=3), view_st)
+def test_gcd_cofactors_multiply_back(gc, fc, pcs, v):
+    # every gcd that building and combining view-form fractions takes
+    t = eta * kinv
+    g, q = upoly(t, gc), upoly(t, fc)
+    num = sum((sym("vtheta", r) * upoly(t, pc) for r, pc in enumerate(pcs)), Scalar())
+    seen = []
+
+    def recording(f, polys):
+        seen.append((f, polys))
+        return _gcd_with(f, polys)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scalars, "_gcd_with", recording)
+        x = Frac(num * g, q * g)
+        y = Frac(v, q * g * g)
+        x + y, x * y
+    for f, polys in seen:
+        assert_cofactors(f, polys)
+    if num:
+        assert_cancelled(x, num, q)
 
 
 # -- exactness: coefficients stay int or Fraction ---------------------------------
