@@ -2,9 +2,11 @@
 """Run every verification suite and drop the JSON reports next to each other.
 
 Usage:  python scripts/run_all_checks.py [outdir]
-Exit code is the worst exit code of the individual suites.
+Exit code is the worst exit code of the individual suites.  Each line
+ends with the report's sha256, so two runs compare with one ``diff``.
 """
 
+import hashlib
 import pathlib
 import sys
 
@@ -43,7 +45,9 @@ def run(outdir: pathlib.Path) -> int:
     for name, args in SUITES:
         out = outdir / f"{name}.json"
         code = main(args + ["--out", str(out)])
-        print(f"{name}: exit {code} -> {out}")
+        # a configuration error (exit 3) writes no report
+        digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
+        print(f"{name}: exit {code} -> {out} sha256={digest}")
         worst = max(worst, code)
     return worst
 

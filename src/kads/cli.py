@@ -17,7 +17,6 @@ import os
 import re
 import sys
 from dataclasses import asdict, dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -221,8 +220,9 @@ def cmd_poisson(cfg: RunConfig) -> dict:
          rclass.r_kads_twisted(kinv, eta, cfg.twist)),
         ("ambient", sklyanin.closed_form_ambient(lam, kinv), rclass.r_kads(kinv, eta)),
     ]
+    batch = sklyanin.SampleBatch(cfg.samples, lam, cfg.seed)
     for name, table, r in tables:
-        rep = sklyanin.verify_table(r, table, cfg.samples, lam, seed=cfg.seed)
+        rep = sklyanin.verify_table(r, table, batch)
         rep["worst_point"] = list(rep["worst_point"]) if rep["worst_point"] else None
         reports[name] = rep
         checks.append(_check(f"{name}.sklyanin_match", rep["max_deviation"],
@@ -239,8 +239,8 @@ def cmd_poisson(cfg: RunConfig) -> dict:
     rng = np.random.default_rng(cfg.seed)
     x = tuple(rng.uniform(-0.8, 0.8, (min(cfg.samples, 50), 4)).T)
     exp_worst = 0.0
-    for i, j in combinations(range(4), 2):
-        z, f = sklyanin.eta_expansion_entry("local", i, j, x, kinv)
+    for (i, j), v in sklyanin.eta_expansion_table("local", kinv).entries(x).items():
+        z, f = re_part(v), eps_part(v)
         want = sklyanin.reading_entry(reading, i, j, x)
         for dev in (abs(z - re_part(want)), abs(f - eps_part(want))):
             exp_worst = sklyanin.worst_of(exp_worst, float(np.max(dev)))
@@ -303,8 +303,7 @@ def cmd_export(cfg: RunConfig) -> dict:
         "metric_pullback_dev": column(np.max(np.abs(metr - metric_pullback(x, lam)),
                                              axis=(-2, -1))),
     }
-    brackets = {f"x{i}^x{j}": column(table.entry(i, j, x))
-                for i in range(4) for j in range(i + 1, 4)}
+    brackets = {f"x{i}^x{j}": column(v) for (i, j), v in table.entries(x).items()}
     rows = [dict({name: col[k] for name, col in columns.items()},
                  brackets={pair: repr(complex(v[k])) for pair, v in brackets.items()})
             for k in range(n)]

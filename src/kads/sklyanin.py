@@ -6,9 +6,17 @@ The local and twisted tables are closed forms in the curvature trig
 primitives; the ambient table is the quantum algebra's first-order Poisson
 reading at (eta, kinv).  Both serve negative, zero and positive
 cosmological constant (entries acquire the imaginary curvature scale eta
-for lam > 0) and accept dual-number coordinates or a dual eta.  Every
-entry takes coordinate arrays of N points as well as floats, and the
-checks evaluate all their sample points as one batch.
+for lam > 0) and accept dual-number coordinates or a dual eta.  A table
+evaluates all its pairs at once (``BracketTable.entries``), the local
+and twisted ones from one ch and one sh per coordinate, on floats or on
+coordinate arrays of N points.
+
+A ``SampleBatch`` holds the sample points of one run, their Lorentz
+partners, their one group-element stack and, built on first use, the L
+and R derivatives of the coset and of the ambient coordinates along
+every generator.  ``kads poisson`` checks all three tables on one batch:
+``verify_table`` contracts the batch's derivatives with each table's
+r-matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from .bialgebra import Bivector
 from .curvtrig import Dual, ch, eps_part, eta_of, re_part, sh
 from .group_geom import (GroupPoint, ambient_derivatives, ambient_from_local,
                          coset_derivatives, group_element)
-from .liealg import worst_of
+from .liealg import DIM, worst_of
 from .ncalg import ambient_algebra, poisson_reading
 
 LOCAL_LABELS = ("x0", "x1", "x2", "x3")
@@ -34,40 +42,31 @@ AMBIENT_LABELS = ("s4", "s0", "s1", "s2", "s3")
 # -- closed-form entries -------------------------------------------------------
 
 
-def local_time_space(a: int, x, lam, eta, kinv):
-    """{x0, xa}: the flat-looking sector, real for either curvature sign."""
-    x1, x2, x3 = x[1], x[2], x[3]
-    if a == 1:
-        return -kinv * sh(lam, x1) / (ch(lam, x1) * ch(lam, x2) ** 2 * ch(lam, x3) ** 2)
-    if a == 2:
-        return -kinv * sh(lam, x2) / (ch(lam, x2) * ch(lam, x3) ** 2)
-    return -kinv * sh(lam, x3) / ch(lam, x3)
+def local_entries(x, lam, eta, kinv, vtheta=None) -> dict:
+    """Every {x^i, x^j}, i < j, of the local table (the twisted table when
+    ``vtheta`` is given), keyed (i, j) in ``combinations`` order, from one
+    ch and one sh of each space coordinate.
 
-
-def local_space_space(a: int, b: int, x, lam, eta, kinv):
-    """{xa, xb} for a < b: one power of eta times a real profile.
-
-    Parenthesized so the flat-limit dual derivative lands bit-exactly on
-    the quadratic polynomials kinv * (x x).
+    {x0, xa} is the flat-looking sector, real for either curvature sign;
+    {xa, xb} is one power of eta times a real profile, parenthesized so the
+    flat-limit dual derivative lands bit-exactly on the quadratic
+    polynomials kinv * (x x).  The twist only touches {x0, x1} and {x0, x2}.
     """
-    x1, x2, x3 = x[1], x[2], x[3]
-    t3 = sh(lam, x3) / ch(lam, x3)
-    if (a, b) == (1, 2):
-        return -(kinv * (ch(lam, x1) * (t3 * t3))) * eta
-    if (a, b) == (1, 3):
-        t2 = sh(lam, x2) / ch(lam, x2)
-        return (kinv * (ch(lam, x1) * (t2 * t3))) * eta
-    return -(kinv * (sh(lam, x1) * t3)) * eta
-
-
-def twisted_time_space(a: int, x, lam, eta, kinv, vtheta):
-    base = local_time_space(a, x, lam, eta, kinv)
-    x1, x2 = x[1], x[2]
-    if a == 1:
-        return base - vtheta * ch(lam, x1) * sh(lam, x2) / ch(lam, x2)
-    if a == 2:
-        return base + vtheta * sh(lam, x1)
-    return base
+    c1, c2, c3 = (ch(lam, v) for v in x[1:])
+    s1, s2, s3 = (sh(lam, v) for v in x[1:])
+    t2, t3 = s2 / c2, s3 / c3
+    out = {
+        (0, 1): -kinv * s1 / (c1 * c2 ** 2 * c3 ** 2),
+        (0, 2): -kinv * s2 / (c2 * c3 ** 2),
+        (0, 3): -kinv * s3 / c3,
+        (1, 2): -(kinv * (c1 * (t3 * t3))) * eta,
+        (1, 3): (kinv * (c1 * (t2 * t3))) * eta,
+        (2, 3): -(kinv * (s1 * t3)) * eta,
+    }
+    if vtheta is not None:
+        out[0, 1] = out[0, 1] - vtheta * c1 * s2 / c2
+        out[0, 2] = out[0, 2] + vtheta * s1
+    return out
 
 
 def reading_terms(reading: dict, labels, values) -> dict:
@@ -114,21 +113,25 @@ class BracketTable:
             self._terms = reading_terms(formal_reading(ambient_algebra), self.labels,
                                         {"eta": self.eta, "kinv": self.kinv})
 
+    def entries(self, coords) -> dict:
+        """Every {x^i, x^j}, i < j, keyed (i, j) in ``combinations`` order;
+        a pair of the ambient table without terms is integer 0."""
+        if self.name == "local":
+            return local_entries(coords, self.lam, self.eta, self.kinv)
+        if self.name == "twisted":
+            return local_entries(coords, self.lam, self.eta, self.kinv, self.vtheta)
+        if self.name == "ambient":
+            return {(i, j): reading_entry(self._terms, i, j, coords)
+                    for i, j in combinations(range(self.dim), 2)}
+        raise KeyError(self.name)
+
     def entry(self, i: int, j: int, coords):
+        """One {x^i, x^j} of ``entries``, antisymmetric in (i, j)."""
         if i == j:
             return 0.0
         if i > j:
             return -self.entry(j, i, coords)
-        if self.name in ("local", "twisted"):
-            if i == 0:
-                if self.name == "twisted":
-                    return twisted_time_space(j, coords, self.lam, self.eta,
-                                              self.kinv, self.vtheta)
-                return local_time_space(j, coords, self.lam, self.eta, self.kinv)
-            return local_space_space(i, j, coords, self.lam, self.eta, self.kinv)
-        if self.name == "ambient":
-            return reading_entry(self._terms, i, j, coords)
-        raise KeyError(self.name)
+        return self.entries(coords)[i, j]
 
     @property
     def dim(self) -> int:
@@ -174,15 +177,18 @@ def _contract(r: Bivector, dl: dict, dr: dict) -> np.ndarray:
     return out
 
 
+def _brackets(r: Bivector, dl: dict, dr: dict) -> np.ndarray:
+    """The contraction as N x n x n complex brackets, point-major."""
+    return np.moveaxis(_contract(r, dl, dr), -1, 0).astype(complex)
+
+
 def _bracket_matrix(r: Bivector, point: GroupPoint, matrix, derivatives):
     """All brackets of the coordinates that ``derivatives`` differentiates:
     n x n at one point, N x n x n for a batch point or matrix stack."""
     m = group_element(point) if matrix is None else np.asarray(matrix)
     stack = m.reshape(-1, 5, 5)
     support = _support(r) or [0]  # the zero r: one direction gives the shape
-    dl = derivatives(stack, point.lam, support, "L")
-    dr = derivatives(stack, point.lam, support, "R")
-    out = np.moveaxis(_contract(r, dl, dr), -1, 0).astype(complex)
+    out = _brackets(r, *(derivatives(stack, point.lam, support, side) for side in "LR"))
     return out[0] if m.ndim == 2 else out
 
 
@@ -218,43 +224,74 @@ def _first_worst(per_point: np.ndarray):
     return int(np.argmax(per_point == worst)) if worst > 0 else None
 
 
-def verify_table(r: Bivector, table: BracketTable, samples: int, lam: float,
-                 seed: int = 0x5EED) -> dict:
-    """Compare the Sklyanin bracket against a closed-form table on a grid,
-    and check that it does not depend on the Lorentz coordinates.
+class SampleBatch:
+    """The sample points of one run, shared by every table it checks.
 
-    The samples and their Lorentz partners (same x, fresh xi and th, drawn
-    after all samples) form one batch: one group-element stack, one dual
-    chain per side and one table evaluation per pair.
+    ``samples`` points drawn from ``seed`` (``sample_points``), their
+    Lorentz partners (same x, fresh xi and th, drawn after all samples) and
+    one group-element stack holding both, samples first.  The L and R
+    derivatives of the coset and of the ambient coordinates along every
+    generator are each built once, on first use.
     """
-    rng = np.random.default_rng(seed)
-    pts = sample_points(samples, lam, rng)
-    turn = rng.uniform(-0.5, 0.5, (samples, 6)).T
-    both = GroupPoint(x=tuple(np.concatenate([c, c]) for c in pts.x),
-                      xi=tuple(np.concatenate([c, t]) for c, t in zip(pts.xi, turn[:3])),
-                      th=tuple(np.concatenate([c, t]) for c, t in zip(pts.th, turn[3:])),
-                      lam=lam)
-    m = group_element(both)
+
+    def __init__(self, samples: int, lam: float, seed: int = 0x5EED):
+        rng = np.random.default_rng(seed)
+        self.samples, self.lam, self.seed = samples, lam, seed
+        self.points = pts = sample_points(samples, lam, rng)
+        turn = rng.uniform(-0.5, 0.5, (samples, 6)).T
+        both = GroupPoint(x=tuple(np.concatenate([c, c]) for c in pts.x),
+                          xi=tuple(np.concatenate([c, t]) for c, t in zip(pts.xi, turn[:3])),
+                          th=tuple(np.concatenate([c, t]) for c, t in zip(pts.th, turn[3:])),
+                          lam=lam)
+        self.matrix = group_element(both)
+        self._derivatives = {}
+
+    def coords(self, ambient: bool) -> tuple:
+        """The samples' local coordinates, or their ambient ones read off
+        the stack's first column."""
+        if ambient:
+            return tuple(self.matrix[:self.samples, k, 0] for k in range(5))
+        return self.points.x
+
+    def derivatives(self, ambient: bool) -> tuple:
+        """(L, R) derivatives of the ambient or the coset coordinates along
+        every generator, at every point of the stack."""
+        if ambient not in self._derivatives:
+            fn = ambient_derivatives if ambient else coset_derivatives
+            self._derivatives[ambient] = tuple(fn(self.matrix, self.lam, range(DIM), side)
+                                               for side in "LR")
+        return self._derivatives[ambient]
+
+
+def verify_table(r: Bivector, table: BracketTable, batch: SampleBatch) -> dict:
+    """Compare the Sklyanin bracket against a closed-form table on the
+    batch's samples, and check that it does not depend on the Lorentz
+    coordinates (the samples against their partners).
+
+    One contraction of the batch's derivatives and one all-pairs table
+    evaluation on the coordinate arrays.
+    """
+    samples = batch.samples
     ambient = table.name == "ambient"
-    got = (bracket_matrix_ambient if ambient else bracket_matrix_local)(r, both, matrix=m)
-    coords = tuple(m[:samples, k, 0] for k in range(5)) if ambient else pts.x
+    got = _brackets(r, *batch.derivatives(ambient))
     got, other = got[:samples], got[samples:]
-    pairs = list(combinations(range(table.dim), 2))
-    dev = np.array([np.broadcast_to(abs(got[:, i, j] - table.entry(i, j, coords)), (samples,))
-                    for i, j in pairs])
+    entries = table.entries(batch.coords(ambient))
+    dev = np.array([np.broadcast_to(abs(got[:, i, j] - v), (samples,))
+                    for (i, j), v in entries.items()])
     per_point = dev.max(axis=0)
     k = _first_worst(per_point)
     per_pair = {f"{table.labels[i]}^{table.labels[j]}": float(d.max())
-                for (i, j), d in zip(pairs, dev)}
+                for (i, j), d in zip(entries, dev)}
     return {
         "table": table.name,
-        "lambda": lam,
+        "lambda": batch.lam,
         "kinv": table.kinv,
         "vtheta": table.vtheta,
         "samples": samples,
-        "seed": seed,
+        "seed": batch.seed,
         "max_deviation": 0.0 if k is None else float(per_point[k]),
-        "worst_point": None if k is None else tuple(float(c[k]) for c in pts.coords()),
+        "worst_point": None if k is None else tuple(float(c[k])
+                                                    for c in batch.points.coords()),
         "per_pair": {key: per_pair[key] for key in sorted(per_pair)},
         "lorentz_independence": float(np.max(np.abs(other - got))),
     }
@@ -263,15 +300,18 @@ def verify_table(r: Bivector, table: BracketTable, samples: int, lam: float,
 # -- expansions and Jacobi -----------------------------------------------------
 
 
+def eta_expansion_table(table_name: str, kinv: float, vtheta: float = 0.0) -> BracketTable:
+    """The table at a dual eta = 0 + eps (so lam = -eta^2 = 0 exactly): the
+    real and eps parts of each entry are its zeroth and first coefficients
+    in the curvature scale."""
+    labels = AMBIENT_LABELS if table_name == "ambient" else LOCAL_LABELS
+    return BracketTable(table_name, labels, 0.0, kinv, vtheta, eta=Dual(0.0, 1.0))
+
+
 def eta_expansion_entry(table_name: str, i: int, j: int, coords, kinv: float,
                         vtheta: float = 0.0):
-    """(zeroth, first) coefficients of the entry in the curvature scale.
-
-    Dual-number differentiation at eta = 0 (so lam = -eta^2 = 0 exactly).
-    """
-    labels = AMBIENT_LABELS if table_name == "ambient" else LOCAL_LABELS
-    t = BracketTable(table_name, labels, 0.0, kinv, vtheta, eta=Dual(0.0, 1.0))
-    v = t.entry(i, j, coords)
+    """(zeroth, first) coefficients of one entry in the curvature scale."""
+    v = eta_expansion_table(table_name, kinv, vtheta).entry(i, j, coords)
     return re_part(v), eps_part(v)
 
 
@@ -286,8 +326,7 @@ def table_jacobiators(table: BracketTable, coords) -> np.ndarray:
     xd = [Dual(c, e[:, None]) for c, e in zip(coords, np.eye(n))]  # eps (n, 1): d/dx^mu
     val = [[0.0] * n for _ in range(n)]
     grad = {}
-    for b, c in combinations(range(n), 2):
-        v = table.entry(b, c, xd)
+    for (b, c), v in table.entries(xd).items():
         val[b][c], val[c][b] = re_part(v), -re_part(v)
         grad[b, c] = np.broadcast_to(eps_part(v), (n, count))  # a constant has zero gradient
         grad[c, b] = -grad[b, c]  # entry(c, b) is -entry(b, c), exactly

@@ -24,7 +24,7 @@ from kads.rclass import (SUBALG_2PLUS1, canonicalize, constraint_distance,
                          r_kads, r_kads_twisted, r_poincare,
                          r_poincare_twisted)
 from kads.scalars import sym
-from kads.sklyanin import (closed_form_ambient, closed_form_local,
+from kads.sklyanin import (SampleBatch, closed_form_ambient, closed_form_local,
                            closed_form_twisted, eta_expansion_entry, verify_table)
 
 ETA, KINV, VTH = sym("eta"), sym("kinv"), sym("vtheta")
@@ -148,8 +148,9 @@ def test_criterion_6_sklyanin_verification():
              r_kads_twisted(KINV_NUM, eta, VTH_NUM)),
             ("ambient", closed_form_ambient(lam, KINV_NUM), r_kads(KINV_NUM, eta)),
         ]
+        batch = SampleBatch(200, lam, seed=0x5EED)
         for name, table, r in suite:
-            rep = verify_table(r, table, 200, lam, seed=0x5EED)
+            rep = verify_table(r, table, batch)
             worst[f"{name}@{lam}"] = rep["max_deviation"]
             indep = max(indep, rep["lorentz_independence"])
     elapsed = time.perf_counter() - t0

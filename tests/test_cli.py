@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -297,14 +298,15 @@ def test_nan_residual_fails_export(tmp_path, monkeypatch):
 
 def test_nan_deviation_fails_poisson(tmp_path, monkeypatch):
     from kads import sklyanin
-    entry = sklyanin.BracketTable.entry
+    entries = sklyanin.BracketTable.entries
 
-    def poisoned(self, i, j, coords):
-        if self.name == "local" and (i, j) == (1, 3):
-            return float("nan")
-        return entry(self, i, j, coords)
+    def poisoned(self, coords):
+        out = entries(self, coords)
+        if self.name == "local":
+            out[1, 3] = float("nan")
+        return out
 
-    monkeypatch.setattr(sklyanin.BracketTable, "entry", poisoned)
+    monkeypatch.setattr(sklyanin.BracketTable, "entries", poisoned)
     out = tmp_path / "rep.json"
     assert main(["poisson", "--lambda=-1", "--samples", "4", "--out", str(out)]) == 2
     rep = json.loads(out.read_text())
@@ -334,10 +336,15 @@ def test_run_all_checks_passes_every_suite(tmp_path, capsys):
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     assert script.run(tmp_path) == 0
-    assert capsys.readouterr().out.count(": exit 0 ->") == len(script.SUITES) == 15
+    out = capsys.readouterr().out
+    assert out.count(": exit 0 ->") == len(script.SUITES) == 15
     reports = sorted(tmp_path.glob("*.json"))
     assert len(reports) == 15
     assert all(json.loads(p.read_text())["pass"] is True for p in reports)
+    # each line names its report and that report's sha256
+    for line in out.splitlines():
+        path, digest = line.split(" -> ")[1].split(" sha256=")
+        assert digest == hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
 
 
 def test_poisson_and_export_raise_no_numpy_warnings(tmp_path):

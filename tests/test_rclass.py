@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kads.bialgebra import Bivector, cocommutator, mcybe_residual
+from kads.bialgebra import Bivector, cocommutator, cocommutator_of, mcybe_residual
 from kads.liealg import IDX, ads_algebra
 from kads.rclass import (ConstraintViolated, beta_aligned, canonicalize,
                          constraint_distance, constraint_residuals,
@@ -50,6 +50,33 @@ def test_impose_primitivity_generic_kernel():
     assert len(red0.params) == 27
     for p in red0.params:
         assert cocommutator(ads_algebra(0), red0.directions[p])[IDX["P0"]].norm() == 0
+
+
+def _kernel_point(red, values: dict, lam: float) -> Bivector:
+    """sum of t * direction over the reduced family's parameters, at a float Lambda."""
+    r = Bivector()
+    for name, t in values.items():
+        r = r + Bivector({key: c.eval_numeric({"Lambda": lam}) * t
+                          for key, c in red.directions[name].components.items()})
+    return r
+
+
+def test_exotic_primitive_solution_outside_the_family():
+    # a real mCYBE solution in the 15-dimensional primitivity kernel at
+    # Lambda = -1, every extra direction switched on: only the flat-limit
+    # hypothesis keeps it out of family_r
+    red = impose_primitivity(generic_ansatz(), ads_algebra(sym("Lambda")), IDX["P0"])
+    r3 = math.sqrt(3.0)
+    values = dict.fromkeys(("t0", "t1", "t2"), 0.0)
+    values.update(dict.fromkeys(("t3", "t6", "t13"), r3))
+    values.update(dict.fromkeys(("t4", "t12", "t14"), -r3))
+    values.update(dict.fromkeys(("t5", "t7", "t8", "t9", "t10", "t11"), -1.0))
+    assert sorted(values) == sorted(red.params)
+    g = ads_algebra(-1.0)
+    r = _kernel_point(red, values, -1.0)
+    assert mcybe_residual(g, r) < 1e-12
+    assert cocommutator_of(g, r, IDX["P0"]).norm() == 0
+    assert mcybe_residual(g, _kernel_point(red, dict(values, t3=-r3), -1.0)) > 1
 
 
 def test_impose_primitivity_kills_k1_p0():

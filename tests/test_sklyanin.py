@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from kads.bialgebra import Bivector
 from kads.curvtrig import Dual, eta_of
 from kads.group_geom import GroupPoint, ambient_from_local, group_element
 from kads.rclass import r_kads, r_kads_twisted, r_poincare, r_poincare_twisted
-from kads.sklyanin import (_first_worst, bracket_matrix_ambient,
+from kads.sklyanin import (SampleBatch, _brackets, _first_worst, bracket_matrix_ambient,
                            bracket_matrix_local, closed_form_ambient,
                            closed_form_local, closed_form_twisted,
                            eta_expansion_entry, sample_points, table_jacobi_residual,
@@ -117,14 +118,14 @@ def test_sklyanin_matches_tables_small():
     for lam in (-1.0, 0.0, 1.0):
         eta = eta_of(lam)
         rep = verify_table(r_kads(KINV, eta), closed_form_local(lam, KINV),
-                           25, lam, seed=21)
+                           SampleBatch(25, lam, seed=21))
         assert rep["max_deviation"] < 1e-8
         assert rep["lorentz_independence"] < 1e-8
         rep = verify_table(r_kads_twisted(KINV, eta, VTH),
-                           closed_form_twisted(lam, KINV, VTH), 25, lam, seed=22)
+                           closed_form_twisted(lam, KINV, VTH), SampleBatch(25, lam, seed=22))
         assert rep["max_deviation"] < 1e-8
         rep = verify_table(r_kads(KINV, eta), closed_form_ambient(lam, KINV),
-                           25, lam, seed=23)
+                           SampleBatch(25, lam, seed=23))
         assert rep["max_deviation"] < 1e-8
 
 
@@ -392,9 +393,9 @@ def test_nan_deviations_are_the_worst():
     assert math.isnan(worst_of(0.0, math.nan)) and math.isnan(worst_of(math.nan, 1.0))
     assert worst_of(1.0, 2.0) == 2.0 and worst_of(2.0, 1.0) == 2.0
     table = closed_form_local(-1.0, KINV)
-    entry = table.entry
-    table.entry = lambda i, j, x: math.nan if (i, j) == (0, 2) else entry(i, j, x)
-    rep = verify_table(r_kads(KINV, 1.0), table, 3, -1.0, seed=5)
+    entries = table.entries
+    table.entries = lambda x: {**entries(x), (0, 2): math.nan}
+    rep = verify_table(r_kads(KINV, 1.0), table, SampleBatch(3, -1.0, seed=5))
     assert math.isnan(rep["max_deviation"]) and math.isnan(rep["per_pair"]["x0^x2"])
     assert not math.isnan(rep["per_pair"]["x0^x1"])
     assert math.isnan(table_jacobi_residual(table, 2, seed=5))
@@ -449,8 +450,8 @@ def test_worst_point_ties_go_to_the_first_sample():
     assert _first_worst(np.zeros(3)) is None
     # every sample deviates by inf: the first one is reported
     table = closed_form_local(-1.0, KINV)
-    table.entry = lambda i, j, x: math.inf
-    rep = verify_table(r_kads(KINV, 1.0), table, 5, -1.0, seed=9)
+    table.entries = lambda x: dict.fromkeys(combinations(range(4), 2), math.inf)
+    rep = verify_table(r_kads(KINV, 1.0), table, SampleBatch(5, -1.0, seed=9))
     first = sample_points(5, -1.0, np.random.default_rng(9)).coords()
     assert rep["max_deviation"] == math.inf
     assert rep["worst_point"] == tuple(float(c[0]) for c in first)
@@ -466,3 +467,60 @@ def test_sample_points_keep_the_point_by_point_draw_order():
                 + [ref.uniform(-0.5, 0.5) for _ in range(6)])
         assert [float(c[k]) for c in pts.coords()] == want
     assert rng.uniform() == ref.uniform()
+
+
+# -- one sample batch per run -------------------------------------------------------
+
+
+@pytest.mark.parametrize("lam", [-1.0, 1e-8, 1.0])
+def test_poisson_run_builds_one_stack_and_one_pass_per_side_and_kind(lam, monkeypatch, tmp_path):
+    from kads import sklyanin
+    from kads.cli import main
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append((name,) + ((args[3],) if len(args) == 4 else ()))
+            return fn(*args)
+        return wrapper
+
+    for name in ("group_element", "coset_derivatives", "ambient_derivatives"):
+        monkeypatch.setattr(sklyanin, name, counted(name, getattr(sklyanin, name)))
+    out = tmp_path / "rep.json"
+    assert main(["poisson", f"--lambda={lam!r}", "--samples=3", "--out", str(out)]) == 0
+    assert sorted(calls) == [("ambient_derivatives", "L"), ("ambient_derivatives", "R"),
+                             ("coset_derivatives", "L"), ("coset_derivatives", "R"),
+                             ("group_element",)]
+
+
+@pytest.mark.parametrize("lam", [-1.0, 0.0, 1e-8, 0.3])
+@pytest.mark.parametrize("form", ["float", "array", "dual"])
+def test_all_pairs_take_one_ch_and_one_sh_per_coordinate(lam, form, monkeypatch):
+    from kads import sklyanin
+    x = np.array([[0.3, -0.2], [0.1, 0.4], [-0.5, 0.2], [0.25, -0.35]])
+    coords = {"float": tuple(float(c[0]) for c in x), "array": tuple(x),
+              "dual": tuple(Dual(c, e[:, None]) for c, e in zip(x, np.eye(4)))}[form]
+    for table in (closed_form_local(lam, KINV), closed_form_twisted(lam, KINV, VTH)):
+        seen = {"ch": [], "sh": []}
+        for name in seen:
+            fn = getattr(sklyanin, name)
+            monkeypatch.setattr(sklyanin, name,
+                                lambda lam, v, fn=fn, log=seen[name]: log.append(v) or fn(lam, v))
+        got = table.entries(coords)
+        monkeypatch.undo()
+        for log in seen.values():  # x1, x2, x3 once each; x0 never
+            assert sorted(map(id, log)) == sorted(map(id, coords[1:]))
+        assert list(got) == list(combinations(range(4), 2))
+
+
+@pytest.mark.parametrize("lam", [-1.0, -1e-8, 0.5])
+def test_batch_brackets_equal_the_bracket_matrices_on_its_stack(lam):
+    # derivatives along every generator, shared by the tables, give each
+    # r-matrix the brackets that its own support's derivatives give
+    batch = SampleBatch(4, lam, seed=3)
+    assert batch.matrix.shape == (8, 5, 5)
+    assert batch.derivatives(False) is batch.derivatives(False)
+    for r in (r_kads(KINV, eta_of(lam)), r_kads_twisted(KINV, eta_of(lam), VTH), Bivector()):
+        for ambient, bracket in ((False, bracket_matrix_local), (True, bracket_matrix_ambient)):
+            got = _brackets(r, *batch.derivatives(ambient))
+            assert (got == bracket(r, batch.points, matrix=batch.matrix)).all()
