@@ -4,8 +4,9 @@ Wedge normalization: ``a ^ b = a (x) b - b (x) a`` with no 1/2, so a
 bivector is stored as a sparse map ``(i, j) with i < j -> coeff`` and a
 trivector as ``(i, j, k) strictly increasing -> coeff``.  Everything is
 generic over exact Scalar or float/complex coefficients; with float or
-complex coefficients the Yang-Baxter residual is computed densely, from the
-skew matrix of r and the table ``f[k, i, j]``.
+complex coefficients the cocommutator, its dual Jacobi residual and the
+Yang-Baxter residual are computed densely, from the skew matrix of r and
+the table ``f[k, i, j]``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import functools
 import numpy as np
 
 from .liealg import (LieAlgebra, coeff_norm, components_norm, float_dtype,
-                     is_exact, jacobi_residual, permuted_triples, subalgebra)
+                     is_exact, jacobi_residual, jacobi_residual_dense,
+                     permuted_triples, subalgebra, subalgebra_dense)
 from .scalars import accumulate
 
 
@@ -193,6 +195,19 @@ def mcybe_residual_components(g: LieAlgebra, r: Bivector) -> list:
     return comps
 
 
+def cocommutator_dense(f: np.ndarray, rmat: np.ndarray) -> np.ndarray:
+    """delta of every generator as one (d, d, d) tensor, from the dense table and R.
+
+    D[m, a, b] = sum_i f[a, m, i] R[i, b] - (a <-> b) is the skew matrix of
+    :func:`cocommutator_of` at m.  In the kinematical algebras ad_m sends
+    each generator to a multiple of one generator, so an entry is the
+    difference of at most two products, each the product the sparse loop
+    forms: D equals the sparse cocommutator exactly.
+    """
+    half = np.einsum("ami,ib->mab", f, rmat)
+    return half - half.transpose(0, 2, 1)
+
+
 def schouten_dense(f: np.ndarray, rmat: np.ndarray) -> np.ndarray:
     """[[r, r]] as the full (d, d, d) tensor, from the dense table and R.
 
@@ -268,8 +283,18 @@ def mcybe_residual(g: LieAlgebra, r: Bivector):
     return components_norm(mcybe_residual_components(g, r))
 
 
-def coisotropy_check(g: LieAlgebra, delta: dict, h_indices) -> bool:
-    """True iff delta(h) lands in h ^ g for the subalgebra h."""
+def coisotropy_check(g, delta, h_indices) -> bool:
+    """True iff delta(h) lands in h ^ g for the subalgebra h.
+
+    ``g`` and ``delta`` are a LieAlgebra and its map index -> Bivector, or
+    the dense table f and the tensor of :func:`cocommutator_dense`.  Either
+    way a generator set that does not close raises NotSubalgebra.
+    """
+    if isinstance(delta, np.ndarray):
+        subalgebra_dense(g, sorted(h_indices))
+        h = np.zeros(len(delta), dtype=bool)
+        h[list(h_indices)] = True
+        return not delta[h][:, ~h][:, :, ~h].any()
     h = set(h_indices)
     subalgebra(g, sorted(h))  # raises NotSubalgebra when brackets leave h
     for i in h:
@@ -279,8 +304,15 @@ def coisotropy_check(g: LieAlgebra, delta: dict, h_indices) -> bool:
     return True
 
 
-def dual_jacobi_residual(delta: dict, dim: int | None = None):
-    """Jacobi residual of the dual bracket defined by the cocommutator."""
+def dual_jacobi_residual(delta, dim: int | None = None):
+    """Jacobi residual of the dual bracket defined by the cocommutator.
+
+    A dense cocommutator tensor D is itself the dual table, D[m, a, b]
+    being the T_m component of [T^a, T^b]; a map index -> Bivector is
+    turned into a dual LieAlgebra first.
+    """
+    if isinstance(delta, np.ndarray):
+        return jacobi_residual_dense(delta)
     if dim is None:
         dim = max(delta) + 1
     pairs: dict = {}

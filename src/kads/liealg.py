@@ -257,6 +257,20 @@ def subalgebra(g: LieAlgebra, indices) -> LieAlgebra:
                       labels=[g.labels[i] for i in indices])
 
 
+def subalgebra_dense(f: np.ndarray, indices) -> np.ndarray:
+    """The dense table of a generator subset; raises NotSubalgebra if a
+    bracket of two of them has a component outside the subset."""
+    indices = list(indices)
+    sub = f[:, indices][:, :, indices]  # [k, a, b]: every k, a and b in the subset
+    outside = np.ones(len(f), dtype=bool)
+    outside[indices] = False
+    leaks = sub[outside].any(axis=0)
+    if leaks.any():
+        a, b = np.argwhere(np.triu(leaks | leaks.T))[0]
+        raise NotSubalgebra(f"[{BASIS[indices[a]]},{BASIS[indices[b]]}] leaves the span")
+    return sub[indices]
+
+
 class BasisRotation:
     """Automorphism with P0 fixed and each of (P, K, J) rotated by R.
 

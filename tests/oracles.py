@@ -3,16 +3,21 @@
 None of this runs in a CLI suite.  Each function is a slower or more
 general form of something the program computes another way: the rewrite
 rules of the sphere and the trig stand-ins, the full 5x5 representation
-matrices, one invariant field or one Sklyanin bracket at a time, and the
-generic 3D Poisson construction from a multiplier and a Casimir.
+matrices, one invariant field or one Sklyanin bracket at a time, the
+generic 3D Poisson construction from a multiplier and a Casimir, and the
+numeric ``check-bialgebra`` report built by the sparse loops.
 """
 
 import numpy as np
 
+from kads import bialgebra as B
 from kads.bialgebra import Bivector
-from kads.curvtrig import Dual, eps_part
+from kads.cli import RunConfig, _check
+from kads.curvtrig import Dual, eps_part, eta_of
 from kads.group_geom import GroupPoint, ambient_jacobian, field_derivatives, group_element
-from kads.liealg import DIM
+from kads.liealg import DIM, IDX, ads_algebra, subalgebra
+from kads.rclass import (LORENTZ, SUBALG_2PLUS1, r_2plus1, r_kads, r_kads_twisted,
+                         r_poincare, r_poincare_twisted)
 from kads.scalars import make_rule, sym
 from kads.sklyanin import BracketTable, _contract, _support
 
@@ -135,3 +140,44 @@ def push_local_to_ambient(table: BracketTable, x) -> np.ndarray:
             loc[mu, nu] = v
             loc[nu, mu] = -v
     return jac @ loc @ jac.T
+
+
+# -- the numeric bialgebra report by the sparse loops --------------------------
+
+
+def sparse_bialgebra_report(cfg: RunConfig) -> dict:
+    """``check-bialgebra`` at a numeric lambda, by the sparse loops over
+    ads_algebra(float): one dual LieAlgebra per cocommutator and the 2+1
+    and Lorentz subalgebras built as LieAlgebras."""
+    lam, kv, vt = float(cfg.lam), float(cfg.kappa_inv), float(cfg.twist)
+    eta = eta_of(lam)
+    g_curved, g_flat = ads_algebra(lam), ads_algebra(0.0)
+    entries = [
+        ("r_flat", g_flat, r_poincare(kv)),
+        ("r_flat_twisted", g_flat, r_poincare_twisted(kv, vt)),
+        ("r_curved", g_curved, r_kads(kv, eta)),
+        ("r_curved_twisted", g_curved, r_kads_twisted(kv, eta, vt)),
+        ("r_2plus1", g_curved, r_2plus1(kv)),
+    ]
+    tol = cfg.tolerance
+    checks = []
+    for name, g, r in entries:
+        if name == "r_2plus1":
+            sub = subalgebra(g, SUBALG_2PLUS1)
+            remap = {gi: p for p, gi in enumerate(SUBALG_2PLUS1)}
+            r_sub = Bivector({(remap[i], remap[j]): c for (i, j), c in r.components.items()})
+            checks.append(_check(f"{name}.mcybe", B.mcybe_residual(sub, r_sub), tol))
+            continue
+        delta = B.cocommutator(g, r)
+        if cfg.inject_fault and name == "r_curved":
+            delta[IDX["P0"]] = delta[IDX["P0"]] + Bivector.from_terms(
+                (IDX["J1"], IDX["J2"], 1.0))
+        checks.append(_check(f"{name}.mcybe", B.mcybe_residual(g, r), tol))
+        checks.append(_check(f"{name}.dual_jacobi", B.dual_jacobi_residual(delta), tol))
+        coiso = B.coisotropy_check(g, delta, LORENTZ)
+        checks.append({"name": f"{name}.coisotropy_lorentz", "residual": 0 if coiso else 1,
+                       "tolerance": 0, "pass": bool(coiso)})
+        checks.append(_check(f"{name}.time_translation_primitive",
+                             delta[IDX["P0"]].norm(), tol))
+    return {"suite": "bialgebra", "config": cfg.echo(), "checks": checks,
+            "pass": all(c["pass"] for c in checks)}

@@ -1,14 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from kads.bialgebra import (Bivector, NotAntisymmetric, cocommutator, coisotropy_check,
-                            dual_jacobi_residual, mcybe_residual,
+from kads.bialgebra import (Bivector, NotAntisymmetric, cocommutator, cocommutator_dense,
+                            coisotropy_check, dual_jacobi_residual, mcybe_residual,
                             mcybe_residual_components, schouten, schouten_dense)
 from kads.curvtrig import eta_of
 from kads.liealg import (BASIS, DIM, IDX, LieAlgebra, NotSubalgebra, ads_algebra,
-                         components_norm, jacobi_residual_sparse, subalgebra)
+                         ads_tensor, components_norm, jacobi_residual_sparse, subalgebra,
+                         subalgebra_dense)
 from kads.rclass import (LORENTZ, SUBALG_2PLUS1, family_r, r_2plus1, r_kads,
                          r_kads_twisted, r_poincare, r_poincare_twisted)
 from kads.scalars import Scalar, rat, sym
@@ -193,6 +195,19 @@ def test_coisotropy():
     bad = dict(delta)
     bad[IDX["J1"]] = biv(("P1", "P2", kinv))
     assert not coisotropy_check(gc, bad, LORENTZ)
+    # the dense path: one tensor D, a mask test, and closure read off f
+    for lam in (-0.7, 0.0, 0.5):
+        f = ads_tensor(lam)
+        for r in (r_kads(0.31, eta_of(lam)), r_kads_twisted(0.31, eta_of(lam), 0.17)):
+            d = cocommutator_dense(f, r.matrix(DIM))
+            assert coisotropy_check(f, d, LORENTZ)
+            assert coisotropy_check(f, d, (IDX["P0"], IDX["J3"]))
+            with pytest.raises(NotSubalgebra, match=r"\[P1,K1\] leaves the span"):
+                coisotropy_check(f, d, (IDX["P1"], IDX["K1"]))
+            bad = d.copy()
+            bad[IDX["K1"]] += biv(("P1", "P2", 0.31)).matrix(DIM)
+            assert not coisotropy_check(f, bad, LORENTZ)
+        assert coisotropy_check(f, np.zeros((DIM,) * 3), LORENTZ)
 
 
 def test_dual_jacobi():
@@ -204,6 +219,14 @@ def test_dual_jacobi():
     corrupted = dict(delta)
     corrupted[IDX["P1"]] = delta[IDX["P1"]] + biv(("J1", "J2", kinv))
     assert dual_jacobi_residual(corrupted, dim=DIM) > 0
+    # the dense tensor is the dual table itself
+    for lam in (-0.7, 0.0, 0.5):
+        r = r_kads(0.31, eta_of(lam))
+        delta = cocommutator(ads_algebra(lam), r)
+        d = cocommutator_dense(ads_tensor(lam), r.matrix(DIM))
+        assert dual_jacobi_residual(d) == dual_jacobi_residual(delta) < 1e-15
+        d[IDX["P1"]] += biv(("J1", "J2", 0.31)).matrix(DIM)
+        assert dual_jacobi_residual(d) > 0.05
 
 
 def test_twisted_flat_cocommutator_difference():
@@ -280,6 +303,45 @@ def test_dense_mcybe_matches_sparse_oracle():
     for r in (r_poincare(kv), r_poincare_twisted(kv, vt)):
         res = mcybe_residual(ads_algebra(0.0), r)
         assert res == 0 and type(res) is int
+
+
+EDGE_LAMBDAS = (-1e9, -1.0, -5e-324, 0.0, 5e-324, 0.5, 1e9)
+
+
+def sparse_tensor(delta: dict) -> np.ndarray:
+    """The map index -> Bivector of the sparse cocommutator as D[m, a, b]."""
+    return np.array([delta[m].matrix(DIM) for m in range(DIM)])
+
+
+def test_dense_cocommutator_equals_sparse_oracle():
+    # every entry is the difference of at most two products, formed as the
+    # sparse loop forms them, so the two agree with ==, at every scale
+    rng = np.random.default_rng(0xC0C)
+    kv, vt = 0.31, 0.17
+    for lam in EDGE_LAMBDAS:
+        eta_ = eta_of(lam)
+        g, f = ads_algebra(lam), ads_tensor(lam)
+        assert np.array_equal(f, g.dense)
+        named = (r_poincare(kv), r_poincare_twisted(kv, vt), r_kads(kv, eta_),
+                 r_kads_twisted(kv, eta_, vt), r_2plus1(kv))
+        for r in named + (random_bivector(rng, DIM), random_bivector(rng, DIM, 0.5)):
+            d = cocommutator_dense(f, r.matrix(DIM))
+            oracle = sparse_tensor(cocommutator(g, r))
+            assert d.dtype == oracle.dtype and np.array_equal(d, oracle), (lam, r.components)
+            assert np.array_equal(d, -d.transpose(0, 2, 1))
+    assert not cocommutator_dense(ads_tensor(-0.7), np.zeros((DIM, DIM))).any()
+
+
+def test_dense_subalgebra_matches_the_sparse_restriction():
+    for lam in (-0.7, 0.0, 0.5):
+        g = ads_algebra(lam)
+        for idx in (SUBALG_2PLUS1, LORENTZ, (IDX["P0"], IDX["J3"])):
+            assert np.array_equal(subalgebra_dense(g.dense, idx), subalgebra(g, idx).dense)
+        for idx in ((IDX["P1"], IDX["K1"]), LORENTZ[:-1]):
+            with pytest.raises(NotSubalgebra) as sparse:
+                subalgebra(g, idx)
+            with pytest.raises(NotSubalgebra, match=re.escape(str(sparse.value))):
+                subalgebra_dense(g.dense, idx)
 
 
 def test_dense_dual_jacobi_matches_sparse_oracle():

@@ -32,19 +32,52 @@ def test_exit_code_on_bad_flag():
     assert main(["poisson", "--samples", "0"]) == 3
 
 
+# the residuals of the two checks that the J1^J2 term in delta(P0) breaks
+FAULT_RESIDUALS = {
+    "formal": (7, 1),
+    "0": (0.31, 1.0),
+    "-0.7": (0.5187292164511268, 1.0),
+    "0.5": (0.43840620433565947, 1.0),
+}
+
+
 def test_bialgebra_pass_and_fault_injection(tmp_path):
     out = tmp_path / "rep.json"
-    code = main(["check-bialgebra", "--lambda", "formal", "--out", str(out)])
-    assert code == 0
-    rep = json.loads(out.read_text())
-    assert rep["pass"] and rep["config"]["schema"] == "report_v1"
-    names = {c["name"] for c in rep["checks"]}
-    assert "r_curved.mcybe" in names and "r_2plus1.mcybe" in names
-    code = main(["check-bialgebra", "--lambda", "formal", "--inject-fault",
-                 "--out", str(out)])
-    assert code == 2
-    rep = json.loads(out.read_text())
-    assert not rep["pass"]
+    for lam, residuals in FAULT_RESIDUALS.items():
+        code = main(["check-bialgebra", f"--lambda={lam}", "--out", str(out)])
+        assert code == 0
+        rep = json.loads(out.read_text())
+        assert rep["pass"] and rep["config"]["schema"] == "report_v1"
+        names = {c["name"] for c in rep["checks"]}
+        assert "r_curved.mcybe" in names and "r_2plus1.mcybe" in names
+        code = main(["check-bialgebra", f"--lambda={lam}", "--inject-fault",
+                     "--out", str(out)])
+        assert code == 2
+        rep = json.loads(out.read_text())
+        assert not rep["pass"]
+        failed = {c["name"]: c["residual"] for c in rep["checks"] if not c["pass"]}
+        assert list(failed) == ["r_curved.dual_jacobi", "r_curved.time_translation_primitive"]
+        assert tuple(failed.values()) == pytest.approx(residuals, rel=1e-12), lam
+
+
+# (lambda, --inject-fault): the numeric configurations of
+# scripts/run_all_checks.py, both ends of the float range, and the fault
+ORACLE_CONFIGS = [(0.0, False), (-0.7, False), (0.5, False), (-1e-08, False),
+                  (5e-324, False), (-5e-324, False), (1e9, False), (-1e9, False),
+                  (0.0, True), (-0.7, True), (0.5, True), (-1e-08, True)]
+
+
+@pytest.mark.parametrize("lam, fault", ORACLE_CONFIGS)
+def test_numeric_bialgebra_report_matches_the_sparse_oracle(tmp_path, lam, fault):
+    # the dense cocommutator writes the bytes the sparse loops write
+    from oracles import sparse_bialgebra_report
+    out = tmp_path / "rep.json"
+    code = main(["check-bialgebra", f"--lambda={lam!r}", "--out", str(out)]
+                + ["--inject-fault"] * fault)
+    report = sparse_bialgebra_report(RunConfig(lam=lam, inject_fault=fault))
+    text = json.dumps(report, sort_keys=True, indent=1, default=repr) + "\n"
+    assert out.read_bytes() == text.encode()
+    assert code == (0 if report["pass"] else 2)
 
 
 def test_bialgebra_numeric_mode(tmp_path):
