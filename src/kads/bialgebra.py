@@ -12,6 +12,7 @@ the table ``f[k, i, j]``.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -22,7 +23,15 @@ from .scalars import accumulate
 
 
 class NotAntisymmetric(ValueError):
-    """A tensor expected to be totally antisymmetric is not (a bug)."""
+    """A tensor expected to be totally antisymmetric is not.
+
+    ``residual`` is the size of the offending float entry (inf when not
+    measured): round-off at large scales, a bug otherwise.
+    """
+
+    def __init__(self, message: str, residual: float = math.inf):
+        super().__init__(message)
+        self.residual = residual
 
 
 SKEW_TOL = 1e-9  # float antisymmetry tolerance of the Schouten tensor
@@ -46,10 +55,14 @@ _SIGN3 = {
 def _wedge3(store: dict, i: int, j: int, k: int, c):
     if i == j or j == k or i == k or not c:
         return
-    order = sorted(((i, 0), (j, 1), (k, 2)))
-    key = tuple(t[0] for t in order)
-    perm = tuple(t[1] for t in order)
-    accumulate(store, key, c if _SIGN3[perm] == 1 else -c)
+    odd = i > j
+    if odd:
+        i, j = j, i
+    if j > k:
+        j, k, odd = k, j, not odd
+        if i > j:
+            i, j, odd = j, i, not odd
+    accumulate(store, (i, j, k), -c if odd else c)
 
 
 class Bivector:
@@ -141,34 +154,49 @@ def cocommutator(g: LieAlgebra, r: Bivector) -> dict:
 
 
 def schouten(g: LieAlgebra, r: Bivector) -> Trivector:
-    """[[r, r]] as a trivector; raises if the raw tensor is not antisymmetric."""
-    entries = list(r.entries_signed())
+    """[[r, r]] as a trivector; raises if the raw tensor is not antisymmetric.
+
+    Of the three terms [r12, r13], [r12, r23] and [r13, r23], only the first,
+    X[m, j, l] = sum r[i, j] r[k, l] f[m; i, k], is summed, over the entry
+    pairs whose bracket [T_i, T_k] is nonzero.  For a skew r the other two
+    are leg relabelings of it, so [[r, r]][a, b, c] = X[a, b, c] - X[b, a, c]
+    + X[c, a, b].  The tests keep the three-term sum as an oracle.
+    """
+    by_first: dict = {}
+    for i, j, c in r.entries_signed():
+        by_first.setdefault(i, []).append((j, c))
+    x: dict = {}
+    for (i, k), bracket in g._signed.items():
+        left, right = by_first.get(i), by_first.get(k)
+        if not (left and right):
+            continue
+        for j, c1 in left:
+            for l, c2 in right:
+                c = c1 * c2
+                for m, cb in bracket:
+                    accumulate(x, (m, j, l), c * cb)
     full: dict = {}
-    for i, j, c1 in entries:
-        for k, l, c2 in entries:
-            c = c1 * c2
-            for m, cb in g.bracket_basis(i, k):
-                accumulate(full, (m, j, l), c * cb)   # [r12, r13]
-            for m, cb in g.bracket_basis(j, k):
-                accumulate(full, (i, m, l), c * cb)   # [r12, r23]
-            for m, cb in g.bracket_basis(j, l):
-                accumulate(full, (i, k, m), c * cb)   # [r13, r23]
-    tol = 0 if all(is_exact(c) for c in full.values()) else SKEW_TOL
+    for (a, b, c3), v in x.items():
+        accumulate(full, (a, b, c3), v)
+        accumulate(full, (b, a, c3), -v)
+        accumulate(full, (b, c3, a), v)
+    exact = all(is_exact(c) for c in full.values())
     out: dict = {}
     for (a, b, c3), v in full.items():
         if a == b or b == c3 or a == c3:
-            if coeff_norm(v) > tol:
+            if exact or coeff_norm(v) > SKEW_TOL:
                 raise NotAntisymmetric(f"repeated-index component {(a, b, c3)} = {v}")
             continue
         if a < b < c3:
             out[(a, b, c3)] = v
     # verify the six permutations agree (sign-adjusted)
     for (a, b, c3), v in out.items():
+        neg = -v
         for perm, sign in _SIGN3.items():
             key = tuple((a, b, c3)[p] for p in perm)
             got = full.get(key)
-            ref = v if sign == 1 else -v
-            if got is None or coeff_norm(got - ref) > tol:
+            ref = v if sign == 1 else neg
+            if got is None or (got != ref if exact else coeff_norm(got - ref) > SKEW_TOL):
                 raise NotAntisymmetric(f"component {key} breaks antisymmetry")
     return Trivector(out)
 
@@ -209,39 +237,43 @@ def cocommutator_dense(f: np.ndarray, rmat: np.ndarray) -> np.ndarray:
 
 
 def schouten_dense(f: np.ndarray, rmat: np.ndarray) -> np.ndarray:
-    """[[r, r]] as the full (d, d, d) tensor, from the dense table and R.
+    """[[r, r]] as the full (d, d, d) tensor, from the dense table and a skew R.
 
-    The terms [r12, r13], [r12, r23] and [r13, r23] of :func:`schouten`, that
-    is ``R.T@f@R + (R@f@R).transpose(1, 0, 2) + (R@f@R.T).transpose(1, 2, 0)``,
-    under the same 1e-9 NotAntisymmetric checks.  f multiplies the products
-    R[i, j] * R[k, l], as in the sparse loop, so terms that cancel for a skew
-    R cancel exactly: evaluated as (R.T@f)@R, the repeated-index entries of
-    the curved r-matrices exceed 1e-9 by round-off alone at |lambda| = 1e9.
+    One matmul gives the term [r12, r13] of :func:`schouten`,
+    T = R.T@f@R; for a skew R the terms [r12, r23] and [r13, r23] are
+    -T.transpose(1, 0, 2) and T.transpose(1, 2, 0), products of bitwise
+    negated or equal operands, so t = T - T.transpose(1, 0, 2) +
+    T.transpose(1, 2, 0) equals the three-term sum bit for bit.  An R that
+    is not skew (a NaN may face a NaN) raises NotAntisymmetric, as do the
+    1e-9 checks on t.  f multiplies the products R[i, j] * R[k, l],
+    as in the sparse loop, so terms that cancel for a skew R cancel exactly:
+    evaluated as (R.T@f)@R, the repeated-index entries of the curved
+    r-matrices exceed 1e-9 by round-off alone at |lambda| = 1e9.
     """
+    if not np.array_equal(rmat, -rmat.T, equal_nan=True):
+        raise NotAntisymmetric("the r-matrix is not skew",
+                               float(np.max(np.abs(rmat + rmat.T))))
     dim = f.shape[0]
     flat = f.reshape(dim, dim * dim)
-    pairs = np.multiply.outer(rmat, rmat)  # [i, j, k, l] = R[i, j] * R[k, l]
-
-    def term(a, b):
-        """Contract f's two lower legs with legs a, b of R (x) R."""
-        rest = [x for x in range(4) if x not in (a, b)]
-        square = pairs.transpose(a, b, *rest).reshape(dim * dim, dim * dim)
-        return (flat @ square).reshape(dim, dim, dim)
-
-    t = (term(0, 2) + term(1, 2).transpose(1, 0, 2)
-         + term(1, 3).transpose(1, 2, 0))
+    # [(i, k), (j, l)] = R[i, j] * R[k, l]
+    square = np.multiply.outer(rmat, rmat).transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
+    term = (flat @ square).reshape(dim, dim, dim)
+    t = term - term.transpose(1, 0, 2) + term.transpose(1, 2, 0)
     bad = _repeated_index_mask(dim) & (np.abs(t) > SKEW_TOL)
     if bad.any():
         key = tuple(int(k) for k in np.argwhere(bad)[0])
-        raise NotAntisymmetric(f"repeated-index component {key} = {t[key]}")
+        raise NotAntisymmetric(f"repeated-index component {key} = {t[key]}",
+                               float(abs(t[key])))
     # every permutation of each i < j < k against the signed sorted entry
     keys = permuted_triples(dim, _PERMS)
     perm_vals = t[keys].reshape(len(_PERMS), -1)
-    bad = np.abs(perm_vals - _SIGNS * perm_vals[0]) > SKEW_TOL
+    dev = np.abs(perm_vals - _SIGNS * perm_vals[0])
+    bad = dev > SKEW_TOL
     if bad.any():
         col = int(np.flatnonzero(bad)[0])
         raise NotAntisymmetric(
-            f"component {tuple(int(k[col]) for k in keys)} breaks antisymmetry")
+            f"component {tuple(int(k[col]) for k in keys)} breaks antisymmetry",
+            float(dev.flat[col]))
     return t
 
 

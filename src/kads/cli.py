@@ -9,6 +9,7 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import functools
 import json
@@ -92,7 +93,9 @@ def _check(name: str, value, tol) -> dict:
 
 def _rmatrix_set(formal: bool, lam, kinv, twist):
     """The five named r-matrices with the algebras they live on: exact
-    LieAlgebras when formal, else the dense float tables f."""
+    LieAlgebras when formal, else the dense float tables f.  A numeric
+    r-matrix with a non-finite entry (kappa-inv * eta overflowing) is a
+    configuration error."""
     if formal:
         eta, kv, vt = sym("eta"), sym("kinv"), sym("vtheta")
         g_curved = ads_algebra(-(eta ** 2))
@@ -101,13 +104,18 @@ def _rmatrix_set(formal: bool, lam, kinv, twist):
         eta, kv, vt = eta_of(lam), float(kinv), float(twist)
         g_curved = ads_tensor(float(lam))
         g_flat = ads_tensor(0.0)
-    return [
+    entries = [
         ("r_flat", g_flat, rclass.r_poincare(kv)),
         ("r_flat_twisted", g_flat, rclass.r_poincare_twisted(kv, vt)),
         ("r_curved", g_curved, rclass.r_kads(kv, eta)),
         ("r_curved_twisted", g_curved, rclass.r_kads_twisted(kv, eta, vt)),
         ("r_2plus1", g_curved, rclass.r_2plus1(kv)),
     ]
+    for name, _, r in entries:
+        if not (formal or all(map(cmath.isfinite, r.components.values()))):
+            raise ConfigError(f"{name} has a non-finite entry at --lambda={lam!r} "
+                              f"--kappa-inv={kinv!r} --twist={twist!r}")
+    return entries
 
 
 P0 = IDX["P0"]
@@ -192,11 +200,21 @@ def cmd_classify(cfg: RunConfig) -> dict:
             th = 0.3
         ph = float(rng.uniform(0.0, 2 * math.pi))
         tw = float(rng.uniform(-1.0, 1.0))
-        rot, exp, transcript = rclass.canonicalize(th, ph, tw, kinv=cfg.kappa_inv,
-                                                   lam=-1.0, algebra=g_canon)
-        keys = set(rot.components) | set(exp.components)
-        dev = functools.reduce(sklyanin.worst_of, (
-            abs(rot.components.get(k, 0.0) - exp.components.get(k, 0.0)) for k in keys))
+        try:
+            # an overflowing --kappa-inv makes NaN residuals, which fail below
+            with np.errstate(over="ignore", invalid="ignore"):
+                rot, exp, transcript = rclass.canonicalize(
+                    th, ph, tw, kinv=cfg.kappa_inv, lam=-1.0, algebra=g_canon)
+        except (rclass.ConstraintViolated, B.NotAntisymmetric) as exc:
+            # round-off at a large --kappa-inv: the sample fails the check
+            # with the residual that stopped it
+            dev = exc.residual
+            transcript = {"theta": th, "phi": ph, "twist_input": tw,
+                          "error": f"{type(exc).__name__}: {exc}"}
+        else:
+            keys = set(rot.components) | set(exp.components)
+            dev = functools.reduce(sklyanin.worst_of, (
+                abs(rot.components.get(k, 0.0) - exp.components.get(k, 0.0)) for k in keys))
         worst = sklyanin.worst_of(worst, dev)
         transcript["deviation"] = dev
         transcripts.append(transcript)
@@ -418,7 +436,11 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3
-    report = COMMANDS[args.command](cfg)
+    try:
+        report = COMMANDS[args.command](cfg)
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 3
     text = json.dumps(report, sort_keys=True, indent=1, default=repr)
     if cfg.out and cfg.fmt == "json":
         with open(cfg.out, "w") as fh:

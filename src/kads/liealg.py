@@ -221,15 +221,25 @@ def jacobi_residual(g: LieAlgebra):
 
 
 def jacobi_residual_sparse(g: LieAlgebra):
-    """The Jacobi residual by loops over the sparse table, any coefficients."""
+    """The Jacobi residual by loops over the sparse table, any coefficients.
+
+    A triple whose three outer brackets are all zero has no double bracket
+    and is skipped; the others accumulate in the order (i, j, k), (j, k, i),
+    (k, i, j), so float sums do not depend on the skipping.
+    """
+    signed = g._signed
     worst: list = []
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
+            ij = signed.get((i, j))
             for k in range(j + 1, g.dim):
+                jk, ki = signed.get((j, k)), signed.get((k, i))
+                if not (ij or jk or ki):
+                    continue
                 acc: dict = {}
-                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    for m, cab in g.bracket_basis(a, b):
-                        for n, cmc in g.bracket_basis(m, c):
+                for outer, c in ((ij, k), (jk, i), (ki, j)):
+                    for m, cab in outer or ():
+                        for n, cmc in signed.get((m, c), ()):
                             cur = acc.get(n)
                             term = cab * cmc
                             acc[n] = term if cur is None else cur + term

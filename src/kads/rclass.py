@@ -20,7 +20,14 @@ from .scalars import ONE, Frac, Scalar, accumulate, make_rule, reduce_mod, sym
 
 
 class ConstraintViolated(ValueError):
-    """A family point off the constraint surface was passed to canonicalize."""
+    """A family point off the constraint surface was passed to canonicalize.
+
+    ``residual`` is the point's Yang-Baxter residual (inf when not measured).
+    """
+
+    def __init__(self, message: str, residual: float = math.inf):
+        super().__init__(message)
+        self.residual = residual
 
 
 # -- the named r-matrices -----------------------------------------------------
@@ -133,7 +140,10 @@ def impose_primitivity(fam: RFamily, g: LieAlgebra, x_index: int) -> RFamily:
         keys.update(d.components)
     keys = sorted(keys)
 
-    # rows: one per wedge component; columns: family parameters
+    # rows: one per wedge component; columns: family parameters.  Rows and
+    # kernel vectors hold only their nonzero entries, and a zero right-hand
+    # side, the one shared zero, takes no part in the elimination.
+    zero = Frac.of(0)
     rows = []
     for key in keys:
         row = {}
@@ -142,13 +152,12 @@ def impose_primitivity(fam: RFamily, g: LieAlgebra, x_index: int) -> RFamily:
             if c:
                 row[p] = Frac.of(c)
         rhs = delta_const.components.get(key)
-        rows.append((row, Frac.of(-rhs) if rhs is not None else Frac.of(0)))
+        rows.append((row, Frac.of(-rhs) if rhs is not None else zero))
 
     # Gauss-Jordan over the fraction field of the Scalar ring
     pivots = {}  # col -> row index
     reduced = []
     for row, rhs in rows:
-        row = dict(row)
         for col, ri in pivots.items():
             c = row.pop(col, None)
             if not c:
@@ -156,15 +165,17 @@ def impose_primitivity(fam: RFamily, g: LieAlgebra, x_index: int) -> RFamily:
             prow, prhs = reduced[ri]
             for k, v in prow.items():
                 accumulate(row, k, -(c * v))
-            rhs = rhs - c * prhs
+            if prhs:
+                rhs = rhs - c * prhs
         if not row:
             if rhs:
                 raise ConstraintViolated("primitivity system is inconsistent")
             continue
-        pcol = sorted(row)[0]
+        pcol = min(row)
         pval = row.pop(pcol)
         row = {k: v / pval for k, v in row.items()}
-        rhs = rhs / pval
+        if rhs:
+            rhs = rhs / pval
         # back-substitute into previous rows
         for i, (prow, prhs) in enumerate(reduced):
             c = prow.pop(pcol, None)
@@ -172,42 +183,36 @@ def impose_primitivity(fam: RFamily, g: LieAlgebra, x_index: int) -> RFamily:
                 continue
             for k, v in row.items():
                 accumulate(prow, k, -(c * v))
-            reduced[i] = (prow, prhs - c * rhs)
+            if rhs:
+                reduced[i] = (prow, prhs - c * rhs)
         pivots[pcol] = len(reduced)
         reduced.append((row, rhs))
 
-    free_cols = [p for p in fam.params if p not in pivots]
-
     # particular solution (nonzero only when the constant part is constrained)
-    particular = {p: Frac.of(0) for p in fam.params}
-    for col, ri in pivots.items():
-        particular[col] = reduced[ri][1]
-
     new_const = fam.const
     for p in fam.params:
-        sol = particular[p]
+        sol = reduced[pivots[p]][1] if p in pivots else zero
         if not sol:
             continue
-        if sol.den != Scalar.rational(1):
+        if sol.den != ONE:
             raise ValueError("particular solution is not polynomial; "
                              "re-parametrize the family constant")
         new_const = new_const + fam.directions[p].scale(sol.num)
 
     params = []
     directions = {}
-    for n, fc in enumerate(free_cols):
-        vec = {p: Frac.of(0) for p in fam.params}
-        vec[fc] = Frac.of(1)
+    for fc in (p for p in fam.params if p not in pivots):
+        vec = {fc: Frac.of(1)}
         for col, ri in pivots.items():
             coeff = reduced[ri][0].get(fc)
             if coeff is not None:
                 vec[col] = -coeff
         vec = _clear_denominators(vec)
         direction = Bivector()
-        for p, c in vec.items():
-            if c:
-                direction = direction + fam.directions[p].scale(c)
-        name = f"t{n}"
+        for p in fam.params:
+            if p in vec:
+                direction = direction + fam.directions[p].scale(vec[p])
+        name = f"t{len(params)}"
         params.append(name)
         directions[name] = direction
     return RFamily(const=new_const, params=params, directions=directions)
@@ -328,10 +333,11 @@ def rotate_bivector(rot: BasisRotation, r: Bivector) -> Bivector:
 
 
 def require_on_surface(alpha, beta, kinv: float, lam: float, tol: float = 1e-9) -> float:
-    """Raise ConstraintViolated unless the point solves the quadratic relations."""
+    """Raise ConstraintViolated unless the point solves the quadratic
+    relations; a NaN residual does not."""
     resid = numeric_family_residual(alpha, beta, kinv, lam)
-    if resid > tol:
-        raise ConstraintViolated(f"sample violates the constraint surface: {resid}")
+    if not resid <= tol:
+        raise ConstraintViolated(f"sample violates the constraint surface: {resid}", resid)
     return resid
 
 

@@ -5,20 +5,22 @@ general form of something the program computes another way: the rewrite
 rules of the sphere and the trig stand-ins, the full 5x5 representation
 matrices, one invariant field or one Sklyanin bracket at a time, the
 generic 3D Poisson construction from a multiplier and a Casimir, and the
-numeric ``check-bialgebra`` report built by the sparse loops.
+numeric ``check-bialgebra`` report built by the sparse loops, and the
+three-term Schouten brackets that the program builds from one term.
 """
 
 import numpy as np
 
 from kads import bialgebra as B
-from kads.bialgebra import Bivector
+from kads.bialgebra import SKEW_TOL, Bivector, NotAntisymmetric, Trivector
 from kads.cli import RunConfig, _check
 from kads.curvtrig import Dual, eps_part, eta_of
 from kads.group_geom import GroupPoint, ambient_jacobian, field_derivatives, group_element
-from kads.liealg import DIM, IDX, ads_algebra, subalgebra
+from kads.liealg import (DIM, IDX, ads_algebra, coeff_norm, is_exact, permuted_triples,
+                         subalgebra)
 from kads.rclass import (LORENTZ, SUBALG_2PLUS1, r_2plus1, r_kads, r_kads_twisted,
                          r_poincare, r_poincare_twisted)
-from kads.scalars import make_rule, sym
+from kads.scalars import accumulate, make_rule, sym
 from kads.sklyanin import BracketTable, _contract, _support
 
 
@@ -181,3 +183,66 @@ def sparse_bialgebra_report(cfg: RunConfig) -> dict:
                              delta[IDX["P0"]].norm(), tol))
     return {"suite": "bialgebra", "config": cfg.echo(), "checks": checks,
             "pass": all(c["pass"] for c in checks)}
+
+
+# -- the Schouten bracket from all three of its terms ---------------------------
+
+
+def schouten_three_terms(g, r: Bivector) -> Trivector:
+    """[[r, r]] summing [r12, r13], [r12, r23] and [r13, r23] over every pair
+    of signed entries, under the same antisymmetry checks as ``schouten``."""
+    entries = list(r.entries_signed())
+    full: dict = {}
+    for i, j, c1 in entries:
+        for k, l, c2 in entries:
+            c = c1 * c2
+            for m, cb in g.bracket_basis(i, k):
+                accumulate(full, (m, j, l), c * cb)   # [r12, r13]
+            for m, cb in g.bracket_basis(j, k):
+                accumulate(full, (i, m, l), c * cb)   # [r12, r23]
+            for m, cb in g.bracket_basis(j, l):
+                accumulate(full, (i, k, m), c * cb)   # [r13, r23]
+    tol = 0 if all(is_exact(c) for c in full.values()) else SKEW_TOL
+    out: dict = {}
+    for (a, b, c3), v in full.items():
+        if a == b or b == c3 or a == c3:
+            if coeff_norm(v) > tol:
+                raise NotAntisymmetric(f"repeated-index component {(a, b, c3)} = {v}")
+            continue
+        if a < b < c3:
+            out[(a, b, c3)] = v
+    for (a, b, c3), v in out.items():
+        for perm, sign in B._SIGN3.items():
+            key = tuple((a, b, c3)[p] for p in perm)
+            got = full.get(key)
+            if got is None or coeff_norm(got - (v if sign == 1 else -v)) > tol:
+                raise NotAntisymmetric(f"component {key} breaks antisymmetry")
+    return Trivector(out)
+
+
+def schouten_dense_three_terms(f: np.ndarray, rmat: np.ndarray) -> np.ndarray:
+    """The dense [[r, r]] as R.T@f@R + (R@f@R).transpose(1, 0, 2) +
+    (R@f@R.T).transpose(1, 2, 0), each term one matmul against the products
+    R[i, j] * R[k, l], under the 1e-9 antisymmetry checks and no skew test."""
+    dim = f.shape[0]
+    flat = f.reshape(dim, dim * dim)
+    pairs = np.multiply.outer(rmat, rmat)  # [i, j, k, l] = R[i, j] * R[k, l]
+
+    def term(a, b):
+        """Contract f's two lower legs with legs a, b of R (x) R."""
+        rest = [x for x in range(4) if x not in (a, b)]
+        square = pairs.transpose(a, b, *rest).reshape(dim * dim, dim * dim)
+        return (flat @ square).reshape(dim, dim, dim)
+
+    t = (term(0, 2) + term(1, 2).transpose(1, 0, 2)
+         + term(1, 3).transpose(1, 2, 0))
+    bad = B._repeated_index_mask(dim) & (np.abs(t) > SKEW_TOL)
+    if bad.any():
+        key = tuple(int(k) for k in np.argwhere(bad)[0])
+        raise NotAntisymmetric(f"repeated-index component {key} = {t[key]}")
+    keys = permuted_triples(dim, B._PERMS)
+    perm_vals = t[keys].reshape(len(B._PERMS), -1)
+    if (np.abs(perm_vals - B._SIGNS * perm_vals[0]) > SKEW_TOL).any():
+        raise NotAntisymmetric("a component breaks antisymmetry")
+    return t
+

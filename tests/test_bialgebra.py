@@ -4,9 +4,11 @@ import re
 import numpy as np
 import pytest
 
+from kads import bialgebra as B
 from kads.bialgebra import (Bivector, NotAntisymmetric, cocommutator, cocommutator_dense,
                             coisotropy_check, dual_jacobi_residual, mcybe_residual,
-                            mcybe_residual_components, schouten, schouten_dense)
+                            mcybe_residual_components, mcybe_residual_dense, schouten,
+                            schouten_dense)
 from kads.curvtrig import eta_of
 from kads.liealg import (BASIS, DIM, IDX, LieAlgebra, NotSubalgebra, ads_algebra,
                          ads_tensor, components_norm, jacobi_residual_sparse, subalgebra,
@@ -15,6 +17,7 @@ from kads.rclass import (LORENTZ, SUBALG_2PLUS1, family_r, r_2plus1, r_kads,
                          r_kads_twisted, r_poincare, r_poincare_twisted)
 from kads.scalars import Scalar, rat, sym
 
+from oracles import schouten_dense_three_terms, schouten_three_terms
 from tables import biv, expected_curved_table, expected_flat_table
 
 eta, kinv, vth = sym("eta"), sym("kinv"), sym("vtheta")
@@ -141,6 +144,21 @@ def test_schouten_matches_exact_oracle():
         # no stray oracle entries outside the trivector support
         for key in oracle:
             assert key in seen, key
+
+
+def test_schouten_equals_the_three_term_oracle():
+    # for a skew r the terms [r12, r23] and [r13, r23] are leg relabelings of
+    # [r12, r13]: the one-term kernel gives the three-term bracket key for key
+    alpha = (sym("alpha1"), sym("alpha2"), sym("alpha3"))
+    beta = (sym("beta1"), sym("beta2"), sym("beta3"))
+    for g in (ads_algebra(-(eta ** 2)), ads_algebra(sym("Lambda"))):
+        for r in (family_r(alpha, beta, kinv), r_poincare(kinv),
+                  r_poincare_twisted(kinv, vth), r_kads(kinv, eta),
+                  r_kads_twisted(kinv, eta, vth), r_2plus1(kinv),
+                  biv(("K1", "P2", rat(1)), ("J1", "J2", eta), ("P0", "J3", vth))):
+            got, want = schouten(g, r).components, schouten_three_terms(g, r).components
+            assert got.keys() == want.keys()
+            assert all(got[k] == want[k] for k in want)
 
 
 def test_schouten_zero_and_single_term():
@@ -372,8 +390,69 @@ def test_dense_schouten_rejects_a_non_skew_matrix():
     rmat = r_kads(0.31, eta_of(-0.7)).matrix(DIM)
     schouten_dense(f, rmat)  # skew: passes
     for bad in (np.abs(rmat), rmat + np.eye(DIM) * 1e-3):
-        with pytest.raises(NotAntisymmetric):
+        with pytest.raises(NotAntisymmetric, match="not skew") as err:
             schouten_dense(f, bad)
+        assert err.value.residual == np.max(np.abs(bad + bad.T)) > 0
+        with pytest.raises(NotAntisymmetric):
+            mcybe_residual_dense(f, bad)
+    # a NaN entry faces a NaN: skew, and the residual is NaN
+    nan_r = r_kads(0.31, eta_of(-0.7)) + biv(("P0", "K1", math.nan))
+    assert math.isnan(mcybe_residual_dense(f, nan_r.matrix(DIM)))
+    one_sided = rmat.copy()
+    one_sided[0, 4] = math.nan
+    with pytest.raises(NotAntisymmetric, match="not skew"):
+        schouten_dense(f, one_sided)
+
+
+def dense_outcome(kernel, f, rmat):
+    """The kernel's result, or the type of the error it raised."""
+    try:
+        return kernel(f, rmat)
+    except NotAntisymmetric as exc:
+        return type(exc)
+
+
+def skew_matrix(rng, imag=0.0):
+    upper = np.triu(rng.uniform(-1, 1, (DIM, DIM)) + imag * 1j * rng.uniform(-1, 1, (DIM, DIM)), 1)
+    return upper - upper.T
+
+
+def test_dense_one_term_kernels_are_bit_identical_to_three_terms(monkeypatch):
+    # for a skew R the other two terms are products of bitwise negated or
+    # equal operands, so the one-term tensor is the three-term sum bit for
+    # bit, and so are the residuals, the integer 0 and which inputs raise
+    rng = np.random.default_rng(0x5C0)
+    kv, vt = 0.31, 0.17
+    cases = []
+    for lam in EDGE_LAMBDAS:
+        eta_ = eta_of(lam)
+        f = ads_tensor(lam)
+        named = (r_poincare(kv), r_poincare_twisted(kv, vt), r_kads(kv, eta_),
+                 r_kads_twisted(kv, eta_, vt), r_2plus1(kv))
+        rmats = [r.matrix(DIM) for r in named]
+        for _ in range(3):
+            n = rng.normal(size=3)
+            n /= np.linalg.norm(n)
+            on = family_r(tuple(eta_ * kv * n), tuple(rng.uniform(-1, 1) * n), kv)
+            off = family_r(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(-1, 1, 3)), kv)
+            rmats += [on.matrix(DIM), off.matrix(DIM), skew_matrix(rng),
+                      skew_matrix(rng, 0.5)]
+        cases += [(lam, f, rmat) for rmat in rmats]
+    one_term = [(dense_outcome(schouten_dense, f, rm), dense_outcome(mcybe_residual_dense, f, rm))
+                for _, f, rm in cases]
+    monkeypatch.setattr(B, "schouten_dense", schouten_dense_three_terms)
+    three_terms = [(dense_outcome(schouten_dense_three_terms, f, rm),
+                    dense_outcome(B.mcybe_residual_dense, f, rm)) for _, f, rm in cases]
+    raised = set()
+    for (lam, _, _), (t1, m1), (t3, m3) in zip(cases, one_term, three_terms):
+        if isinstance(t3, type):
+            assert t1 is t3 and m1 is m3
+            raised.add(lam)
+            continue
+        assert t1.dtype == t3.dtype and np.array_equal(t1, t3)
+        assert type(m1) is type(m3) and m1 == m3
+    # only inputs at |lambda| = 1e9 leave round-off above 1e-9
+    assert raised == {-1e9, 1e9}
 
 
 def test_dense_schouten_stays_antisymmetric_at_large_lambda():

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -358,7 +359,10 @@ def test_nan_residual_fails_classify(tmp_path, monkeypatch):
     assert main(["classify", "--samples", "3", "--out", str(out)]) == 2
     rep = json.loads(out.read_text())
     failed = sorted(c["name"] for c in rep["checks"] if not c["pass"])
-    assert failed == ["satisfying_samples_max_residual", "violating_samples_min_residual"]
+    # canonicalize checks its sample with the same residual: a NaN there is
+    # off the surface too
+    assert failed == ["canonicalization_max_deviation", "satisfying_samples_max_residual",
+                      "violating_samples_min_residual"]
 
 
 def test_run_all_checks_passes_every_suite(tmp_path, capsys):
@@ -380,6 +384,23 @@ def test_run_all_checks_passes_every_suite(tmp_path, capsys):
         assert digest == hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
 
 
+def test_suite_times_prints_one_json_line(capsys):
+    # scripts/suite_times.py: the fastest of k in-process runs per item
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts", "suite_times.py")
+    spec = importlib.util.spec_from_file_location("suite_times", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["-k", "1", "check-bialgebra --lambda formal"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    line = json.loads(lines[0])
+    assert line["k"] == 1 and list(line["ms"]) == ["check-bialgebra --lambda formal"]
+    assert line["ms"]["check-bialgebra --lambda formal"] > 0
+    assert len(script.ITEMS) == 9
+    with pytest.raises(SystemExit):
+        script.main(["no such suite"])
+
+
 def test_poisson_and_export_raise_no_numpy_warnings(tmp_path):
     # the lambda sweep of the benchmark: both signs, ordinary and near flat
     out = str(tmp_path / "rep.json")
@@ -388,3 +409,49 @@ def test_poisson_and_export_raise_no_numpy_warnings(tmp_path):
         for lam in (-1.0, -0.3, -1e-8, 1e-8, 0.3, 1.0):
             for suite in ("poisson", "export"):
                 assert main([suite, f"--lambda={lam!r}", "--samples", "20", "--out", out]) == 0
+
+
+def classify_report(tmp_path, kinv: str):
+    out = tmp_path / "classify.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["classify", "--samples=3", f"--kappa-inv={kinv}", "--out", str(out)])
+    return code, json.loads(out.read_text())
+
+
+def test_classify_at_large_kappa_inv_fails_its_canonicalization_check(tmp_path):
+    # kappa-inv 1e3 passes; from 1e4 the round-off of a sample on the surface
+    # by construction stops canonicalize, which fails the check with the
+    # residual that stopped it, and an overflow to NaN wins
+    code, rep = classify_report(tmp_path, "1e3")
+    assert code == 0 and rep["pass"]
+    for kinv, error, residual in (("1e4", "ConstraintViolated", 2.9802322387695312e-08),
+                                  ("3e4", "NotAntisymmetric", 1.1920928955078125e-07),
+                                  ("1e300", "ConstraintViolated", None)):
+        code, rep = classify_report(tmp_path, kinv)
+        failed = [c for c in rep["checks"] if not c["pass"]]
+        assert code == 2 and [c["name"] for c in failed] == ["canonicalization_max_deviation"]
+        got, first = failed[0]["residual"], rep["canonicalization"][0]
+        assert first["error"].startswith(error + ": ")
+        if residual is None:
+            assert math.isnan(got) and math.isnan(first["deviation"])
+        else:
+            assert got == first["deviation"] == residual
+
+
+def test_non_finite_r_matrix_is_a_config_error(tmp_path, capsys):
+    # kappa-inv * eta overflows to inf in the curved r-matrices
+    out = tmp_path / "rep.json"
+    assert main(["check-bialgebra", "--lambda=-1e9", "--kappa-inv=1e308",
+                 "--out", str(out)]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "r_curved has a non-finite entry" in err and "--kappa-inv=1e+308" in err
+    # a finite r whose products overflow still runs, and NaN fails its checks
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["check-bialgebra", "--lambda=1e300", "--kappa-inv=1e10",
+                     "--out", str(out)]) == 2
+    failed = {c["name"]: c["residual"] for c in json.loads(out.read_text())["checks"]
+              if not c["pass"]}
+    assert "r_curved.mcybe" in failed and all(math.isnan(v) for v in failed.values())

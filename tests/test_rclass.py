@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from kads.bialgebra import Bivector, cocommutator, cocommutator_of, mcybe_residual
-from kads.liealg import IDX, ads_algebra
-from kads.rclass import (ConstraintViolated, beta_aligned, canonicalize,
+from kads.liealg import BASIS, IDX, ads_algebra
+from kads.rclass import (ConstraintViolated, RFamily, beta_aligned, canonicalize,
                          constraint_distance, constraint_residuals,
                          eq_constraint_polynomials, family_r, generic_ansatz,
                          ideal_equivalence, impose_primitivity,
@@ -14,6 +14,7 @@ from kads.rclass import (ConstraintViolated, beta_aligned, canonicalize,
 from kads.scalars import Scalar, rat, reduce_mod, sym
 
 from oracles import trig_rules
+from tables import biv
 
 eta, kinv = sym("eta"), sym("kinv")
 
@@ -50,6 +51,55 @@ def test_impose_primitivity_generic_kernel():
     assert len(red0.params) == 27
     for p in red0.params:
         assert cocommutator(ads_algebra(0), red0.directions[p])[IDX["P0"]].norm() == 0
+
+
+# the primitivity kernels of the generic ansatz, direction by direction, as
+# the dense elimination gave them (components in insertion order)
+CURVED_PRIMITIVE_DIRECTIONS = (
+    "P0^J1: 1", "P0^J2: 1", "P0^J3: 1",
+    "P1^P2: 1, K1^K2: -Lambda", "P1^P3: 1, K1^K3: -Lambda", "P1^K1: 1",
+    "P2^P3: 1, K2^K3: -Lambda", "P1^K2: 1, P2^K1: 1", "P2^K2: 1",
+    "P1^K3: 1, P3^K1: 1", "P2^K3: 1, P3^K2: 1", "P3^K3: 1",
+    "J1^J2: 1", "J1^J3: 1", "J2^J3: 1",
+)
+FLAT_PRIMITIVE_DIRECTIONS = (
+    "P0^P1: 1", "P0^P2: 1", "P0^P3: 1", "P0^J1: 1", "P0^J2: 1", "P0^J3: 1",
+    "P1^P2: 1", "P1^P3: 1", "P1^K1: 1", "P1^J1: 1", "P1^J2: 1", "P1^J3: 1",
+    "P2^P3: 1", "P1^K2: 1, P2^K1: 1", "P2^K2: 1", "P2^J1: 1", "P2^J2: 1",
+    "P2^J3: 1", "P1^K3: 1, P3^K1: 1", "P2^K3: 1, P3^K2: 1", "P3^K3: 1",
+    "P3^J1: 1", "P3^J2: 1", "P3^J3: 1", "J1^J2: 1", "J1^J3: 1", "J2^J3: 1",
+)
+
+
+def _terms(b: Bivector) -> str:
+    return ", ".join(f"{BASIS[i]}^{BASIS[j]}: {c}" for (i, j), c in b.components.items())
+
+
+def test_impose_primitivity_directions_are_pinned():
+    for g, pinned in ((ads_algebra(sym("Lambda")), CURVED_PRIMITIVE_DIRECTIONS),
+                      (ads_algebra(0), FLAT_PRIMITIVE_DIRECTIONS)):
+        red = impose_primitivity(generic_ansatz(), g, IDX["P0"])
+        assert red.params == [f"t{n}" for n in range(len(pinned))]
+        assert tuple(_terms(red.directions[p]) for p in red.params) == pinned
+        assert red.const.components == {}
+
+
+def test_impose_primitivity_solves_for_a_constant_part():
+    # the particular solution cancels what the directions can reach of
+    # delta(P0) of the constant; a constant they cannot reach is inconsistent
+    lam, g = sym("Lambda"), ads_algebra(sym("Lambda"))
+    fam = generic_ansatz()
+    for const, want in (
+            (biv(("K1", "P0", kinv), ("P1", "P2", lam)), "P1^P2: Lambda, K1^K2: -Lambda^2"),
+            (biv(("K1", "K2", kinv), ("J1", "J2", kinv)), "J1^J2: kinv")):
+        red = impose_primitivity(RFamily(const, fam.params, fam.directions), g, IDX["P0"])
+        assert _terms(red.const) == want
+        assert tuple(_terms(red.directions[p]) for p in red.params) == CURVED_PRIMITIVE_DIRECTIONS
+        assert cocommutator_of(g, red.const, IDX["P0"]).norm() == 0
+    stuck = RFamily(const=biv(("K1", "P0", kinv)), params=["c"],
+                    directions={"c": biv(("K2", "P0", kinv))})
+    with pytest.raises(ConstraintViolated, match="inconsistent"):
+        impose_primitivity(stuck, g, IDX["P0"])
 
 
 def _kernel_point(red, values: dict, lam: float) -> Bivector:
