@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""In-process times of the CLI suites and of the exact r-matrix kernels.
+"""In-process times of the CLI suites, of the exact r-matrix kernels and of
+the report encoding.
 
 Runs each named item k times in this process and prints one JSON line:
 ``{"k": k, "python": version, "ms": {name: fastest of the k runs in ms}}``.
 The CLI suites write their reports to a temporary directory, so the time
 includes the JSON encoding.  The kernels are timed without the CLI: the
 formal ``check-bialgebra`` suite function, the symbolic constraint ideal,
-and the primitivity reduction of the 45-parameter ansatz on the formal
-algebra, which is built once outside the timing.
+the primitivity reduction of the 45-parameter ansatz on the formal
+algebra, which is built once outside the timing, and ``cli.report_text``
+on the report of ``export --lambda=-0.3 --samples=16``, also built once.
 
 Usage:  PYTHONPATH=src python scripts/suite_times.py [-k K] [NAME ...]
 With no NAME every item is timed; the names are the keys of ITEMS.
@@ -32,22 +34,27 @@ CLI_SUITES = {
     "poisson --lambda=1": ["poisson", "--lambda=1"],
     "poisson --lambda=-1": ["poisson", "--lambda=-1"],
     "check-bialgebra --lambda formal": ["check-bialgebra", "--lambda", "formal"],
+    # the sizes of one sklyanin_sweep operation in perfbench/
+    "poisson --lambda=-0.3 --samples=4": ["poisson", "--lambda=-0.3", "--samples=4"],
+    "export --lambda=-0.3 --samples=16": ["export", "--lambda=-0.3", "--samples=16"],
 }
 
 
 def _kernels() -> dict:
-    """Zero-argument calls of the exact kernels, their inputs built here."""
+    """Zero-argument calls of the kernels, their inputs built here."""
     ansatz, algebra = rclass.generic_ansatz(), ads_algebra(sym("Lambda"))
+    export = cli.cmd_export(cli.RunConfig(lam=-0.3, samples=16))
     return {
         "kernel: formal cmd_bialgebra": lambda: cli.cmd_bialgebra(cli.RunConfig()),
         "kernel: constraint_residuals": rclass.constraint_residuals,
         "kernel: impose_primitivity": lambda: rclass.impose_primitivity(
             ansatz, algebra, IDX["P0"]),
+        "kernel: report encoding": lambda: cli.report_text(export),
     }
 
 
 ITEMS = tuple(CLI_SUITES) + ("kernel: formal cmd_bialgebra", "kernel: constraint_residuals",
-                             "kernel: impose_primitivity")
+                             "kernel: impose_primitivity", "kernel: report encoding")
 
 
 def fastest_ms(call, k: int) -> float:

@@ -411,14 +411,14 @@ class Scalar:
         missing = self.params() - set(values)
         if missing:
             raise UnboundParameter(f"unbound parameters: {sorted(missing)}")
-        total = None
-        for m, c in self.terms.items():
-            term = c
-            for i, e in enumerate(unpack(m)):
-                if e:
-                    term = term * values[PARAMS[i]] ** e
-            total = term if total is None else total + term
-        return 0.0 if total is None else total
+        return eval_monomials(self.monomials(), values)
+
+    def monomials(self) -> tuple:
+        """The terms in storage order, unpacked for ``eval_monomials``:
+        ((coefficient, ((parameter, exponent), ...)), ...), nonzero
+        exponents only."""
+        return tuple((c, tuple((PARAMS[i], e) for i, e in enumerate(unpack(m)) if e))
+                     for m, c in self.terms.items())
 
     # -- text form -----------------------------------------------------------
 
@@ -446,6 +446,20 @@ class Scalar:
 
 
 ONE = Scalar.rational(1)
+
+
+def eval_monomials(monomials: tuple, values: Mapping[str, object]):
+    """The value of ``Scalar.monomials`` at ``values``, which must bind every
+    parameter they use, by ring operations in the order of
+    ``Scalar.eval_numeric``: each coefficient times its powers, the terms
+    summed in storage order; 0.0 for no terms."""
+    total = None
+    for c, powers in monomials:
+        term = c
+        for name, e in powers:
+            term = term * values[name] ** e
+        total = term if total is None else total + term
+    return 0.0 if total is None else total
 
 
 def sym(name: str, power: int = 1) -> Scalar:

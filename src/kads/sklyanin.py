@@ -34,6 +34,7 @@ from .group_geom import (GroupPoint, ambient_derivatives, ambient_from_local,
                          coset_derivatives, group_element)
 from .liealg import DIM, worst_of
 from .ncalg import ambient_algebra, poisson_reading
+from .scalars import UnboundParameter, eval_monomials
 
 LOCAL_LABELS = ("x0", "x1", "x2", "x3")
 AMBIENT_LABELS = ("s4", "s0", "s1", "s2", "s3")
@@ -69,14 +70,30 @@ def local_entries(x, lam, eta, kinv, vtheta=None) -> dict:
     return out
 
 
-def reading_terms(reading: dict, labels, values) -> dict:
-    """A first-order Poisson reading (``ncalg.poisson_reading``) over ``labels``:
-    {(i, j): [(coefficient, letter indices)]}, with the coefficients
-    evaluated at ``values`` (floats, complex numbers or duals) by ring operations."""
+def reading_terms(make, labels, values) -> dict:
+    """The first-order Poisson reading of ``make()`` (``formal_reading``) over
+    ``labels``: {(i, j): [(coefficient, letter indices)]}, with the
+    coefficients evaluated at ``values`` (floats, complex numbers or duals)
+    by the ring operations of ``Scalar.eval_numeric``."""
+    params, pairs = _reading_monomials(make, tuple(labels))
+    missing = params - set(values)
+    if missing:
+        raise UnboundParameter(f"unbound parameters: {sorted(missing)}")
+    return {pair: [(eval_monomials(monomials, values), word) for monomials, word in terms]
+            for pair, terms in pairs.items()}
+
+
+@functools.cache
+def _reading_monomials(make, labels: tuple) -> tuple:
+    """``formal_reading(make)`` over ``labels`` with every coefficient
+    unpacked, once per process: (the parameters the coefficients use,
+    {(i, j): [(``Scalar.monomials``, letter indices)]})."""
     idx = {name: k for k, name in enumerate(labels)}
-    return {(idx[a], idx[b]): [(c.eval_numeric(values), tuple(idx[n] for n in word))
-                               for word, c in terms.items()]
-            for (a, b), terms in reading.items()}
+    reading = formal_reading(make)
+    params = set().union(*(c.params() for terms in reading.values() for c in terms.values()))
+    return params, {(idx[a], idx[b]): [(c.monomials(), tuple(idx[n] for n in word))
+                                       for word, c in terms.items()]
+                    for (a, b), terms in reading.items()}
 
 
 def reading_entry(terms: dict, i: int, j: int, coords):
@@ -110,7 +127,7 @@ class BracketTable:
         if self.eta is None:
             self.eta = eta_of(self.lam)
         if self.name == "ambient":
-            self._terms = reading_terms(formal_reading(ambient_algebra), self.labels,
+            self._terms = reading_terms(ambient_algebra, self.labels,
                                         {"eta": self.eta, "kinv": self.kinv})
 
     def entries(self, coords) -> dict:
@@ -276,12 +293,15 @@ def verify_table(r: Bivector, table: BracketTable, batch: SampleBatch) -> dict:
     got = _brackets(r, *batch.derivatives(ambient))
     got, other = got[:samples], got[samples:]
     entries = table.entries(batch.coords(ambient))
-    dev = np.array([np.broadcast_to(abs(got[:, i, j] - v), (samples,))
-                    for (i, j), v in entries.items()])
+    want = np.empty((len(entries), samples), complex)
+    for row, v in zip(want, entries.values()):
+        row[...] = v
+    i, j = np.array(list(entries)).T
+    dev = np.abs(got[:, i, j].T - want)  # (pairs, samples)
     per_point = dev.max(axis=0)
     k = _first_worst(per_point)
-    per_pair = {f"{table.labels[i]}^{table.labels[j]}": float(d.max())
-                for (i, j), d in zip(entries, dev)}
+    per_pair = {f"{table.labels[i]}^{table.labels[j]}": d
+                for (i, j), d in zip(entries, dev.max(axis=1).tolist())}
     return {
         "table": table.name,
         "lambda": batch.lam,
@@ -320,24 +340,38 @@ def table_jacobiators(table: BracketTable, coords) -> np.ndarray:
     (``coords``: one array of N values per coordinate): a (triples, N) array.
 
     One vector-seeded dual pass over all points gives every pair's value
-    and its gradient.
+    and its gradient, as the arrays val[a, mu] = {x^a, x^mu} and
+    grad[b, c, mu] = d{x^b, x^c}/dx^mu.  Each cyclic term of every triple
+    is sum_mu val[a, mu] * grad[b, c, mu], summed from integer 0 over mu in
+    order, and each Jacobiator is 0.0 plus the three terms in cyclic order:
+    the operations of a per-triple loop, so every element equals that
+    loop's bit for bit (a NaN's sign aside), complex when any entry is.
     """
     n, count = table.dim, len(coords[0])
     xd = [Dual(c, e[:, None]) for c, e in zip(coords, np.eye(n))]  # eps (n, 1): d/dx^mu
-    val = [[0.0] * n for _ in range(n)]
-    grad = {}
-    for (b, c), v in table.entries(xd).items():
-        val[b][c], val[c][b] = re_part(v), -re_part(v)
-        grad[b, c] = np.broadcast_to(eps_part(v), (n, count))  # a constant has zero gradient
-        grad[c, b] = -grad[b, c]  # entry(c, b) is -entry(b, c), exactly
-    out = []
-    for i, j, k in combinations(range(n), 3):
-        total = 0.0
-        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            g = grad[b, c]
-            total = total + sum(val[a][mu] * g[mu] for mu in range(n))
-        out.append(np.broadcast_to(total, (count,)))
-    return np.array(out)
+    entries = table.entries(xd)
+    dtype = np.result_type(0.0, *(part(v) for v in entries.values()
+                                  for part in (re_part, eps_part)))
+    val = np.zeros((n, n, count), dtype)
+    grad = np.zeros((n, n, n, count), dtype)
+    for (b, c), v in entries.items():
+        re, eps = re_part(v), eps_part(v)
+        val[b, c], val[c, b] = re, -re
+        grad[b, c], grad[c, b] = eps, -eps  # a constant has zero gradient
+    a, b, c = _cyclic_triples(n)
+    terms = val[a] * grad[b, c]  # (rotation, triple, mu, N)
+    total = 0
+    for mu in range(n):
+        total = total + terms[:, :, mu]
+    return (0.0 + total[0]) + total[1] + total[2]
+
+
+@functools.cache
+def _cyclic_triples(n: int) -> tuple:
+    """Index arrays (a, b, c), each (3, triples): row r holds the r-th
+    cyclic rotation of every triple i < j < k, in ``combinations`` order."""
+    ijk = np.array(list(combinations(range(n), 3))).T
+    return tuple(np.stack([ijk[(s + r) % 3] for r in range(3)]) for s in range(3))
 
 
 def table_jacobi_residual(table: BracketTable, samples: int, seed: int = 0x5EED) -> float:

@@ -5,23 +5,28 @@ general form of something the program computes another way: the rewrite
 rules of the sphere and the trig stand-ins, the full 5x5 representation
 matrices, one invariant field or one Sklyanin bracket at a time, the
 generic 3D Poisson construction from a multiplier and a Casimir, and the
-numeric ``check-bialgebra`` report built by the sparse loops, and the
-three-term Schouten brackets that the program builds from one term.
+numeric ``check-bialgebra`` report built by the sparse loops, the
+three-term Schouten brackets that the program builds from one term, the
+per-triple Jacobiator loop, the Poisson readings evaluated coefficient by
+coefficient, and the stdlib's JSON encoder for the reports.
 """
+
+import json
+from itertools import combinations
 
 import numpy as np
 
 from kads import bialgebra as B
 from kads.bialgebra import SKEW_TOL, Bivector, NotAntisymmetric, Trivector
 from kads.cli import RunConfig, _check
-from kads.curvtrig import Dual, eps_part, eta_of
+from kads.curvtrig import Dual, eps_part, eta_of, re_part
 from kads.group_geom import GroupPoint, ambient_jacobian, field_derivatives, group_element
 from kads.liealg import (DIM, IDX, ads_algebra, coeff_norm, is_exact, permuted_triples,
                          subalgebra)
 from kads.rclass import (LORENTZ, SUBALG_2PLUS1, r_2plus1, r_kads, r_kads_twisted,
                          r_poincare, r_poincare_twisted)
 from kads.scalars import accumulate, make_rule, sym
-from kads.sklyanin import BracketTable, _contract, _support
+from kads.sklyanin import BracketTable, _contract, _support, formal_reading
 
 
 # -- rewrite rules -------------------------------------------------------------
@@ -246,3 +251,44 @@ def schouten_dense_three_terms(f: np.ndarray, rmat: np.ndarray) -> np.ndarray:
         raise NotAntisymmetric("a component breaks antisymmetry")
     return t
 
+
+
+# -- the Sklyanin tables' per-element loops --------------------------------------
+
+
+def jacobiators_by_triples(table: BracketTable, coords) -> np.ndarray:
+    """``table_jacobiators`` as a loop over the triples, their cyclic terms
+    and mu, each gradient broadcast to (n, N) on its own."""
+    n, count = table.dim, len(coords[0])
+    xd = [Dual(c, e[:, None]) for c, e in zip(coords, np.eye(n))]
+    val = [[0.0] * n for _ in range(n)]
+    grad = {}
+    for (b, c), v in table.entries(xd).items():
+        val[b][c], val[c][b] = re_part(v), -re_part(v)
+        grad[b, c] = np.broadcast_to(eps_part(v), (n, count))
+        grad[c, b] = -grad[b, c]
+    out = []
+    for i, j, k in combinations(range(n), 3):
+        total = 0.0
+        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+            g = grad[b, c]
+            total = total + sum(val[a][mu] * g[mu] for mu in range(n))
+        out.append(np.broadcast_to(total, (count,)))
+    return np.array(out)
+
+
+def reading_terms_by_eval_numeric(make, labels, values) -> dict:
+    """``reading_terms`` with each coefficient evaluated by
+    ``Scalar.eval_numeric``, which unpacks it on every call."""
+    idx = {name: k for k, name in enumerate(labels)}
+    return {(idx[a], idx[b]): [(c.eval_numeric(values), tuple(idx[n] for n in word))
+                               for word, c in terms.items()]
+            for (a, b), terms in formal_reading(make).items()}
+
+
+# -- the report encoding ----------------------------------------------------------
+
+
+def stdlib_report_text(report) -> str:
+    """What ``cli.report_text`` must write, byte for byte."""
+    return json.dumps(report, sort_keys=True, indent=1, default=repr)

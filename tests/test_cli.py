@@ -8,8 +8,12 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import stdlib_report_text
+from kads import cli
 from kads.cli import RunConfig, ConfigError, main
 
 
@@ -76,7 +80,7 @@ def test_numeric_bialgebra_report_matches_the_sparse_oracle(tmp_path, lam, fault
     code = main(["check-bialgebra", f"--lambda={lam!r}", "--out", str(out)]
                 + ["--inject-fault"] * fault)
     report = sparse_bialgebra_report(RunConfig(lam=lam, inject_fault=fault))
-    text = json.dumps(report, sort_keys=True, indent=1, default=repr) + "\n"
+    text = stdlib_report_text(report) + "\n"
     assert out.read_bytes() == text.encode()
     assert code == (0 if report["pass"] else 2)
 
@@ -320,17 +324,18 @@ def test_export_certifies_its_rows(tmp_path, lam):
     assert json.loads(out.read_text())["pass"] is False
 
 
-def test_nan_residual_fails_export(tmp_path, monkeypatch):
+def test_nan_residual_fails_export(tmp_path, monkeypatch, stdlib_bytes):
     import kads.cli as cli
     monkeypatch.setattr(cli, "pseudosphere_residual", lambda s, lam: float("nan"))
     out = tmp_path / "rep.json"
     assert main(["export", "--lambda=-1", "--samples", "3", "--out", str(out)]) == 2
+    assert out.read_text() == stdlib_bytes.pop() + "\n"
     rep = json.loads(out.read_text())
     bad = [c for c in rep["checks"] if not c["pass"]]
     assert [c["name"] for c in bad] == ["pseudosphere_residual"]
 
 
-def test_nan_deviation_fails_poisson(tmp_path, monkeypatch):
+def test_nan_deviation_fails_poisson(tmp_path, monkeypatch, stdlib_bytes):
     from kads import sklyanin
     entries = sklyanin.BracketTable.entries
 
@@ -343,6 +348,7 @@ def test_nan_deviation_fails_poisson(tmp_path, monkeypatch):
     monkeypatch.setattr(sklyanin.BracketTable, "entries", poisoned)
     out = tmp_path / "rep.json"
     assert main(["poisson", "--lambda=-1", "--samples", "4", "--out", str(out)]) == 2
+    assert out.read_text() == stdlib_bytes.pop() + "\n"
     rep = json.loads(out.read_text())
     failed = sorted(c["name"] for c in rep["checks"] if not c["pass"])
     # the first-order check reads every local pair against the quantum algebra
@@ -352,11 +358,12 @@ def test_nan_deviation_fails_poisson(tmp_path, monkeypatch):
     assert local["worst_point"] is not None
 
 
-def test_nan_residual_fails_classify(tmp_path, monkeypatch):
+def test_nan_residual_fails_classify(tmp_path, monkeypatch, stdlib_bytes):
     from kads import rclass
     monkeypatch.setattr(rclass, "numeric_family_residual", lambda *a: float("nan"))
     out = tmp_path / "rep.json"
     assert main(["classify", "--samples", "3", "--out", str(out)]) == 2
+    assert out.read_text() == stdlib_bytes.pop() + "\n"
     rep = json.loads(out.read_text())
     failed = sorted(c["name"] for c in rep["checks"] if not c["pass"])
     # canonicalize checks its sample with the same residual: a NaN there is
@@ -396,7 +403,7 @@ def test_suite_times_prints_one_json_line(capsys):
     line = json.loads(lines[0])
     assert line["k"] == 1 and list(line["ms"]) == ["check-bialgebra --lambda formal"]
     assert line["ms"]["check-bialgebra --lambda formal"] > 0
-    assert len(script.ITEMS) == 9
+    assert len(script.ITEMS) == 12
     with pytest.raises(SystemExit):
         script.main(["no such suite"])
 
@@ -447,11 +454,123 @@ def test_non_finite_r_matrix_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert "r_curved has a non-finite entry" in err and "--kappa-inv=1e+308" in err
-    # a finite r whose products overflow still runs, and NaN fails its checks
+
+
+# sha256 of the reports of a finite r whose products overflow, as written
+# before numpy's warnings were silenced; every residual is 0, 0.0 or NaN, so
+# they do not depend on the machine
+OVERFLOW_REPORTS = {
+    "": "0b2b237331769680aa7a70826c69576cc07fc3799689ce5fda815d98c34336d3",
+    "--inject-fault": "6034442ea256ea820109a16e2f2962f49a1eb08fdb760ba8aa1201dc23bf22b9",
+}
+
+
+@pytest.mark.parametrize("fault", OVERFLOW_REPORTS)
+def test_overflowing_r_matrix_fails_its_checks_without_warnings(tmp_path, fault):
+    out = tmp_path / "rep.json"
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         assert main(["check-bialgebra", "--lambda=1e300", "--kappa-inv=1e10",
-                     "--out", str(out)]) == 2
+                     "--out", str(out)] + fault.split()) == 2
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == OVERFLOW_REPORTS[fault]
     failed = {c["name"]: c["residual"] for c in json.loads(out.read_text())["checks"]
               if not c["pass"]}
     assert "r_curved.mcybe" in failed and all(math.isnan(v) for v in failed.values())
+
+
+# -- the report encoder against the stdlib's -------------------------------------
+
+
+@pytest.fixture
+def stdlib_bytes(monkeypatch):
+    """Check every text ``main`` encodes against the stdlib encoder; the
+    list holds the texts."""
+    texts = []
+
+    def checked(report):
+        text = report_text(report)
+        assert text == stdlib_report_text(report)
+        texts.append(text)
+        return text
+
+    report_text = cli.report_text
+    monkeypatch.setattr(cli, "report_text", checked)
+    return texts
+
+
+@pytest.mark.parametrize("argv", [
+    ["nc"],
+    ["classify", "--samples=25", "--seed=3"],
+    ["check-bialgebra", "--lambda=formal"],
+    ["check-bialgebra", "--lambda=formal", "--inject-fault"],
+    ["check-bialgebra", "--lambda=-0.7"],
+    ["check-bialgebra", "--lambda=0.5", "--inject-fault"],
+    ["poisson", "--lambda=-0.3", "--samples=4"],
+    ["poisson", "--lambda=1", "--samples=9", "--seed=7"],
+    ["export", "--lambda=-0.3", "--samples=16"],
+    ["export", "--lambda=1e-08", "--samples=3", "--format=csv"],
+], ids=" ".join)
+def test_every_suite_writes_the_stdlib_bytes(tmp_path, capsys, stdlib_bytes, argv):
+    out = tmp_path / "rep.json"
+    main(argv + ["--out", str(out)])
+    text = stdlib_bytes.pop() + "\n"
+    # a csv export prints its report
+    assert (capsys.readouterr().out if "--format=csv" in argv else out.read_text()) == text
+
+
+class _Str(str):
+    def __repr__(self):
+        return "_Str()"
+
+
+class _Int(int):
+    def __repr__(self):
+        return "_Int()"
+
+
+class _Float(float):
+    def __repr__(self):
+        return "_Float()"
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+# report trees with every leaf the stdlib encodes in its own way: control and
+# non-ASCII text, NaN, infinities, -0.0, subnormals, complex and numpy
+# scalars (through default=repr), subclasses and non-str keys
+_floats = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                                         -5e-324, 2.2250738585072014e-308, 1e300])
+_text = st.text() | st.text(st.characters(max_codepoint=0x1f)) | st.text(
+    st.characters(min_codepoint=0x7f))
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), _floats, _text, st.complex_numbers(),
+    _floats.map(np.float64), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.booleans().map(np.bool_), _text.map(_Str), st.integers().map(_Int),
+    _floats.map(_Float))
+_keys = st.one_of(_text, _text.map(_Str), st.integers(), _floats, st.booleans(),
+                  st.integers().map(_Int), st.none())
+_trees = st.recursive(_leaves, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+    st.lists(kids, max_size=3).map(_List),
+    st.dictionaries(_text, kids, max_size=4), st.dictionaries(_keys, kids, max_size=1),
+    st.dictionaries(st.integers() | _floats | st.booleans(), kids, max_size=4),
+    st.dictionaries(_text, kids, max_size=3).map(_Dict)), max_leaves=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trees)
+def test_report_text_equals_the_stdlib_encoder(tree):
+    assert cli.report_text(tree) == stdlib_report_text(tree)
+
+
+def test_report_text_rejects_the_keys_the_stdlib_rejects():
+    for bad in ({(1, 2): 0}, {"a": 1, 2: 0}, {None: 1, 0: 2}, {np.int64(3): 0}):
+        for encode in (cli.report_text, stdlib_report_text):
+            with pytest.raises(TypeError):
+                encode(bad)

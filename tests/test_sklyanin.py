@@ -6,17 +6,20 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from batches import STRADDLE_LAMBDAS, assert_same, single, straddling_batch
-from oracles import (Poisson3D, push_local_to_ambient, quadratic_space_poisson,
-                     sklyanin_bracket)
+from oracles import (Poisson3D, jacobiators_by_triples, push_local_to_ambient,
+                     quadratic_space_poisson, reading_terms_by_eval_numeric, sklyanin_bracket)
 from kads.bialgebra import Bivector
 from kads.curvtrig import Dual, eta_of
 from kads.group_geom import GroupPoint, ambient_from_local, group_element
+from kads.ncalg import ambient_algebra, local_first_order, quantum_sphere
 from kads.rclass import r_kads, r_kads_twisted, r_poincare, r_poincare_twisted
-from kads.sklyanin import (SampleBatch, _brackets, _first_worst, bracket_matrix_ambient,
-                           bracket_matrix_local, closed_form_ambient,
-                           closed_form_local, closed_form_twisted,
-                           eta_expansion_entry, sample_points, table_jacobi_residual,
-                           table_jacobiators, verify_table, worst_of)
+from kads.scalars import UnboundParameter
+from kads.sklyanin import (AMBIENT_LABELS, LOCAL_LABELS, SampleBatch, _brackets,
+                           _first_worst, bracket_matrix_ambient, bracket_matrix_local,
+                           closed_form_ambient, closed_form_local, closed_form_twisted,
+                           eta_expansion_entry, eta_expansion_table, reading_terms,
+                           sample_points, table_jacobi_residual, table_jacobiators,
+                           verify_table, worst_of)
 
 
 KINV = 0.31
@@ -387,6 +390,51 @@ def test_table_jacobi_equals_per_triple_evaluation():
                       closed_form_ambient(lam, KINV)):
             assert (table_jacobi_residual(table, 6, seed=34)
                     == _naive_jacobi_residual(table, 6, 34)), (lam, table.name)
+
+
+@pytest.mark.parametrize("lam", STRADDLE_LAMBDAS + (-5e-324, 5e-324, 0.0, 0.3, "dual eta"))
+def test_table_jacobiators_equal_the_per_triple_loop(lam):
+    # the same operations per element: equal bytes and dtype (complex for
+    # lam > 0), on both sides of the flat limit and at a dual eta = 0 + eps
+    rng = np.random.default_rng(41)
+    curv = 0.0 if lam == "dual eta" else lam
+    x = tuple(rng.uniform(-0.8, 0.8, (7, 4)).T)
+    if lam == "dual eta":
+        tables = [eta_expansion_table(name, KINV, VTH) for name in ("local", "twisted", "ambient")]
+    else:
+        tables = _tables(lam)
+    for table in tables:
+        coords = ambient_from_local(x, curv) if table.name == "ambient" else x
+        got, want = table_jacobiators(table, coords), jacobiators_by_triples(table, coords)
+        assert got.dtype == want.dtype == (complex if curv > 0 else float), table.name
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes(), table.name
+
+
+READINGS = ((ambient_algebra, AMBIENT_LABELS), (local_first_order, LOCAL_LABELS),
+            (quantum_sphere, ("x1", "x2", "x3")))
+
+
+@pytest.mark.parametrize("values", [
+    {"eta": 0.7, "kinv": KINV},
+    {"eta": 1j * 0.7, "kinv": KINV},
+    {"eta": Dual(0.0, 1.0), "kinv": KINV},
+    {"eta": Dual(np.array([0.3, -0.2]), np.array([[1.0, 0.5]])), "kinv": 2},
+], ids=["float", "complex", "dual", "dual-array"])
+def test_reading_terms_equal_eval_numeric(values):
+    # coefficients unpacked once take the ring operations of eval_numeric
+    def parts(c):
+        return [(type(p), np.asarray(p).tobytes()) for p in (c.re, c.eps)] \
+            if isinstance(c, Dual) else [(type(c), np.asarray(c).tobytes())]
+
+    for make, labels in READINGS:
+        got = reading_terms(make, labels, values)
+        want = reading_terms_by_eval_numeric(make, labels, values)
+        assert list(got) == list(want)
+        for pair, terms in want.items():
+            assert [w for _, w in got[pair]] == [w for _, w in terms]
+            assert [parts(c) for c, _ in got[pair]] == [parts(c) for c, _ in terms]
+        with pytest.raises(UnboundParameter):
+            reading_terms(make, labels, {"kinv": KINV})
 
 
 def test_nan_deviations_are_the_worst():
