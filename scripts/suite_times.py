@@ -37,6 +37,9 @@ CLI_SUITES = {
     # the sizes of one sklyanin_sweep operation in perfbench/
     "poisson --lambda=-0.3 --samples=4": ["poisson", "--lambda=-0.3", "--samples=4"],
     "export --lambda=-0.3 --samples=16": ["export", "--lambda=-0.3", "--samples=16"],
+    # the sizes of one rmatrix_classify operation in perfbench/
+    "classify --samples=6": ["classify", "--samples=6"],
+    "check-bialgebra --lambda=-0.7": ["check-bialgebra", "--lambda=-0.7"],
 }
 
 

@@ -17,8 +17,8 @@ import math
 import numpy as np
 
 from .liealg import (LieAlgebra, coeff_norm, components_norm, float_dtype,
-                     is_exact, jacobi_residual, jacobi_residual_dense,
-                     permuted_triples, subalgebra, subalgebra_dense)
+                     is_exact, jacobi_residual_dense, jacobi_residual_sparse,
+                     permuted_triples, require_closed, subalgebra_dense)
 from .scalars import accumulate
 
 
@@ -50,19 +50,6 @@ _SIGN3 = {
     (0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
     (0, 2, 1): -1, (1, 0, 2): -1, (2, 1, 0): -1,
 }
-
-
-def _wedge3(store: dict, i: int, j: int, k: int, c):
-    if i == j or j == k or i == k or not c:
-        return
-    odd = i > j
-    if odd:
-        i, j = j, i
-    if j > k:
-        j, k, odd = k, j, not odd
-        if i > j:
-            i, j, odd = j, i, not odd
-    accumulate(store, (i, j, k), -c if odd else c)
 
 
 class Bivector:
@@ -201,26 +188,42 @@ def schouten(g: LieAlgebra, r: Bivector) -> Trivector:
     return Trivector(out)
 
 
-def ad_action_trivector(g: LieAlgebra, t: Trivector, m: int) -> Trivector:
-    """[T_m (x) 1 (x) 1 + 1 (x) T_m (x) 1 + 1 (x) 1 (x) T_m, t]."""
-    store: dict = {}
-    for (i, j, k), c in t.components.items():
-        for n, cb in g.bracket_basis(m, i):
-            _wedge3(store, n, j, k, c * cb)
-        for n, cb in g.bracket_basis(m, j):
-            _wedge3(store, i, n, k, c * cb)
-        for n, cb in g.bracket_basis(m, k):
-            _wedge3(store, i, j, n, c * cb)
-    return Trivector(store)
-
-
 def mcybe_residual_components(g: LieAlgebra, r: Bivector) -> list:
-    """All ad-invariance residual components of [[r, r]] over all generators."""
-    t = schouten(g, r)
-    comps = []
-    for m in range(g.dim):
-        comps.extend(ad_action_trivector(g, t, m).components.values())
-    return comps
+    """All ad-invariance residual components of [[r, r]] over all generators:
+    ad_m [[r, r]] = [T_m (x) 1 (x) 1 + 1 (x) T_m (x) 1 + 1 (x) 1 (x) T_m, [[r, r]]]
+    for m = 0, 1, ..., each in wedge order.
+
+    One pass over the trivector feeds every generator from the algebra's
+    ad columns; each generator's components are summed in the order of the
+    per-generator action (trivector entry, then leg, then bracket term),
+    so float sums are the same too.
+    """
+    cols = g.ad_columns
+    stores = [{} for _ in range(g.dim)]
+    for (i, j, k), c in schouten(g, r).components.items():
+        for leg, (x, y) in ((i, (j, k)), (j, (i, k)), (k, (i, j))):
+            # n takes the place of leg: the sign of sorting n into x < y,
+            # odd for the middle leg
+            odd = leg == j
+            for m, bracket in cols[leg]:
+                store = stores[m]
+                for n, cb in bracket:
+                    v = c * cb
+                    if n == x or n == y or not v:
+                        continue
+                    if n < x:
+                        key, flip = (n, x, y), odd
+                    elif n < y:
+                        key, flip = (x, n, y), not odd
+                    else:
+                        key, flip = (x, y, n), odd
+                    cur = store.get(key)
+                    s = (-v if flip else v) if cur is None else cur + (-v if flip else v)
+                    if s:
+                        store[key] = s
+                    else:
+                        store.pop(key, None)
+    return [v for store in stores for v in store.values()]
 
 
 def cocommutator_dense(f: np.ndarray, rmat: np.ndarray) -> np.ndarray:
@@ -250,23 +253,27 @@ def schouten_dense(f: np.ndarray, rmat: np.ndarray) -> np.ndarray:
     evaluated as (R.T@f)@R, the repeated-index entries of the curved
     r-matrices exceed 1e-9 by round-off alone at |lambda| = 1e9.
     """
-    if not np.array_equal(rmat, -rmat.T, equal_nan=True):
+    # a skew R equals -R.T entrywise unless a NaN faces a NaN
+    if not (rmat == -rmat.T).all() and not np.array_equal(rmat, -rmat.T, equal_nan=True):
         raise NotAntisymmetric("the r-matrix is not skew",
                                float(np.max(np.abs(rmat + rmat.T))))
     dim = f.shape[0]
     flat = f.reshape(dim, dim * dim)
-    # [(i, k), (j, l)] = R[i, j] * R[k, l]
-    square = np.multiply.outer(rmat, rmat).transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
+    # [(i, k), (j, l)] = R[i, j] * R[k, l]: row i with each entry repeated,
+    # times row k repeated whole, broadcast over (i, k)
+    rows = rmat[:, None, :].repeat(dim, axis=1).reshape(1, dim, dim * dim)
+    square = (rmat.repeat(dim, axis=1)[:, None] * rows).reshape(dim * dim, dim * dim)
     term = (flat @ square).reshape(dim, dim, dim)
     t = term - term.transpose(1, 0, 2) + term.transpose(1, 2, 0)
-    bad = _repeated_index_mask(dim) & (np.abs(t) > SKEW_TOL)
+    repeated, keys, flat_keys = _skew_checks(dim)
+    bad = np.abs(t.take(repeated)) > SKEW_TOL
     if bad.any():
-        key = tuple(int(k) for k in np.argwhere(bad)[0])
+        pos = repeated[int(np.argmax(bad))]
+        key = tuple(int(k) for k in np.unravel_index(pos, t.shape))
         raise NotAntisymmetric(f"repeated-index component {key} = {t[key]}",
                                float(abs(t[key])))
     # every permutation of each i < j < k against the signed sorted entry
-    keys = permuted_triples(dim, _PERMS)
-    perm_vals = t[keys].reshape(len(_PERMS), -1)
+    perm_vals = t.take(flat_keys)
     dev = np.abs(perm_vals - _SIGNS * perm_vals[0])
     bad = dev > SKEW_TOL
     if bad.any():
@@ -287,19 +294,34 @@ def _repeated_index_mask(dim: int) -> np.ndarray:
     return (i == j) | (j == k) | (i == k)
 
 
+@functools.cache
+def _skew_checks(dim: int) -> tuple:
+    """Flat positions of the repeated-index entries of a (dim,)*3 tensor, in
+    C order; the index arrays of every permutation of each i < j < k
+    (``permuted_triples`` over _PERMS); and their flat positions, one row
+    per permutation."""
+    keys = permuted_triples(dim, _PERMS)
+    flat_keys = np.ravel_multi_index(keys, (dim,) * 3).reshape(len(_PERMS), -1)
+    return np.flatnonzero(_repeated_index_mask(dim)), keys, flat_keys
+
+
 def mcybe_residual_dense(f: np.ndarray, rmat: np.ndarray):
-    """Max |ad_X [[r, r]]| over generators X; integer 0 when it vanishes."""
+    """Max |ad_X [[r, r]]| over generators X; integer 0 when it vanishes.
+
+    res[m, a, b, c] sums ad_m over the three legs of t = [[r, r]].  Each leg
+    is one matmul whose result is already in the index order of res: a
+    single product for the first leg, a stack over (m, a) for the second
+    and over m for the third.  The legs are added in place in that order,
+    so every entry is the same sum of the same products as when each leg is
+    contracted on a transposed copy of t (kept in the tests as an oracle).
+    """
     t = schouten_dense(f, rmat)
     dim = f.shape[0]
     ad = f.transpose(1, 0, 2).reshape(dim * dim, dim)  # [(m, n), i]: n-th of [T_m, T_i]
-
-    def on_leg(leg):
-        """ad_m on one leg of t, indexed [m, n, other two legs in order]."""
-        rest = [a for a in range(3) if a != leg]
-        return (ad @ t.transpose(leg, *rest).reshape(dim, dim * dim)).reshape((dim,) * 4)
-
-    res = (on_leg(0) + on_leg(1).transpose(0, 2, 1, 3)
-           + on_leg(2).transpose(0, 2, 3, 1))
+    ad3 = ad.reshape(dim, dim, dim)
+    res = (ad @ t.reshape(dim, dim * dim)).reshape((dim,) * 4)
+    res += ad3[:, None] @ t[None]
+    res += (t.reshape(dim * dim, dim) @ ad3.transpose(0, 2, 1)).reshape((dim,) * 4)
     return float(np.max(np.abs(res))) or 0
 
 
@@ -328,7 +350,7 @@ def coisotropy_check(g, delta, h_indices) -> bool:
         h[list(h_indices)] = True
         return not delta[h][:, ~h][:, :, ~h].any()
     h = set(h_indices)
-    subalgebra(g, sorted(h))  # raises NotSubalgebra when brackets leave h
+    require_closed(g, sorted(h))
     for i in h:
         for (a, b) in delta[i].components:
             if a not in h and b not in h:
@@ -340,17 +362,23 @@ def dual_jacobi_residual(delta, dim: int | None = None):
     """Jacobi residual of the dual bracket defined by the cocommutator.
 
     A dense cocommutator tensor D is itself the dual table, D[m, a, b]
-    being the T_m component of [T^a, T^b]; a map index -> Bivector is
-    turned into a dual LieAlgebra first.
+    being the T_m component of [T^a, T^b].  A map index -> Bivector with an
+    exact coefficient gives the dual bracket's signed table, which the
+    sparse loops read; a float or complex one is stacked into D.
     """
     if isinstance(delta, np.ndarray):
         return jacobi_residual_dense(delta)
     if dim is None:
         dim = max(delta) + 1
+    if not any(is_exact(c) for biv in delta.values() for c in biv.components.values()):
+        return jacobi_residual_dense(np.array([
+            delta[m].matrix(dim) if m in delta else np.zeros((dim, dim)) for m in range(dim)]))
     pairs: dict = {}
     for m, biv in delta.items():
-        for (a, b), c in biv.components.items():
-            pairs.setdefault((a, b), []).append((m, c))
-    structure = {key: tuple(terms) for key, terms in pairs.items()}
-    dual = LieAlgebra(structure, dim=dim, labels=[f"e{i}" for i in range(dim)])
-    return jacobi_residual(dual)
+        for key, c in biv.components.items():
+            pairs.setdefault(key, []).append((m, c))
+    signed: dict = {}
+    for (a, b), terms in pairs.items():
+        signed[(a, b)] = tuple(terms)
+        signed[(b, a)] = tuple((m, -c) for m, c in terms)
+    return jacobi_residual_sparse(signed, dim)

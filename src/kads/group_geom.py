@@ -184,13 +184,13 @@ def metric_pullback(x, lam: float) -> np.ndarray:
     (N, 4, 4) for a batch.
 
     The ambient metric is the bilinear form divided by the curvature -lam;
-    at lam = 0 the degenerate first row drops out exactly.
+    at lam = 0 the degenerate first row drops out exactly.  Where -1/lam
+    overflows (|lam| below 1/DBL_MAX) the flat form is used as well: the
+    term it leaves out is of order lam |x|^2.
     """
     jac = ambient_jacobian(x, lam)
-    if lam == 0.0:
-        amb = np.diag([0.0, 1.0, -1.0, -1.0, -1.0])
-    else:
-        amb = np.diag([-1.0 / lam, 1.0, -1.0, -1.0, -1.0])
+    first = -1.0 / float(lam) if lam != 0.0 else 0.0
+    amb = np.diag([0.0 if math.isinf(first) else first, 1.0, -1.0, -1.0, -1.0])
     return np.swapaxes(jac, -1, -2) @ amb @ jac
 
 

@@ -78,8 +78,6 @@ class LieAlgebra:
     """Structure-constant table, immutable after construction."""
 
     def __init__(self, structure: dict, dim: int = DIM, labels=BASIS):
-        self.dim = dim
-        self.labels = tuple(labels)
         table = {}
         signed = {}
         for (i, j), terms in structure.items():
@@ -90,9 +88,15 @@ class LieAlgebra:
                 table[(i, j)] = kept
                 signed[(i, j)] = kept
                 signed[(j, i)] = tuple((k, -c) for k, c in kept)
-        self.structure = table
+        self._set_tables(table, signed, dim, labels)
+
+    def _set_tables(self, structure: dict, signed: dict, dim: int = DIM, labels=BASIS):
+        """Adopt a checked table without zero terms and its signed form."""
+        self.dim = dim
+        self.labels = tuple(labels)
+        self.structure = structure
         self._signed = signed
-        self.exact = any(is_exact(c) for terms in table.values() for _, c in terms)
+        self.exact = any(is_exact(c) for terms in structure.values() for _, c in terms)
 
     def bracket_basis(self, i: int, j: int) -> tuple:
         """[T_i, T_j] as a tuple of (k, coeff), any index order."""
@@ -110,6 +114,14 @@ class LieAlgebra:
                 f[k, i, j] = c
         f.flags.writeable = False
         return f
+
+    @functools.cached_property
+    def ad_columns(self) -> tuple:
+        """For each generator i, the pairs (m, [T_m, T_i]) with a nonzero
+        bracket, in the order of m: the ad action on one tensor leg."""
+        signed = self._signed
+        return tuple(tuple((m, signed[(m, i)]) for m in range(self.dim) if (m, i) in signed)
+                     for i in range(self.dim))
 
     def bracket(self, x, y):
         """Bilinear extension to coefficient vectors of length dim."""
@@ -131,39 +143,87 @@ def ads_algebra(lam) -> LieAlgebra:
     """Kinematical algebra with cosmological constant ``lam``.
 
     ``lam`` may be an exact Scalar (or int/Fraction) or a float; the zero
-    value gives the flat-spacetime algebra.
+    value gives the flat-spacetime algebra.  The coefficients are those of
+    :func:`_ads_template` at this ``lam``, with its keys and term order.
     """
     if isinstance(lam, (int, Fraction)):
         lam = Scalar.rational(lam)
-    exact = isinstance(lam, Scalar)
-    one = Scalar.rational(1) if exact else 1.0
-    neg = lambda c: -c
+    one = Scalar.rational(1) if isinstance(lam, Scalar) else 1.0
+    recipes, template = _ads_template()
+    value = {rc: _coefficient(rc, one, lam) for rc in recipes}
+    made: dict = {}  # terms -> their coefficients, zero ones dropped
 
+    def kept(terms):
+        out = made.get(terms)
+        if out is None:
+            out = made[terms] = tuple((k, value[rc]) for k, rc in terms if value[rc])
+        return out
+
+    structure: dict = {}
+    signed: dict = {}
+    for key, reverse, terms, negated in template:
+        row = kept(terms)
+        if row:
+            structure[key] = signed[key] = row
+            signed[reverse] = kept(negated)
+    g = LieAlgebra.__new__(LieAlgebra)
+    g._set_tables(structure, signed)
+    return g
+
+
+# A coefficient recipe (s, base, negations) stands for the value
+# -...-(s * base) with that many negations, or for base itself when s is
+# None; base is "one" or "lam".  Recording the operations, not only the
+# value, keeps the bits of every float (the sign of a NaN lam included).
+
+
+def _coefficient(recipe: tuple, one, lam):
+    s, base, negations = recipe
+    c = one if base == "one" else lam
+    if s is not None:
+        c = s * c
+    for _ in range(negations):
+        c = -c
+    return c
+
+
+def _negated(recipe: tuple) -> tuple:
+    s, base, negations = recipe
+    return s, base, negations + 1
+
+
+@functools.cache
+def _ads_template() -> tuple:
+    """The brackets of the kinematical algebras with coefficients left as
+    recipes in 1 and lambda, built once per process: every recipe and its
+    negation, and per bracket in table order ((i, j), (j, i), ((k, recipe),
+    ...), the same terms negated)."""
     structure: dict = {}
 
     def put(a: str, b: str, *terms):
         i, j = IDX[a], IDX[b]
         if i > j:
             i, j = j, i
-            terms = [(k, neg(c)) for k, c in terms]
-        else:
-            terms = list(terms)
+            terms = [(k, _negated(c)) for k, c in terms]
         structure[(i, j)] = structure.get((i, j), ()) + tuple(
-            (IDX[k] if isinstance(k, str) else k, c) for k, c in terms)
+            (IDX[k], c) for k, c in terms)
 
     for (a, b, c), s in _EPS.items():
         # mixed brackets run over every ordered index pair
-        put(f"J{a}", f"P{b}", (f"P{c}", s * one))
-        put(f"J{a}", f"K{b}", (f"K{c}", s * one))
+        put(f"J{a}", f"P{b}", (f"P{c}", (s, "one", 0)))
+        put(f"J{a}", f"K{b}", (f"K{c}", (s, "one", 0)))
         if a < b:
-            put(f"J{a}", f"J{b}", (f"J{c}", s * one))
-            put(f"K{a}", f"K{b}", (f"J{c}", neg(s * one)))
-            put(f"P{a}", f"P{b}", (f"J{c}", s * lam))
+            put(f"J{a}", f"J{b}", (f"J{c}", (s, "one", 0)))
+            put(f"K{a}", f"K{b}", (f"J{c}", (s, "one", 1)))
+            put(f"P{a}", f"P{b}", (f"J{c}", (s, "lam", 0)))
     for a in (1, 2, 3):
-        put(f"K{a}", "P0", (f"P{a}", one))
-        put(f"K{a}", f"P{a}", ("P0", one))
-        put("P0", f"P{a}", (f"K{a}", neg(lam)))
-    return LieAlgebra(structure)
+        put(f"K{a}", "P0", (f"P{a}", (None, "one", 0)))
+        put(f"K{a}", f"P{a}", ("P0", (None, "one", 0)))
+        put("P0", f"P{a}", (f"K{a}", (None, "lam", 1)))
+    used = {rc for terms in structure.values() for _, rc in terms}
+    recipes = tuple(sorted(used | {_negated(rc) for rc in used}, key=repr))
+    return recipes, tuple(((i, j), (j, i), terms, tuple((k, _negated(rc)) for k, rc in terms))
+                          for (i, j), terms in structure.items())
 
 
 def ads_tensor(lam: float) -> np.ndarray:
@@ -178,6 +238,7 @@ def ads_tensor(lam: float) -> np.ndarray:
 
 @functools.cache
 def _ads_pencil():
+    """f(0) and f(1) - f(0), both from :func:`_ads_template`."""
     flat = ads_algebra(0.0).dense
     return flat, ads_algebra(1.0).dense - flat
 
@@ -220,19 +281,22 @@ def jacobi_residual(g: LieAlgebra):
     return jacobi_residual_sparse(g)
 
 
-def jacobi_residual_sparse(g: LieAlgebra):
+def jacobi_residual_sparse(g, dim: int | None = None):
     """The Jacobi residual by loops over the sparse table, any coefficients.
 
-    A triple whose three outer brackets are all zero has no double bracket
-    and is skipped; the others accumulate in the order (i, j, k), (j, k, i),
-    (k, i, j), so float sums do not depend on the skipping.
+    ``g`` is a LieAlgebra, or a signed table {(i, j): ((k, c), ...)} over
+    both index orders, without zero terms, of a bracket on ``dim``
+    generators.  A triple whose three outer brackets are all zero has no
+    double bracket and is skipped; the others accumulate in the order
+    (i, j, k), (j, k, i), (k, i, j), so float sums do not depend on the
+    skipping.
     """
-    signed = g._signed
+    signed, dim = (g._signed, g.dim) if isinstance(g, LieAlgebra) else (g, dim)
     worst: list = []
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
+    for i in range(dim):
+        for j in range(i + 1, dim):
             ij = signed.get((i, j))
-            for k in range(j + 1, g.dim):
+            for k in range(j + 1, dim):
                 jk, ki = signed.get((j, k)), signed.get((k, i))
                 if not (ij or jk or ki):
                     continue
@@ -247,22 +311,28 @@ def jacobi_residual_sparse(g: LieAlgebra):
     return components_norm(worst) if worst else 0
 
 
+def require_closed(g: LieAlgebra, indices) -> None:
+    """Raise NotSubalgebra, naming the first bracket of two of the generators
+    (in the given order) that leaves their span."""
+    indices = list(indices)
+    inside = set(indices)
+    for a, gi in enumerate(indices):
+        for gj in indices[a + 1:]:
+            if any(k not in inside for k, _ in g.bracket_basis(gi, gj)):
+                raise NotSubalgebra(f"[{g.labels[gi]},{g.labels[gj]}] leaves the span")
+
+
 def subalgebra(g: LieAlgebra, indices) -> LieAlgebra:
     """Restrict to a generator subset; raises NotSubalgebra if not closed."""
     indices = list(indices)
+    require_closed(g, indices)
     pos = {gi: p for p, gi in enumerate(indices)}
     structure = {}
     for a, gi in enumerate(indices):
         for b in range(a + 1, len(indices)):
-            gj = indices[b]
-            terms = []
-            for k, c in g.bracket_basis(gi, gj):
-                if k not in pos:
-                    raise NotSubalgebra(
-                        f"[{g.labels[gi]},{g.labels[gj]}] leaves the span")
-                terms.append((pos[k], c))
+            terms = tuple((pos[k], c) for k, c in g.bracket_basis(gi, indices[b]))
             if terms:
-                structure[(a, b)] = tuple(terms)
+                structure[(a, b)] = terms
     return LieAlgebra(structure, dim=len(indices),
                       labels=[g.labels[i] for i in indices])
 

@@ -76,7 +76,10 @@ def family_r(alpha, beta, kinv) -> Bivector:
     """
     a1, a2, a3 = alpha
     b1, b2, b3 = beta
-    return r_poincare(kinv) + Bivector.from_terms(
+    return Bivector.from_terms(
+        (IDX["K1"], IDX["P1"], kinv),
+        (IDX["K2"], IDX["P2"], kinv),
+        (IDX["K3"], IDX["P3"], kinv),
         (IDX["P0"], IDX["J1"], b1),
         (IDX["P0"], IDX["J2"], b2),
         (IDX["P0"], IDX["J3"], b3),
@@ -132,36 +135,32 @@ def impose_primitivity(fam: RFamily, g: LieAlgebra, x_index: int) -> RFamily:
     Returns the reduced family: the affine solution set re-parametrized by
     fresh parameters t0, t1, ... (directions with polynomial entries).
     """
-    delta_const = cocommutator_of(g, fam.const, x_index)
-    delta_dirs = {p: cocommutator_of(g, fam.directions[p], x_index) for p in fam.params}
+    delta_const = cocommutator_of(g, fam.const, x_index).components
 
-    keys = set(delta_const.components)
-    for d in delta_dirs.values():
-        keys.update(d.components)
-    keys = sorted(keys)
-
-    # rows: one per wedge component; columns: family parameters.  Rows and
-    # kernel vectors hold only their nonzero entries, and a zero right-hand
-    # side, the one shared zero, takes no part in the elimination.
+    # rows: one per wedge component; columns: family parameters, each
+    # row's in the order of fam.params.  Rows and kernel vectors hold only
+    # their nonzero entries, and a zero right-hand side, the one shared
+    # zero, takes no part in the elimination.
+    entries: dict = {}
+    for p in fam.params:
+        for key, c in cocommutator_of(g, fam.directions[p], x_index).components.items():
+            if c:
+                entries.setdefault(key, {})[p] = Frac.of(c)
     zero = Frac.of(0)
     rows = []
-    for key in keys:
-        row = {}
-        for p in fam.params:
-            c = delta_dirs[p].components.get(key)
-            if c:
-                row[p] = Frac.of(c)
-        rhs = delta_const.components.get(key)
-        rows.append((row, Frac.of(-rhs) if rhs is not None else zero))
+    for key in sorted(entries.keys() | delta_const.keys()):
+        rhs = delta_const.get(key)
+        rows.append((entries.get(key, {}), Frac.of(-rhs) if rhs is not None else zero))
 
-    # Gauss-Jordan over the fraction field of the Scalar ring
+    # Gauss-Jordan over the fraction field of the Scalar ring.  Pivot rows
+    # hold free columns only, so eliminating a pivot column from a row brings
+    # in no other: each row eliminates the pivot columns it holds, in the
+    # order the pivots were found.
     pivots = {}  # col -> row index
     reduced = []
     for row, rhs in rows:
-        for col, ri in pivots.items():
-            c = row.pop(col, None)
-            if not c:
-                continue
+        for ri, col in sorted((pivots[col], col) for col in row if col in pivots):
+            c = row.pop(col)
             prow, prhs = reduced[ri]
             for k, v in prow.items():
                 accumulate(row, k, -(c * v))
@@ -254,12 +253,18 @@ def constraint_residuals(alpha=None, beta=None, kinv=None, eta=None) -> list:
                         "numeric_family_residual for float points")
     g = ads_algebra(-(eta ** 2))
     r = family_r(alpha, beta, kinv)
-    comps = mcybe_residual_components(g, r)
-    seen = {}
-    for c in comps:
+    # components equal up to sign normalize alike: keep the first of each
+    distinct: dict = {}
+    for c in mcybe_residual_components(g, r):
         if c:
-            n = c.normalized()
-            seen.setdefault(str(n), n)
+            key = frozenset(c.terms.items())
+            if key not in distinct and frozenset(
+                    (m, -v) for m, v in c.terms.items()) not in distinct:
+                distinct[key] = c
+    seen = {}
+    for c in distinct.values():
+        n = c.normalized()
+        seen.setdefault(str(n), n)
     return [seen[k] for k in sorted(seen)]
 
 

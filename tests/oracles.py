@@ -7,11 +7,15 @@ matrices, one invariant field or one Sklyanin bracket at a time, the
 generic 3D Poisson construction from a multiplier and a Casimir, and the
 numeric ``check-bialgebra`` report built by the sparse loops, the
 three-term Schouten brackets that the program builds from one term, the
-per-triple Jacobiator loop, the Poisson readings evaluated coefficient by
-coefficient, and the stdlib's JSON encoder for the reports.
+kinematical algebra built bracket by bracket, the ad action of [[r, r]] one
+generator at a time, the dual Jacobi residual of a dual LieAlgebra, the
+dense mCYBE kernel with transposed copies of [[r, r]], the per-triple
+Jacobiator loop, the Poisson readings evaluated coefficient by coefficient,
+and the stdlib's JSON encoder for the reports.
 """
 
 import json
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -21,11 +25,11 @@ from kads.bialgebra import SKEW_TOL, Bivector, NotAntisymmetric, Trivector
 from kads.cli import RunConfig, _check
 from kads.curvtrig import Dual, eps_part, eta_of, re_part
 from kads.group_geom import GroupPoint, ambient_jacobian, field_derivatives, group_element
-from kads.liealg import (DIM, IDX, ads_algebra, coeff_norm, is_exact, permuted_triples,
-                         subalgebra)
+from kads.liealg import (_EPS, DIM, IDX, LieAlgebra, ads_algebra, coeff_norm, is_exact,
+                         jacobi_residual, permuted_triples, subalgebra)
 from kads.rclass import (LORENTZ, SUBALG_2PLUS1, r_2plus1, r_kads, r_kads_twisted,
                          r_poincare, r_poincare_twisted)
-from kads.scalars import accumulate, make_rule, sym
+from kads.scalars import Scalar, accumulate, make_rule, sym
 from kads.sklyanin import BracketTable, _contract, _support, formal_reading
 
 
@@ -251,6 +255,134 @@ def schouten_dense_three_terms(f: np.ndarray, rmat: np.ndarray) -> np.ndarray:
         raise NotAntisymmetric("a component breaks antisymmetry")
     return t
 
+
+
+# -- the algebra and its certificates, one piece at a time ----------------------
+
+
+def ads_algebra_by_brackets(lam) -> LieAlgebra:
+    """``ads_algebra`` putting each bracket into a fresh table in turn."""
+    if isinstance(lam, (int, Fraction)):
+        lam = Scalar.rational(lam)
+    exact = isinstance(lam, Scalar)
+    one = Scalar.rational(1) if exact else 1.0
+    structure: dict = {}
+
+    def put(a: str, b: str, *terms):
+        i, j = IDX[a], IDX[b]
+        if i > j:
+            i, j = j, i
+            terms = [(k, -c) for k, c in terms]
+        structure[(i, j)] = structure.get((i, j), ()) + tuple((IDX[k], c) for k, c in terms)
+
+    for (a, b, c), s in _EPS.items():
+        put(f"J{a}", f"P{b}", (f"P{c}", s * one))
+        put(f"J{a}", f"K{b}", (f"K{c}", s * one))
+        if a < b:
+            put(f"J{a}", f"J{b}", (f"J{c}", s * one))
+            put(f"K{a}", f"K{b}", (f"J{c}", -(s * one)))
+            put(f"P{a}", f"P{b}", (f"J{c}", s * lam))
+    for a in (1, 2, 3):
+        put(f"K{a}", "P0", (f"P{a}", one))
+        put(f"K{a}", f"P{a}", ("P0", one))
+        put("P0", f"P{a}", (f"K{a}", -lam))
+    return LieAlgebra(structure)
+
+
+def _wedge3(store: dict, i: int, j: int, k: int, c):
+    """Add c * T_i ^ T_j ^ T_k into a trivector's sorted components."""
+    if i == j or j == k or i == k or not c:
+        return
+    odd = i > j
+    if odd:
+        i, j = j, i
+    if j > k:
+        j, k, odd = k, j, not odd
+        if i > j:
+            i, j, odd = j, i, not odd
+    accumulate(store, (i, j, k), -c if odd else c)
+
+
+def ad_action_trivector(g, t: Trivector, m: int) -> Trivector:
+    """[T_m (x) 1 (x) 1 + 1 (x) T_m (x) 1 + 1 (x) 1 (x) T_m, t]."""
+    store: dict = {}
+    for (i, j, k), c in t.components.items():
+        for n, cb in g.bracket_basis(m, i):
+            _wedge3(store, n, j, k, c * cb)
+        for n, cb in g.bracket_basis(m, j):
+            _wedge3(store, i, n, k, c * cb)
+        for n, cb in g.bracket_basis(m, k):
+            _wedge3(store, i, j, n, c * cb)
+    return Trivector(store)
+
+
+def mcybe_components_by_generator(g, r: Bivector) -> list:
+    """``mcybe_residual_components`` with one ad action per generator."""
+    t = B.schouten(g, r)
+    comps = []
+    for m in range(g.dim):
+        comps.extend(ad_action_trivector(g, t, m).components.values())
+    return comps
+
+
+def normalized_distinct(components: list) -> list:
+    """``constraint_residuals``' polynomials from the mCYBE components,
+    normalizing every nonzero one and keeping one per text."""
+    seen = {}
+    for c in components:
+        if c:
+            n = c.normalized()
+            seen.setdefault(str(n), n)
+    return [seen[k] for k in sorted(seen)]
+
+
+def dual_jacobi_by_dual_algebra(delta: dict, dim: int | None = None):
+    """``dual_jacobi_residual`` of a map index -> Bivector, through a dual
+    LieAlgebra and its ``jacobi_residual``."""
+    if dim is None:
+        dim = max(delta) + 1
+    pairs: dict = {}
+    for m, biv in delta.items():
+        for (a, b), c in biv.components.items():
+            pairs.setdefault((a, b), []).append((m, c))
+    structure = {key: tuple(terms) for key, terms in pairs.items()}
+    return jacobi_residual(LieAlgebra(structure, dim=dim, labels=[f"e{i}" for i in range(dim)]))
+
+
+def mcybe_residual_dense_by_transposes(f: np.ndarray, rmat: np.ndarray):
+    """``mcybe_residual_dense`` with the skew test, the products of R and
+    each ad leg formed on transposed copies, the legs summed out of place."""
+    if not np.array_equal(rmat, -rmat.T, equal_nan=True):
+        raise NotAntisymmetric("the r-matrix is not skew",
+                               float(np.max(np.abs(rmat + rmat.T))))
+    dim = f.shape[0]
+    flat = f.reshape(dim, dim * dim)
+    square = np.multiply.outer(rmat, rmat).transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
+    term = (flat @ square).reshape(dim, dim, dim)
+    t = term - term.transpose(1, 0, 2) + term.transpose(1, 2, 0)
+    bad = B._repeated_index_mask(dim) & (np.abs(t) > SKEW_TOL)
+    if bad.any():
+        key = tuple(int(k) for k in np.argwhere(bad)[0])
+        raise NotAntisymmetric(f"repeated-index component {key} = {t[key]}",
+                               float(abs(t[key])))
+    keys = permuted_triples(dim, B._PERMS)
+    perm_vals = t[keys].reshape(len(B._PERMS), -1)
+    dev = np.abs(perm_vals - B._SIGNS * perm_vals[0])
+    bad = dev > SKEW_TOL
+    if bad.any():
+        col = int(np.flatnonzero(bad)[0])
+        raise NotAntisymmetric(
+            f"component {tuple(int(k[col]) for k in keys)} breaks antisymmetry",
+            float(dev.flat[col]))
+    ad = f.transpose(1, 0, 2).reshape(dim * dim, dim)
+
+    def on_leg(leg):
+        rest = [a for a in range(3) if a != leg]
+        return (ad @ t.transpose(leg, *rest).reshape(dim, dim * dim)).reshape((dim,) * 4)
+
+    res = (on_leg(0) + on_leg(1).transpose(0, 2, 1, 3)
+           + on_leg(2).transpose(0, 2, 3, 1))
+    return float(np.max(np.abs(res))) or 0
 
 
 # -- the Sklyanin tables' per-element loops --------------------------------------

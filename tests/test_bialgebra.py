@@ -17,7 +17,9 @@ from kads.rclass import (LORENTZ, SUBALG_2PLUS1, family_r, r_2plus1, r_kads,
                          r_kads_twisted, r_poincare, r_poincare_twisted)
 from kads.scalars import Scalar, rat, sym
 
-from oracles import schouten_dense_three_terms, schouten_three_terms
+from oracles import (dual_jacobi_by_dual_algebra, mcybe_components_by_generator,
+                     mcybe_residual_dense_by_transposes, schouten_dense_three_terms,
+                     schouten_three_terms)
 from tables import biv, expected_curved_table, expected_flat_table
 
 eta, kinv, vth = sym("eta"), sym("kinv"), sym("vtheta")
@@ -473,3 +475,118 @@ def test_dense_residuals_let_nan_win():
     delta[IDX["P2"]] = delta[IDX["P2"]] + biv(("J1", "J2", math.nan))
     assert math.isnan(dual_jacobi_residual(delta))
     assert math.isnan(Bivector.from_terms((0, 1, 1.0), (2, 3, math.nan)).norm())
+
+
+# -- the one-pass and in-place kernels against their earlier forms ------------------
+
+
+def _formal_family():
+    return family_r((sym("alpha1"), sym("alpha2"), sym("alpha3")),
+                    (sym("beta1"), sym("beta2"), sym("beta3")), kinv)
+
+
+def test_one_pass_ad_action_equals_the_per_generator_one():
+    # the same components in the same order; float sums bit for bit
+    rng = np.random.default_rng(0xAD1)
+    exact_cases = [(ads_algebra(-(eta ** 2)), _formal_family()),
+                   (ads_algebra(sym("Lambda")), r_kads_twisted(kinv, eta, vth)),
+                   (ads_algebra(0), biv(("J1", "P2", rat(1)), ("K1", "P0", kinv))),
+                   (subalgebra(ads_algebra(-(eta ** 2)), SUBALG_2PLUS1), on_2plus1(r_2plus1(kinv)))]
+    for g, r in exact_cases:
+        got, want = mcybe_residual_components(g, r), mcybe_components_by_generator(g, r)
+        assert len(got) == len(want) and all(a == b for a, b in zip(got, want))
+    assert len(mcybe_residual_components(*exact_cases[0])) == 60
+    for lam in (-0.7, 0.0, 0.5):
+        g = ads_algebra(lam)
+        for r in (random_bivector(rng, DIM), random_bivector(rng, DIM, 0.5),
+                  r_kads(0.31, eta_of(lam))):
+            got, want = mcybe_residual_components(g, r), mcybe_components_by_generator(g, r)
+            assert [complex(v) for v in got] == [complex(v) for v in want]
+            assert [type(v) for v in got] == [type(v) for v in want]
+
+
+def _as_cocommutator(table: dict, dim: int) -> dict:
+    """A bracket table read as a cocommutator: delta(T_m) = sum c T_i ^ T_j
+    over the terms (m, c) of [T_i, T_j], so its dual bracket is the table."""
+    delta = {m: Bivector() for m in range(dim)}
+    for (i, j), terms in table.items():
+        for m, c in terms:
+            delta[m] = delta[m] + Bivector.from_terms((i, j, c))
+    return delta
+
+
+def test_dual_jacobi_on_signed_pairs_equals_the_dual_algebra():
+    for g, r in ((ads_algebra(-(eta ** 2)), r_kads(kinv, eta)),
+                 (ads_algebra(-(eta ** 2)), r_kads_twisted(kinv, eta, vth)),
+                 (ads_algebra(0), r_poincare_twisted(kinv, vth)),
+                 (ads_algebra(-0.7), r_kads_twisted(0.31, eta_of(-0.7), 0.17)),
+                 (ads_algebra(0.5), r_kads(0.31, eta_of(0.5)))):
+        delta = cocommutator(g, r)
+        bad = dict(delta)
+        bad[IDX["P1"]] = delta[IDX["P1"]] + biv(("J1", "J2", kinv if g.exact else 0.31))
+        for d in (delta, bad, {m: delta[m] for m in range(4)}):
+            got, want = dual_jacobi_residual(d, dim=DIM), dual_jacobi_by_dual_algebra(d, DIM)
+            assert type(got) is type(want) and got == want
+    # test_jacobi_detects_corruption's tables, read as cocommutators: the
+    # dual residual counts the same broken components
+    for g, pair, count in ((ads_algebra(0), ("J1", "J2"), 6),
+                           (ads_algebra(-(eta ** 2)), ("P1", "P2"), 8)):
+        table = dict(g.structure)
+        key = (IDX[pair[0]], IDX[pair[1]])
+        table[key] = tuple((k, c * 2) for k, c in table[key])
+        delta = _as_cocommutator(table, DIM)
+        assert dual_jacobi_residual(delta) == dual_jacobi_by_dual_algebra(delta) == count
+        assert dual_jacobi_residual(_as_cocommutator(g.structure, DIM)) == 0
+
+
+def test_coisotropy_names_the_bracket_the_subalgebra_names():
+    g = ads_algebra(-(eta ** 2))
+    delta = cocommutator(g, r_kads(kinv, eta))
+    for h in ((IDX["P1"], IDX["K1"]), LORENTZ[:-1], (IDX["J3"], IDX["P0"], IDX["P1"]),
+              tuple(range(1, DIM))):
+        with pytest.raises(NotSubalgebra) as sub:
+            subalgebra(g, sorted(h))
+        with pytest.raises(NotSubalgebra, match=re.escape(str(sub.value))):
+            coisotropy_check(g, delta, h)
+
+
+def _outcome(kernel, f, rmat):
+    """A kernel's value as its type and bits, or its error's type, text and residual."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = kernel(f, rmat)
+    except NotAntisymmetric as exc:
+        return type(exc), str(exc), repr(exc.residual)
+    return type(value), repr(value), np.float64(value).tobytes()
+
+
+def test_dense_mcybe_is_bit_identical_to_the_transposing_kernel():
+    rng = np.random.default_rng(0xD3E)
+    kv, vt = 0.31, 0.17
+    seen = set()
+    for lam in EDGE_LAMBDAS + (1.3, -0.0, 1e300):
+        eta_ = eta_of(lam)
+        f = ads_tensor(lam)
+        rmats = [r.matrix(DIM) for r in (r_poincare(kv), r_kads(kv, eta_),
+                                         r_kads_twisted(kv, eta_, vt), r_2plus1(kv))]
+        for _ in range(2):
+            n = rng.normal(size=3)
+            n /= np.linalg.norm(n)
+            rmats += [family_r(tuple(eta_ * kv * n), tuple(rng.uniform(-1, 1) * n), kv).matrix(DIM),
+                      skew_matrix(rng), skew_matrix(rng, 0.5)]
+        nan_pair = rmats[1].copy()
+        nan_pair[0, 4] = nan_pair[4, 0] = math.nan  # a NaN facing a NaN: skew
+        one_sided = rmats[1].copy()
+        one_sided[0, 4] = math.nan
+        with np.errstate(over="ignore"):
+            overflow = rmats[2] * 1e160  # products overflow to inf, then NaN
+        rmats += [nan_pair, one_sided, overflow, rmats[1] + 1e-3 * np.eye(DIM)]
+        sub = SUBALG_2PLUS1
+        cases = [(f, rm) for rm in rmats]
+        cases += [(subalgebra_dense(f, sub), rm[sub, :][:, sub]) for rm in rmats]
+        for ff, rm in cases:
+            got = _outcome(mcybe_residual_dense, ff, rm)
+            assert got == _outcome(mcybe_residual_dense_by_transposes, ff, rm), (lam, got)
+            seen.add(got[0] if got[0] is not float else ("nan" if "nan" in got[1] else float))
+    # every kind of outcome was met: 0, finite, NaN, and the error
+    assert seen == {int, float, "nan", NotAntisymmetric}

@@ -488,3 +488,22 @@ def test_one_bad_point_fails_a_batch_as_it_fails_alone(error, call, good, bad):
         call(bad)
     with pytest.raises(error):
         call(_with_bad_point(good, bad))
+
+
+@pytest.mark.parametrize("lam", [5e-324, -5e-324, 1e-310, -4e-309])
+def test_metric_pullback_below_one_over_dbl_max_takes_the_flat_form(lam):
+    # -1/lam is +-inf there: the first row of the form drops out, as at
+    # lam = 0, instead of making 0 * inf = NaN
+    rng = np.random.default_rng(31)
+    x = tuple(rng.uniform(-0.8, 0.8, (4, 5)))
+    jac = ambient_jacobian(x, lam)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        pull = metric_pullback(x, lam)
+    flat = np.swapaxes(jac, -1, -2) @ np.diag([0.0, 1.0, -1.0, -1.0, -1.0]) @ jac
+    assert np.array_equal(pull, flat)
+    assert np.max(np.abs(metric_at(x, lam) - pull)) < 1e-300
+    # just above 1/DBL_MAX the curved form stays
+    big = 6e-309 * np.sign(lam)
+    assert np.isfinite(-1.0 / big)
+    assert np.array_equal(metric_pullback(x, big), np.swapaxes(ambient_jacobian(x, big), -1, -2)
+                          @ np.diag([-1.0 / big, 1.0, -1.0, -1.0, -1.0]) @ ambient_jacobian(x, big))

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from kads.liealg import (BASIS, DIM, IDX, ExactnessMismatch, LieAlgebra, NotOrth
                          subalgebra)
 from kads.scalars import Scalar, rat, sym
 
-from oracles import trig_rules
+from oracles import ads_algebra_by_brackets, trig_rules
 
 LAM = sym("Lambda")
 
@@ -324,3 +325,33 @@ def test_exact_rotation_of_a_float_table_is_checked_in_floats():
 def test_float_rotation_of_an_exact_table_raises_a_named_error():
     with pytest.raises(ExactnessMismatch):
         rotate_basis(ads_algebra(-1), np.eye(3).tolist())
+
+
+def _bits(c):
+    """A coefficient down to its type and bits (a float's sign of NaN too)."""
+    if isinstance(c, float):
+        return "float", struct.pack("<d", c)
+    return type(c).__name__, str(c)
+
+
+def _table_bits(g: LieAlgebra) -> tuple:
+    """Both tables in their key and term order, every coefficient as bits."""
+    return tuple([(key, tuple((k, _bits(c)) for k, c in terms)) for key, terms in table.items()]
+                 for table in (g.structure, g._signed))
+
+
+@pytest.mark.parametrize("lam", [LAM, -(sym("eta") ** 2), 0, rat(0), 0.0, -0.0, math.nan,
+                                 -math.nan, -0.7, 1.3, 5e-324, -1e300, 1, rat(-3, 4)])
+def test_ads_algebra_from_the_template_equals_the_bracket_builder(lam):
+    # the substituted template has the builder's keys, term order, coefficient
+    # bits and exactness; the zero lam drops the curvature terms in both
+    g, want = ads_algebra(lam), ads_algebra_by_brackets(lam)
+    assert _table_bits(g) == _table_bits(want)
+    assert g.exact is want.exact and g.dim == want.dim and g.labels == want.labels
+    if not g.exact:
+        assert g.dense.tobytes() == want.dense.tobytes()
+        if lam == lam:
+            assert np.array_equal(ads_tensor(lam), want.dense)
+    # a new algebra per call: nothing but the template is shared
+    assert ads_algebra(lam).structure is not g.structure
+

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from kads.bialgebra import Bivector, cocommutator, cocommutator_of, mcybe_residual
+from kads.bialgebra import (Bivector, cocommutator, cocommutator_of, mcybe_residual,
+                            mcybe_residual_components)
 from kads.liealg import BASIS, IDX, ads_algebra
 from kads.rclass import (ConstraintViolated, RFamily, beta_aligned, canonicalize,
                          constraint_distance, constraint_residuals,
@@ -13,7 +14,7 @@ from kads.rclass import (ConstraintViolated, RFamily, beta_aligned, canonicalize
                          r_poincare, sphere_param)
 from kads.scalars import Scalar, rat, reduce_mod, sym
 
-from oracles import trig_rules
+from oracles import normalized_distinct, trig_rules
 from tables import biv
 
 eta, kinv = sym("eta"), sym("kinv")
@@ -127,6 +128,41 @@ def test_exotic_primitive_solution_outside_the_family():
     assert mcybe_residual(g, r) < 1e-12
     assert cocommutator_of(g, r, IDX["P0"]).norm() == 0
     assert mcybe_residual(g, _kernel_point(red, dict(values, t3=-r3), -1.0)) > 1
+
+
+def test_exotic_primitive_solution_at_a_quarter_of_the_curvature():
+    # the same solution at Lambda = -1/4 (eta = 1/2): the P^P coefficients
+    # scale as 1/eta, the J^J ones as eta, the kappa-Poincare part stays
+    red = impose_primitivity(generic_ansatz(), ads_algebra(sym("Lambda")), IDX["P0"])
+    r3 = math.sqrt(3.0)
+    values = dict.fromkeys(("t0", "t1", "t2"), 0.0)
+    values.update(t3=2 * r3, t6=2 * r3, t4=-2 * r3)
+    values.update(t12=-r3 / 2, t14=-r3 / 2, t13=r3 / 2)
+    values.update(dict.fromkeys(("t5", "t7", "t8", "t9", "t10", "t11"), -1.0))
+    assert sorted(values) == sorted(red.params)
+    g = ads_algebra(-0.25)
+    r = _kernel_point(red, values, -0.25)
+    assert mcybe_residual(g, r) < 1e-12
+    assert cocommutator_of(g, r, IDX["P0"]).norm() == 0
+    assert mcybe_residual(g, _kernel_point(red, dict(values, t3=-2 * r3), -0.25)) > 1
+
+
+def test_constraint_residuals_equal_normalizing_every_component():
+    # dropping the components equal up to sign first keeps the same
+    # polynomials, with the same terms in the same order
+    a = (sym("alpha1"), sym("alpha2"), sym("alpha3"))
+    b = (sym("beta1"), sym("beta2"), sym("beta3"))
+    for kw in ({}, {"eta": Scalar()}, {"kinv": rat(2)}, {"eta": rat(1, 3), "kinv": kinv},
+               {"alpha": (rat(1), a[1], a[2]), "beta": (b[0], rat(0), b[2])}):
+        got = constraint_residuals(**kw)
+        comps = mcybe_residual_components(
+            ads_algebra(-(kw.get("eta", eta) ** 2)),
+            family_r(kw.get("alpha", a), kw.get("beta", b), kw.get("kinv", kinv)))
+        want = normalized_distinct(comps)
+        assert [list(p.terms.items()) for p in got] == [list(p.terms.items()) for p in want]
+    assert [str(p) for p in constraint_residuals()] == [
+        "alpha1*beta2 - alpha2*beta1", "alpha1*beta3 - alpha3*beta1",
+        "alpha1^2 + alpha2^2 + alpha3^2 - eta^2*kinv^2", "alpha2*beta3 - alpha3*beta2"]
 
 
 def test_impose_primitivity_kills_k1_p0():
