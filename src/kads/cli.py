@@ -4,6 +4,10 @@ Reports are JSON (schema ``report_v1``), deterministic byte-for-byte for a
 fixed configuration (sorted keys, seeded sampling, no timestamps).  Exit
 codes: 0 all checks passed, 2 some residual exceeded its tolerance, 3
 configuration error.
+
+The module level imports the standard library and the exact layers
+(``scalars``, ``ncalg``) only; each numeric suite imports numpy and its
+layers when it runs, once per call, so ``kads nc`` loads no numpy.
 """
 
 from __future__ import annotations
@@ -19,15 +23,7 @@ import sys
 from dataclasses import asdict, dataclass
 from json.encoder import encode_basestring_ascii
 
-import numpy as np
-
-from . import bialgebra as B
-from . import ncalg, rclass, sklyanin
-from .curvtrig import Dual, eps_part, eta_of, re_part
-from .group_geom import (GroupPoint, ambient_from_local, group_element,
-                         isometry_residual, metric_at, metric_pullback,
-                         pseudosphere_residual)
-from .liealg import DIM, IDX, ads_algebra, ads_tensor, subalgebra, subalgebra_dense
+from . import ncalg
 from .scalars import Scalar, sym
 
 
@@ -65,6 +61,10 @@ class RunConfig:
             raise ConfigError("format must be json or csv")
         if self.fmt == "csv" and not self.out:
             raise ConfigError("--format csv needs --out")
+        if self.out:
+            folder = os.path.dirname(self.out)
+            if folder and not os.path.isdir(folder):
+                raise ConfigError(f"--out directory {folder!r} does not exist")
 
     @property
     def formal(self) -> bool:
@@ -96,11 +96,14 @@ def _rmatrix_set(formal: bool, lam, kinv, twist):
     LieAlgebras when formal, else the dense float tables f.  A numeric
     r-matrix with a non-finite entry (kappa-inv * eta overflowing) is a
     configuration error."""
+    from . import rclass
+    from .liealg import ads_algebra, ads_tensor
     if formal:
         eta, kv, vt = sym("eta"), sym("kinv"), sym("vtheta")
         g_curved = ads_algebra(-(eta ** 2))
         g_flat = ads_algebra(0)
     else:
+        from .curvtrig import eta_of
         eta, kv, vt = eta_of(lam), float(kinv), float(twist)
         g_curved = ads_tensor(float(lam))
         g_flat = ads_tensor(0.0)
@@ -118,67 +121,82 @@ def _rmatrix_set(formal: bool, lam, kinv, twist):
     return entries
 
 
-P0 = IDX["P0"]
+def _sparse_certificates(entries, inject_fault: bool) -> list:
+    """``(name, mcybe, rest)`` for each r-matrix on its exact algebra, by the
+    sparse loops.  ``rest`` is (dual Jacobi, Lorentz coisotropy,
+    |delta(P0)|), or None for r_2plus1, whose mCYBE residual is taken on
+    the 2+1 subalgebra, which must close.  ``inject_fault`` adds J1^J2 to
+    delta(P0) of r_curved."""
+    from . import bialgebra as B, rclass
+    from .liealg import IDX, subalgebra
+    p0, sub = IDX["P0"], rclass.SUBALG_2PLUS1
+    out = []
+    for name, g, r in entries:
+        if name == "r_2plus1":
+            remap = {gi: p for p, gi in enumerate(sub)}
+            r_sub = B.Bivector({(remap[i], remap[j]): c for (i, j), c in r.components.items()})
+            out.append((name, B.mcybe_residual(subalgebra(g, sub), r_sub), None))
+            continue
+        delta = B.cocommutator(g, r)
+        if inject_fault and name == "r_curved":
+            delta[p0] = delta[p0] + B.Bivector.from_terms(
+                (IDX["J1"], IDX["J2"], Scalar.rational(1)))
+        out.append((name, B.mcybe_residual(g, r),
+                    (B.dual_jacobi_residual(delta), B.coisotropy_check(g, delta, rclass.LORENTZ),
+                     delta[p0].norm())))
+    return out
 
 
-def _sparse_certificates(g, r, fault) -> tuple:
-    """mCYBE, dual Jacobi, Lorentz coisotropy and |delta(P0)| of r on the
-    exact algebra g, by the sparse loops; ``fault`` is added to delta(P0)."""
-    delta = B.cocommutator(g, r)
-    if fault is not None:
-        delta[P0] = delta[P0] + fault
-    return (B.mcybe_residual(g, r), B.dual_jacobi_residual(delta),
-            B.coisotropy_check(g, delta, rclass.LORENTZ), delta[P0].norm())
+def _dense_certificates(entries, inject_fault: bool) -> list:
+    """The same from the float tables f and one dense cocommutator per
+    r-matrix."""
+    import numpy as np
 
-
-def _dense_certificates(f, r, fault) -> tuple:
-    """The same four numbers from the float table f and one dense cocommutator."""
-    rmat = r.matrix(DIM)
-    delta = B.cocommutator_dense(f, rmat)
-    if fault is not None:
-        delta[P0] += fault.matrix(DIM)
-    return (B.mcybe_residual_dense(f, rmat), B.dual_jacobi_residual(delta),
-            B.coisotropy_check(f, delta, rclass.LORENTZ),
-            float(np.max(np.abs(delta[P0]))) or 0)
-
-
-def _mcybe_2plus1(g, r, formal: bool):
-    """The mCYBE residual of r on the 2+1 subalgebra, which must close."""
-    sub = rclass.SUBALG_2PLUS1
-    if not formal:
-        return B.mcybe_residual_dense(subalgebra_dense(g, sub),
-                                      r.matrix(DIM)[sub, :][:, sub])
-    remap = {gi: p for p, gi in enumerate(sub)}
-    r_sub = B.Bivector({(remap[i], remap[j]): c for (i, j), c in r.components.items()})
-    return B.mcybe_residual(subalgebra(g, sub), r_sub)
+    from . import bialgebra as B, rclass
+    from .liealg import DIM, IDX, subalgebra_dense
+    p0, sub = IDX["P0"], rclass.SUBALG_2PLUS1
+    out = []
+    # a finite numeric r whose products overflow makes NaN residuals, which
+    # fail their checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, f, r in entries:
+            rmat = r.matrix(DIM)
+            if name == "r_2plus1":
+                out.append((name, B.mcybe_residual_dense(subalgebra_dense(f, sub),
+                                                         rmat[sub, :][:, sub]), None))
+                continue
+            delta = B.cocommutator_dense(f, rmat)
+            if inject_fault and name == "r_curved":
+                delta[p0] += B.Bivector.from_terms((IDX["J1"], IDX["J2"], 1.0)).matrix(DIM)
+            out.append((name, B.mcybe_residual_dense(f, rmat),
+                        (B.dual_jacobi_residual(delta), B.coisotropy_check(f, delta, rclass.LORENTZ),
+                         float(np.max(np.abs(delta[p0]))) or 0)))
+    return out
 
 
 def cmd_bialgebra(cfg: RunConfig) -> dict:
     entries = _rmatrix_set(cfg.formal, cfg.lam, cfg.kappa_inv, cfg.twist)
     tol = 0 if cfg.formal else cfg.tolerance
     certificates = _sparse_certificates if cfg.formal else _dense_certificates
-    one = Scalar.rational(1) if cfg.formal else 1.0
     checks = []
-    # a finite numeric r whose products overflow makes NaN residuals, which
-    # fail their checks
-    with np.errstate(over="ignore", invalid="ignore"):
-        for name, g, r in entries:
-            if name == "r_2plus1":
-                checks.append(_check(f"{name}.mcybe", _mcybe_2plus1(g, r, cfg.formal), tol))
-                continue
-            fault = (B.Bivector.from_terms((IDX["J1"], IDX["J2"], one))
-                     if cfg.inject_fault and name == "r_curved" else None)
-            mcybe, dual_jacobi, coiso, primitive = certificates(g, r, fault)
-            checks.append(_check(f"{name}.mcybe", mcybe, tol))
-            checks.append(_check(f"{name}.dual_jacobi", dual_jacobi, tol))
-            checks.append({"name": f"{name}.coisotropy_lorentz", "residual": 0 if coiso else 1,
-                           "tolerance": 0, "pass": bool(coiso)})
-            checks.append(_check(f"{name}.time_translation_primitive", primitive, tol))
+    for name, mcybe, rest in certificates(entries, cfg.inject_fault):
+        checks.append(_check(f"{name}.mcybe", mcybe, tol))
+        if rest is None:
+            continue
+        dual_jacobi, coiso, primitive = rest
+        checks.append(_check(f"{name}.dual_jacobi", dual_jacobi, tol))
+        checks.append({"name": f"{name}.coisotropy_lorentz", "residual": 0 if coiso else 1,
+                       "tolerance": 0, "pass": bool(coiso)})
+        checks.append(_check(f"{name}.time_translation_primitive", primitive, tol))
     return {"suite": "bialgebra", "config": cfg.echo(), "checks": checks,
             "pass": all(c["pass"] for c in checks)}
 
 
 def cmd_classify(cfg: RunConfig) -> dict:
+    import numpy as np
+
+    from . import bialgebra as B, rclass
+    from .liealg import IDX, ads_algebra, worst_of
     rng = np.random.default_rng(cfg.seed)
     checks = []
     # symbolic ideal extraction and equivalence
@@ -216,9 +234,9 @@ def cmd_classify(cfg: RunConfig) -> dict:
                           "error": f"{type(exc).__name__}: {exc}"}
         else:
             keys = set(rot.components) | set(exp.components)
-            dev = functools.reduce(sklyanin.worst_of, (
+            dev = functools.reduce(worst_of, (
                 abs(rot.components.get(k, 0.0) - exp.components.get(k, 0.0)) for k in keys))
-        worst = sklyanin.worst_of(worst, dev)
+        worst = worst_of(worst, dev)
         transcript["deviation"] = dev
         transcripts.append(transcript)
     checks.append(_check("canonicalization_max_deviation", worst, 1e-12))
@@ -236,7 +254,7 @@ def cmd_classify(cfg: RunConfig) -> dict:
         alpha = tuple(radius * v for v in n)
         beta = tuple(t * v for v in n)
         rs = rclass.numeric_family_residual(alpha, beta, kv, lamv)
-        sat_worst = sklyanin.worst_of(sat_worst, rs)
+        sat_worst = worst_of(sat_worst, rs)
         while True:
             alpha_v = tuple(rng.uniform(-1.5, 1.5, 3))
             beta_v = tuple(rng.uniform(-1.5, 1.5, 3))
@@ -260,6 +278,10 @@ def cmd_classify(cfg: RunConfig) -> dict:
 
 
 def cmd_poisson(cfg: RunConfig) -> dict:
+    import numpy as np
+
+    from . import rclass, sklyanin
+    from .curvtrig import Dual, eps_part, eta_of, re_part
     lam = -1.0 if cfg.formal else float(cfg.lam)
     kinv = cfg.kappa_inv
     eta = eta_of(lam)
@@ -329,6 +351,12 @@ def cmd_nc(cfg: RunConfig) -> dict:
 
 
 def cmd_export(cfg: RunConfig) -> dict:
+    import numpy as np
+
+    from . import sklyanin
+    from .group_geom import (GroupPoint, ambient_from_local, group_element,
+                             isometry_residual, metric_at, metric_pullback,
+                             pseudosphere_residual)
     lam = -1.0 if cfg.formal else float(cfg.lam)
     kinv = cfg.kappa_inv
     rng = np.random.default_rng(cfg.seed)
@@ -391,6 +419,12 @@ COMMANDS = {
 }
 
 
+def integer(text: str) -> int:
+    """An integer literal in any base Python reads (``int(text, 0)``): the
+    parser names this converter in its error for a bad ``--seed``."""
+    return int(text, 0)
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises ConfigError, and reads "-1e-08" as a value rather than an option."""
 
@@ -416,7 +450,7 @@ def build_parser() -> _Parser:
                        help="inverse deformation scale, used by every numeric suite")
         p.add_argument("--twist", type=float, default=0.17)
         p.add_argument("--samples", type=int, default=200)
-        p.add_argument("--seed", type=lambda s: int(s, 0), default=0x5EED)
+        p.add_argument("--seed", type=integer, default=0x5EED)
         p.add_argument("--tol", dest="tolerance", type=float, default=1e-8)
         p.add_argument("--out", default=None)
         if name == "export":

@@ -201,6 +201,9 @@ def test_csv_export_needs_out(tmp_path, monkeypatch):
 # references under tests/ must not be loaded by any suite
 TEST_ONLY_MODULES = ("scipy", "sympy", "mpmath", "hypothesis", "oracles", "tables",
                      "batches")
+# what the exact `kads nc` does not load: numpy and the numeric layers
+NUMERIC_MODULES = ("numpy", "kads.liealg", "kads.bialgebra", "kads.rclass", "kads.curvtrig",
+                   "kads.group_geom", "kads.sklyanin")
 
 
 @pytest.mark.parametrize("argv", [
@@ -217,11 +220,15 @@ def test_poisson_runs_without_scipy(tmp_path, argv):
              "from kads.cli import main\n"
              f"code = main({argv + ['--out', str(out)]!r})\n"
              f"roots = {TEST_ONLY_MODULES!r}\n"
-             "print(code, sorted(m for m in sys.modules if m.split('.')[0] in roots))\n")
+             "print(code, sorted(m for m in sys.modules if m.split('.')[0] in roots))\n"
+             f"numeric = {NUMERIC_MODULES!r}\n"
+             "print(sorted(m for m in numeric if m in sys.modules))\n")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    # a csv export also prints its JSON report; the probe's line comes last
-    assert proc.stdout.splitlines()[-1].split() == ["0", "[]"]
+    # a csv export also prints its JSON report; the probe's lines come last
+    assert proc.stdout.splitlines()[-2].split() == ["0", "[]"]
+    if argv[0] == "nc":
+        assert proc.stdout.splitlines()[-1] == "[]"
     if argv[0] == "poisson":
         # the sphere Casimir check is exact: no integrator, so no scipy import
         checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
@@ -255,6 +262,34 @@ def test_negative_seed_is_a_config_error(tmp_path, suite):
         RunConfig(seed=-1)
     assert main([suite, "--seed=-1", "--out", str(tmp_path / "rep.json")]) == 3
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-bialgebra"], ["check-bialgebra", "--lambda=-0.7"], ["classify", "--samples=2"],
+    ["poisson", "--samples=2"], ["nc"], ["export", "--samples=2"],
+    ["export", "--samples=2", "--format=csv"],
+], ids=["check-bialgebra", "check-bialgebra-numeric", "classify", "poisson", "nc", "export",
+        "export-csv"])
+def test_out_into_a_missing_directory_is_a_config_error(tmp_path, monkeypatch, capsys, argv):
+    # refused before any suite work: no suite runs, no traceback, no file
+    monkeypatch.setitem(cli.COMMANDS, argv[0], lambda cfg: pytest.fail("suite ran"))
+    missing = tmp_path / "missing" / "dir"
+    assert main(argv + [f"--out={missing / 'r.json'}"]) == 3
+    assert capsys.readouterr().err == (
+        f"configuration error: --out directory {str(missing)!r} does not exist\n")
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ConfigError):
+        RunConfig(out=str(missing / "r.json"))
+
+
+def test_bad_seed_names_the_integer_converter(capsys):
+    assert main(["nc", "--seed=abc"]) == 3
+    assert capsys.readouterr().err == (
+        "configuration error: argument --seed: invalid integer value: 'abc'\n")
+    parse = cli.build_parser().parse_args
+    for text, value in [("7", 7), ("0x5EED", 0x5EED), ("0o17", 15), ("0b101", 5),
+                        ("1_000", 1000)]:
+        assert parse(["nc", f"--seed={text}"]).seed == value == int(text, 0)
 
 
 @pytest.mark.parametrize("lam", ["-1", "1"])
@@ -325,8 +360,8 @@ def test_export_certifies_its_rows(tmp_path, lam):
 
 
 def test_nan_residual_fails_export(tmp_path, monkeypatch, stdlib_bytes):
-    import kads.cli as cli
-    monkeypatch.setattr(cli, "pseudosphere_residual", lambda s, lam: float("nan"))
+    from kads import group_geom
+    monkeypatch.setattr(group_geom, "pseudosphere_residual", lambda s, lam: float("nan"))
     out = tmp_path / "rep.json"
     assert main(["export", "--lambda=-1", "--samples", "3", "--out", str(out)]) == 2
     assert out.read_text() == stdlib_bytes.pop() + "\n"
@@ -406,6 +441,23 @@ def test_suite_times_prints_one_json_line(capsys):
     assert len(script.ITEMS) == 14
     with pytest.raises(SystemExit):
         script.main(["no such suite"])
+
+
+def test_start_times_prints_one_json_line(capsys):
+    # scripts/start_times.py: the fastest of k fresh-interpreter runs per item
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts", "start_times.py")
+    spec = importlib.util.spec_from_file_location("start_times", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["-k", "1", "kads nc"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    line = json.loads(lines[0])
+    assert line["k"] == 1 and list(line["ms"]) == ["kads nc"]
+    assert line["ms"]["kads nc"] > 0
+    assert len(script.ITEMS) == 16
+    with pytest.raises(SystemExit):
+        script.main(["no such item"])
 
 
 def test_every_traced_name_resolves_in_kads():

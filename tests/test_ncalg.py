@@ -1,4 +1,6 @@
 import hashlib
+import subprocess
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -16,6 +18,24 @@ from oracles import quadratic_space_poisson
 from tables import expected_ambient_poisson
 
 eta, kinv, vth = sym("eta"), sym("kinv"), sym("vtheta")
+
+
+def test_the_nc_engine_runs_without_numpy():
+    # the exact layer never touches a float: importing it and normal-ordering
+    # a ladder in a fresh interpreter loads scalars and ncalg and no numpy
+    probe = ("import sys\n"
+             "from kads import ncalg\n"
+             "alg = ncalg.builtin_algebras()['quantum_sphere']['algebra']\n"
+             "word = (alg.pos['x2'],) * 2 + (alg.pos['x1'],) * 2\n"
+             "nf = alg.normal_form({word: 1})\n"
+             "print(len(nf.terms), 'numpy' in sys.modules,\n"
+             "      sorted(m for m in sys.modules if m.split('.')[0] == 'kads'))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    terms, numpy_loaded, kads_modules = proc.stdout.split(maxsplit=2)
+    assert int(terms) > 1
+    assert numpy_loaded == "False"
+    assert kads_modules.strip() == "['kads', 'kads.ncalg', 'kads.scalars']"
 
 
 def test_flat_normal_form_example():
