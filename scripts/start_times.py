@@ -8,7 +8,11 @@ starting the process to its exit, so it includes the interpreter's own
 start and every import the item makes.  The items run round-robin, k
 rounds, and each keeps the fastest of its k runs.  The CLI suites write
 their reports to a temporary directory.  Prints one JSON line:
-``{"k": k, "python": version, "ms": {name: fastest of the k runs in ms}}``.
+``{"k": k, "python": version, "bytecode_cache": bool, "ms": {name: fastest
+of the k runs in ms}}``.  ``bytecode_cache`` is false when this interpreter
+writes no ``.pyc`` files (``PYTHONDONTWRITEBYTECODE`` or ``-B``), which the
+items inherit: every run then compiles ``kads`` from source, so cold starts
+compare only between runs with the same setting.
 
 Usage:  python scripts/start_times.py [-k K] [NAME ...]
 With no NAME every item is timed; the names are the keys of ITEMS.
@@ -82,6 +86,7 @@ def main(argv=None) -> int:
         p.error(f"unknown items {unknown}; choose from {list(ITEMS)}")
     times = start_times(args.names or ITEMS, args.k)
     print(json.dumps({"k": args.k, "python": platform.python_version(),
+                      "bytecode_cache": not sys.dont_write_bytecode,
                       "ms": {name: round(ms, 1) for name, ms in times.items()}}))
     return 0
 

@@ -8,8 +8,11 @@ The CLI suites write their reports to a temporary directory, so the time
 includes the JSON encoding.  The kernels are timed without the CLI: the
 formal ``check-bialgebra`` suite function, the symbolic constraint ideal,
 the primitivity reduction of the 45-parameter ansatz on the formal
-algebra, which is built once outside the timing, and ``cli.report_text``
-on the report of ``export --lambda=-0.3 --samples=16``, also built once.
+algebra, which is built once outside the timing, ``cli.report_text``
+on the report of ``export --lambda=-0.3 --samples=16``, also built once,
+and the NC engine's memo hits: every word of length 2-4 under both
+strategies on one instance per built-in algebra, warmed by one untimed
+sweep, so every word is read from the memo.
 
 Usage:  PYTHONPATH=src python scripts/suite_times.py [-k K] [NAME ...]
 With no NAME every item is timed; the names are the keys of ITEMS.
@@ -22,8 +25,9 @@ import platform
 import sys
 import tempfile
 import time
+from itertools import product
 
-from kads import cli, rclass
+from kads import cli, ncalg, rclass
 from kads.liealg import IDX, ads_algebra
 from kads.scalars import sym
 
@@ -43,21 +47,42 @@ CLI_SUITES = {
 }
 
 
+def _memo_sweep():
+    """Every word of length 2-4 under both strategies on one warm instance
+    per built-in algebra; the first call fills the memos, outside the timing."""
+    calls = []
+    for bundle in ncalg.builtin_algebras().values():
+        alg = bundle["algebra"]
+        words = [w for n in (2, 3, 4) for w in product(range(len(alg.gens)), repeat=n)]
+        calls += [(alg.normal_form, {w: 1}, s) for s in ("leftmost", "rightmost")
+                  for w in words]
+
+    def sweep():
+        for normal_form, word, strategy in calls:
+            normal_form(word, strategy)
+
+    sweep()
+    return sweep
+
+
 def _kernels() -> dict:
     """Zero-argument calls of the kernels, their inputs built here."""
     ansatz, algebra = rclass.generic_ansatz(), ads_algebra(sym("Lambda"))
     export = cli.cmd_export(cli.RunConfig(lam=-0.3, samples=16))
+    memo_hits = _memo_sweep()
     return {
         "kernel: formal cmd_bialgebra": lambda: cli.cmd_bialgebra(cli.RunConfig()),
         "kernel: constraint_residuals": rclass.constraint_residuals,
         "kernel: impose_primitivity": lambda: rclass.impose_primitivity(
             ansatz, algebra, IDX["P0"]),
         "kernel: report encoding": lambda: cli.report_text(export),
+        "nc memo hits": memo_hits,
     }
 
 
 ITEMS = tuple(CLI_SUITES) + ("kernel: formal cmd_bialgebra", "kernel: constraint_residuals",
-                             "kernel: impose_primitivity", "kernel: report encoding")
+                             "kernel: impose_primitivity", "kernel: report encoding",
+                             "nc memo hits")
 
 
 def fastest_ms(call, k: int) -> float:
@@ -71,7 +96,7 @@ def fastest_ms(call, k: int) -> float:
 
 def suite_times(names, k: int) -> dict:
     """{name: fastest of k runs in ms}; a suite that does not exit 0 raises."""
-    kernels = _kernels()
+    kernels = _kernels() if set(names) - set(CLI_SUITES) else {}
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         report = os.path.join(tmp, "report.json")

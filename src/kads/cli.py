@@ -65,6 +65,9 @@ class RunConfig:
             folder = os.path.dirname(self.out)
             if folder and not os.path.isdir(folder):
                 raise ConfigError(f"--out directory {folder!r} does not exist")
+            # CSV files go beside ``out`` (``<out>_geometry.csv``), a report into it
+            if self.fmt == "json" and os.path.isdir(self.out):
+                raise ConfigError(f"--out {self.out!r} is a directory")
 
     @property
     def formal(self) -> bool:

@@ -237,14 +237,24 @@ class NCAlgebra:
         return poly, syms
 
     def normal_form(self, p, strategy: str = "leftmost") -> NCPoly:
-        """Reduce an NCPoly (or raw word dict) to the normal-ordered basis."""
+        """Reduce an NCPoly (or raw word dict) to the normal-ordered basis.
+
+        A word whose memo entry holds no symbolic references is read from
+        the memo directly; with coefficient one its terms are copied."""
         if not isinstance(p, NCPoly):
             p = NCPoly(p)
+        memo = self._memo[strategy]
         out: dict = {}
         for w, c in p.terms.items():
-            poly, syms = self._reduce_word(tuple(w), strategy, set(), [2_000_000])
-            if syms:
-                raise NonTerminating("unresolved straightening fixpoint")
+            entry = memo.get(w)
+            if entry is None or entry[1]:
+                entry = self._reduce_word(tuple(w), strategy, set(), [2_000_000])
+                if entry[1]:
+                    raise NonTerminating("unresolved straightening fixpoint")
+            poly = entry[0]
+            if not out and c.is_one():
+                out = dict(poly)
+                continue
             for k, v in poly.items():
                 accumulate(out, k, v * c)
         q = NCPoly()

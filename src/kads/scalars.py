@@ -830,7 +830,8 @@ class Frac:
     p = 2^61 - 1, lifted to integers and accepted when it divides exactly,
     the divisions giving the cofactors; Euclid over Q is the fallback.
     ``_dv`` is the view (c, t, f) of the denominator, c and t packed
-    monomials.
+    monomials.  A ``Frac`` is never mutated: its fields are set once, on a
+    fresh object, so ``Frac.of(1)`` returns one shared one, ``FRAC_ONE``.
     """
 
     __slots__ = ("num", "den", "_dv")
@@ -851,6 +852,8 @@ class Frac:
     def of(cls, x) -> "Frac":
         if type(x) is Frac:
             return x
+        if type(x) is int and x == 1:
+            return FRAC_ONE
         if type(x) is Scalar:
             return cls(x)
         return cls(Scalar.rational(x))
@@ -935,6 +938,9 @@ class Frac:
 
     def substitute(self, bindings) -> "Frac":
         return Frac(self.num.substitute(bindings), self.den.substitute(bindings))
+
+
+FRAC_ONE = Frac(ONE)
 
 
 def _fill(out: Frac, num: Scalar, c: int, t, f: list) -> Frac:

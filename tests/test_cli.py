@@ -264,12 +264,15 @@ def test_negative_seed_is_a_config_error(tmp_path, suite):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv", [
+OUT_SUITES = pytest.mark.parametrize("argv", [
     ["check-bialgebra"], ["check-bialgebra", "--lambda=-0.7"], ["classify", "--samples=2"],
     ["poisson", "--samples=2"], ["nc"], ["export", "--samples=2"],
     ["export", "--samples=2", "--format=csv"],
 ], ids=["check-bialgebra", "check-bialgebra-numeric", "classify", "poisson", "nc", "export",
         "export-csv"])
+
+
+@OUT_SUITES
 def test_out_into_a_missing_directory_is_a_config_error(tmp_path, monkeypatch, capsys, argv):
     # refused before any suite work: no suite runs, no traceback, no file
     monkeypatch.setitem(cli.COMMANDS, argv[0], lambda cfg: pytest.fail("suite ran"))
@@ -280,6 +283,27 @@ def test_out_into_a_missing_directory_is_a_config_error(tmp_path, monkeypatch, c
     assert list(tmp_path.iterdir()) == []
     with pytest.raises(ConfigError):
         RunConfig(out=str(missing / "r.json"))
+
+
+@OUT_SUITES
+def test_out_naming_an_existing_directory(tmp_path, monkeypatch, capsys, argv):
+    # a JSON report cannot replace a directory: refused before any suite
+    # work; the CSV files go beside the directory, as <dir>_geometry.csv
+    folder = tmp_path / "reports"
+    folder.mkdir()
+    if "--format=csv" in argv:
+        assert main(argv + [f"--out={folder}"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "reports", "reports_brackets.csv", "reports_geometry.csv"]
+        assert list(folder.iterdir()) == []
+        return
+    monkeypatch.setitem(cli.COMMANDS, argv[0], lambda cfg: pytest.fail("suite ran"))
+    assert main(argv + [f"--out={folder}"]) == 3
+    assert capsys.readouterr().err == (
+        f"configuration error: --out {str(folder)!r} is a directory\n")
+    assert list(tmp_path.iterdir()) == [folder] and list(folder.iterdir()) == []
+    with pytest.raises(ConfigError):
+        RunConfig(out=str(folder))
 
 
 def test_bad_seed_names_the_integer_converter(capsys):
@@ -438,7 +462,7 @@ def test_suite_times_prints_one_json_line(capsys):
     line = json.loads(lines[0])
     assert line["k"] == 1 and list(line["ms"]) == ["check-bialgebra --lambda formal"]
     assert line["ms"]["check-bialgebra --lambda formal"] > 0
-    assert len(script.ITEMS) == 14
+    assert len(script.ITEMS) == 15
     with pytest.raises(SystemExit):
         script.main(["no such suite"])
 
@@ -454,6 +478,7 @@ def test_start_times_prints_one_json_line(capsys):
     assert len(lines) == 1
     line = json.loads(lines[0])
     assert line["k"] == 1 and list(line["ms"]) == ["kads nc"]
+    assert line["bytecode_cache"] is (not sys.dont_write_bytecode)
     assert line["ms"]["kads nc"] > 0
     assert len(script.ITEMS) == 16
     with pytest.raises(SystemExit):

@@ -1,7 +1,7 @@
 import hashlib
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -13,7 +13,8 @@ from kads.ncalg import (NCAlgebra, NCPoly, SingularSpecialization,
                         displayed_brackets_ok, flat_limits_ok,
                         kappa_minkowski, local_first_order, poisson_reading,
                         pseudosphere_casimir, quantum_sphere, space_casimir)
-from kads.scalars import PARAM_INDEX, PARAMS, Frac, NonTerminating, rat, sym
+from kads.scalars import (FRAC_ONE, ONE, PARAM_INDEX, PARAMS, Frac, NonTerminating, rat,
+                          sym)
 from oracles import quadratic_space_poisson
 from tables import expected_ambient_poisson
 
@@ -273,6 +274,57 @@ def test_memo_entries_are_never_mutated():
         assert A.normal_form(NCPoly.word(w)) == results[w], w
     assert A.normal_form(ladder) == first
     assert all(d == snapshot for d, snapshot in seen)
+
+
+def test_a_memo_hit_returns_a_copy():
+    """Changing the NCPoly that normal_form returns, on a memo miss or a
+    memo hit, leaves the memo as it was."""
+    A, fresh = ambient_algebra(), ambient_algebra()
+    s1, s2 = A.pos["s1"], A.pos["s2"]
+    for strategy in ("leftmost", "rightmost"):
+        for w in [(s2, s2, s1), (s1, s2), (s1, s1)]:
+            want = fresh.normal_form(NCPoly.word(w), strategy)
+            for _ in range(3):
+                got = A.normal_form(NCPoly.word(w), strategy)
+                assert got.terms == want.terms, (strategy, w)
+                del got.terms[next(iter(got.terms))]
+                got.terms[(9,)] = Frac.of(7)
+            assert (A.normal_form(NCPoly.word(w, eta), strategy).terms
+                    == want.scale(eta).terms)
+
+
+def test_warm_memo_reads_equal_fresh_reductions():
+    """Every word of length 2-4, both strategies, on one warm instance per
+    algebra equals its reduction on a fresh instance; the sweep meets
+    memo misses, clean memo hits and entries still holding symbolic
+    references."""
+    kinds = {"miss": 0, "hit": 0, "symbolic": 0}
+    for name, bundle in builtin_algebras().items():
+        A = bundle["algebra"]
+        relations = {(A.gens[i], A.gens[j]): p for (i, j), p in A.commutator_rhs.items()}
+        words = [w for n in (4, 3, 2) for w in product(range(len(A.gens)), repeat=n)]
+        want = {}
+        for w in words:
+            fresh = NCAlgebra(A.gens, relations)
+            for strategy in ("leftmost", "rightmost"):
+                want[w, strategy] = fresh.normal_form({w: 1}, strategy).terms
+        for _ in range(2):
+            for strategy in ("leftmost", "rightmost"):
+                for w in words:
+                    entry = A._memo[strategy].get(w)
+                    kinds["miss" if entry is None else
+                          "symbolic" if entry[1] else "hit"] += 1
+                    assert A.normal_form({w: 1}, strategy).terms == want[w, strategy], (
+                        name, strategy, w)
+    assert min(kinds.values()) > 0, kinds
+
+
+def test_the_shared_one_survives_a_kads_nc_run(tmp_path):
+    from kads import cli
+    assert cli.main(["nc", "--out", str(tmp_path / "nc.json")]) == 0
+    one = Frac.of(1)
+    assert one is FRAC_ONE and one.is_one() and one == Frac(ONE)
+    assert one.num == ONE and one.den == ONE
 
 
 def test_semiclassical_leading_order():
