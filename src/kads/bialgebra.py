@@ -6,20 +6,23 @@ trivector as ``(i, j, k) strictly increasing -> coeff``.  Everything is
 generic over exact Scalar or float/complex coefficients; with float or
 complex coefficients the cocommutator, its dual Jacobi residual and the
 Yang-Baxter residual are computed densely, from the skew matrix of r and
-the table ``f[k, i, j]``.
+the table ``f[k, i, j]``.  Only those dense kernels import numpy, when they
+run, so the exact paths load none.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .liealg import (LieAlgebra, coeff_norm, components_norm, float_dtype,
                      is_exact, jacobi_residual_dense, jacobi_residual_sparse,
                      permuted_triples, require_closed, subalgebra_dense)
 from .scalars import accumulate
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class NotAntisymmetric(ValueError):
@@ -99,6 +102,8 @@ class Bivector:
 
     def matrix(self, dim: int) -> np.ndarray:
         """The skew dim x dim matrix R with R[i, j] = c and R[j, i] = -c."""
+        import numpy as np
+
         mat = np.zeros((dim, dim), dtype=float_dtype(self.components.values()))
         for i, j, c in self.entries_signed():
             mat[i, j] = c
@@ -235,6 +240,8 @@ def cocommutator_dense(f: np.ndarray, rmat: np.ndarray) -> np.ndarray:
     difference of at most two products, each the product the sparse loop
     forms: D equals the sparse cocommutator exactly.
     """
+    import numpy as np
+
     half = np.einsum("ami,ib->mab", f, rmat)
     return half - half.transpose(0, 2, 1)
 
@@ -253,6 +260,8 @@ def schouten_dense(f: np.ndarray, rmat: np.ndarray) -> np.ndarray:
     evaluated as (R.T@f)@R, the repeated-index entries of the curved
     r-matrices exceed 1e-9 by round-off alone at |lambda| = 1e9.
     """
+    import numpy as np
+
     # a skew R equals -R.T entrywise unless a NaN faces a NaN
     if not (rmat == -rmat.T).all() and not np.array_equal(rmat, -rmat.T, equal_nan=True):
         raise NotAntisymmetric("the r-matrix is not skew",
@@ -274,7 +283,7 @@ def schouten_dense(f: np.ndarray, rmat: np.ndarray) -> np.ndarray:
                                float(abs(t[key])))
     # every permutation of each i < j < k against the signed sorted entry
     perm_vals = t.take(flat_keys)
-    dev = np.abs(perm_vals - _SIGNS * perm_vals[0])
+    dev = np.abs(perm_vals - _signs() * perm_vals[0])
     bad = dev > SKEW_TOL
     if bad.any():
         col = int(np.flatnonzero(bad)[0])
@@ -285,11 +294,20 @@ def schouten_dense(f: np.ndarray, rmat: np.ndarray) -> np.ndarray:
 
 
 _PERMS = tuple(_SIGN3)  # identity first
-_SIGNS = np.array([[_SIGN3[p]] for p in _PERMS])
+
+
+@functools.cache
+def _signs() -> np.ndarray:
+    """The sign of each permutation of _PERMS, as a column."""
+    import numpy as np
+
+    return np.array([[_SIGN3[p]] for p in _PERMS])
 
 
 @functools.cache
 def _repeated_index_mask(dim: int) -> np.ndarray:
+    import numpy as np
+
     i, j, k = np.indices((dim,) * 3)
     return (i == j) | (j == k) | (i == k)
 
@@ -300,6 +318,8 @@ def _skew_checks(dim: int) -> tuple:
     C order; the index arrays of every permutation of each i < j < k
     (``permuted_triples`` over _PERMS); and their flat positions, one row
     per permutation."""
+    import numpy as np
+
     keys = permuted_triples(dim, _PERMS)
     flat_keys = np.ravel_multi_index(keys, (dim,) * 3).reshape(len(_PERMS), -1)
     return np.flatnonzero(_repeated_index_mask(dim)), keys, flat_keys
@@ -315,6 +335,8 @@ def mcybe_residual_dense(f: np.ndarray, rmat: np.ndarray):
     so every entry is the same sum of the same products as when each leg is
     contracted on a transposed copy of t (kept in the tests as an oracle).
     """
+    import numpy as np
+
     t = schouten_dense(f, rmat)
     dim = f.shape[0]
     ad = f.transpose(1, 0, 2).reshape(dim * dim, dim)  # [(m, n), i]: n-th of [T_m, T_i]
@@ -344,7 +366,9 @@ def coisotropy_check(g, delta, h_indices) -> bool:
     the dense table f and the tensor of :func:`cocommutator_dense`.  Either
     way a generator set that does not close raises NotSubalgebra.
     """
-    if isinstance(delta, np.ndarray):
+    if not isinstance(delta, dict):
+        import numpy as np
+
         subalgebra_dense(g, sorted(h_indices))
         h = np.zeros(len(delta), dtype=bool)
         h[list(h_indices)] = True
@@ -366,11 +390,13 @@ def dual_jacobi_residual(delta, dim: int | None = None):
     exact coefficient gives the dual bracket's signed table, which the
     sparse loops read; a float or complex one is stacked into D.
     """
-    if isinstance(delta, np.ndarray):
+    if not isinstance(delta, dict):
         return jacobi_residual_dense(delta)
     if dim is None:
         dim = max(delta) + 1
     if not any(is_exact(c) for biv in delta.values() for c in biv.components.values()):
+        import numpy as np
+
         return jacobi_residual_dense(np.array([
             delta[m].matrix(dim) if m in delta else np.zeros((dim, dim)) for m in range(dim)]))
     pairs: dict = {}

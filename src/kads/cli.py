@@ -6,8 +6,10 @@ codes: 0 all checks passed, 2 some residual exceeded its tolerance, 3
 configuration error.
 
 The module level imports the standard library and the exact layers
-(``scalars``, ``ncalg``) only; each numeric suite imports numpy and its
-layers when it runs, once per call, so ``kads nc`` loads no numpy.
+(``scalars``, ``ncalg``) only; each suite imports numpy and its other
+layers when it runs, once per call.  ``liealg``, ``bialgebra`` and
+``rclass`` import numpy only in their float kernels, so ``kads nc`` and
+``kads check-bialgebra --lambda formal`` load no numpy.
 """
 
 from __future__ import annotations
@@ -297,16 +299,18 @@ def cmd_poisson(cfg: RunConfig) -> dict:
         ("ambient", sklyanin.closed_form_ambient(lam, kinv), rclass.r_kads(kinv, eta)),
     ]
     batch = sklyanin.SampleBatch(cfg.samples, lam, cfg.seed)
-    for name, table, r in tables:
-        rep = sklyanin.verify_table(r, table, batch)
-        rep["worst_point"] = list(rep["worst_point"]) if rep["worst_point"] else None
-        reports[name] = rep
-        checks.append(_check(f"{name}.sklyanin_match", rep["max_deviation"],
-                             cfg.tolerance))
-        checks.append(_check(f"{name}.lorentz_independence",
-                             rep["lorentz_independence"], cfg.tolerance))
-        checks.append(_check(f"{name}.jacobi", sklyanin.table_jacobi_residual(
-            table, min(cfg.samples, 50), seed=cfg.seed), 1e-7))
+    # an overflowing --kappa-inv makes NaN residuals, which fail their checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, table, r in tables:
+            rep = sklyanin.verify_table(r, table, batch)
+            rep["worst_point"] = list(rep["worst_point"]) if rep["worst_point"] else None
+            reports[name] = rep
+            checks.append(_check(f"{name}.sklyanin_match", rep["max_deviation"],
+                                 cfg.tolerance))
+            checks.append(_check(f"{name}.lorentz_independence",
+                                 rep["lorentz_independence"], cfg.tolerance))
+            checks.append(_check(f"{name}.jacobi", sklyanin.table_jacobi_residual(
+                table, min(cfg.samples, 50), seed=cfg.seed), 1e-7))
     # the local table to first order in eta (a dual eta = 0 + eps) is the
     # Poisson reading of the first-order quantum algebra, pair by pair
     reading = sklyanin.reading_terms(ncalg.local_first_order, sklyanin.LOCAL_LABELS,

@@ -8,7 +8,8 @@ stable across the whole package.  Structure constants live in a sparse map
 here is generic over that choice.  A float or complex table also has a
 dense form ``f[k, i, j]`` (``[T_i, T_j] = sum_k f[k, i, j] T_k``); the
 float checks contract it with numpy, while exact tables keep the sparse
-loops, which the tests use as the float oracle.
+loops, which the tests use as the float oracle.  Only those float kernels
+import numpy, when they run, so the exact layer loads none.
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from itertools import combinations
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .scalars import Scalar, reduce_mod
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BASIS = ("P0", "P1", "P2", "P3", "K1", "K2", "K3", "J1", "J2", "J3")
 DIM = len(BASIS)
@@ -107,6 +110,8 @@ class LieAlgebra:
         """Read-only f[k, i, j] for a float or complex table; None if exact."""
         if self.exact:
             return None
+        import numpy as np
+
         coeffs = [c for terms in self.structure.values() for _, c in terms]
         f = np.zeros((self.dim,) * 3, dtype=float_dtype(coeffs))
         for (i, j), terms in self._signed.items():
@@ -250,6 +255,8 @@ CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 def permuted_triples(dim: int, perms: tuple) -> tuple:
     """Index arrays (a, b, c) over every i < j < k < dim, taken in the
     order of each permutation p of perms in turn: a = (i, j, k)[p[0]], ..."""
+    import numpy as np
+
     rows = np.array(list(combinations(range(dim), 3)), dtype=int).reshape(-1, 3).T
     return tuple(np.concatenate([rows[p[axis]] for p in perms]) for axis in range(3))
 
@@ -260,6 +267,8 @@ def jacobi_residual_dense(f: np.ndarray):
     Like :func:`jacobi_residual_sparse` it returns integer 0 when no double
     bracket of three distinct generators has a term, and a float otherwise.
     """
+    import numpy as np
+
     dim = f.shape[0]
     a, b, c = permuted_triples(dim, CYCLIC)
     outer = f[:, a, b]  # [m, s]: component m of [T_a, T_b]
@@ -340,6 +349,8 @@ def subalgebra(g: LieAlgebra, indices) -> LieAlgebra:
 def subalgebra_dense(f: np.ndarray, indices) -> np.ndarray:
     """The dense table of a generator subset; raises NotSubalgebra if a
     bracket of two of them has a component outside the subset."""
+    import numpy as np
+
     indices = list(indices)
     sub = f[:, indices][:, :, indices]  # [k, a, b]: every k, a and b in the subset
     outside = np.ones(len(f), dtype=bool)
@@ -432,6 +443,8 @@ def rotate_basis(g: LieAlgebra, r3, rules=None) -> BasisRotation:
 
     # automorphism check: [phi(Ti), phi(Tj)] == phi([Ti, Tj])
     if not exact and not g.exact:
+        import numpy as np
+
         mat, f = np.array(m), g.dense
         dev = np.abs(mat.T @ f @ mat - np.tensordot(mat, f, axes=(1, 0)))
         bad = np.argwhere(np.triu((~(dev <= tol)).any(axis=0), 1))

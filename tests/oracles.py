@@ -229,6 +229,11 @@ def schouten_three_terms(g, r: Bivector) -> Trivector:
     return Trivector(out)
 
 
+# the sign of each permutation in ``B._PERMS``, as a column against the rows
+# of ``permuted_triples(dim, B._PERMS)``
+PERM_SIGNS = np.array([[B._SIGN3[p]] for p in B._PERMS])
+
+
 def schouten_dense_three_terms(f: np.ndarray, rmat: np.ndarray) -> np.ndarray:
     """The dense [[r, r]] as R.T@f@R + (R@f@R).transpose(1, 0, 2) +
     (R@f@R.T).transpose(1, 2, 0), each term one matmul against the products
@@ -251,7 +256,7 @@ def schouten_dense_three_terms(f: np.ndarray, rmat: np.ndarray) -> np.ndarray:
         raise NotAntisymmetric(f"repeated-index component {key} = {t[key]}")
     keys = permuted_triples(dim, B._PERMS)
     perm_vals = t[keys].reshape(len(B._PERMS), -1)
-    if (np.abs(perm_vals - B._SIGNS * perm_vals[0]) > SKEW_TOL).any():
+    if (np.abs(perm_vals - PERM_SIGNS * perm_vals[0]) > SKEW_TOL).any():
         raise NotAntisymmetric("a component breaks antisymmetry")
     return t
 
@@ -367,7 +372,7 @@ def mcybe_residual_dense_by_transposes(f: np.ndarray, rmat: np.ndarray):
                                float(abs(t[key])))
     keys = permuted_triples(dim, B._PERMS)
     perm_vals = t[keys].reshape(len(B._PERMS), -1)
-    dev = np.abs(perm_vals - B._SIGNS * perm_vals[0])
+    dev = np.abs(perm_vals - PERM_SIGNS * perm_vals[0])
     bad = dev > SKEW_TOL
     if bad.any():
         col = int(np.flatnonzero(bad)[0])

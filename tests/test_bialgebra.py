@@ -1,5 +1,7 @@
 import math
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -537,6 +539,50 @@ def test_dual_jacobi_on_signed_pairs_equals_the_dual_algebra():
         delta = _as_cocommutator(table, DIM)
         assert dual_jacobi_residual(delta) == dual_jacobi_by_dual_algebra(delta) == count
         assert dual_jacobi_residual(_as_cocommutator(g.structure, DIM)) == 0
+
+
+def test_the_exact_r_matrix_layers_run_without_numpy():
+    # only the float kernels import numpy: exact and float algebras, the
+    # sparse cocommutator and the formal certificates in a fresh interpreter
+    # load none
+    probe = ("import sys\n"
+             "from kads import bialgebra, cli, liealg, rclass\n"
+             "from kads.scalars import sym\n"
+             "g, h = liealg.ads_algebra(sym('Lambda')), liealg.ads_algebra(-1.0)\n"
+             "delta = bialgebra.cocommutator(h, rclass.r_kads(0.31, 1.0))\n"
+             "report = cli.cmd_bialgebra(cli.RunConfig(lam='formal'))\n"
+             "print(g.exact, h.exact, delta[0].norm(), report['pass'], len(report['checks']),\n"
+             "      'numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False", "0", "True", "17", "False"]
+
+
+def test_a_float_map_takes_the_stacked_dense_path(monkeypatch):
+    # the exact form of a cocommutator is a map index -> Bivector; a float
+    # one is stacked into the dense tensor, an exact one read by the loops
+    stacked, kernel = [], B.jacobi_residual_dense
+
+    def spy(d):
+        stacked.append(d)
+        return kernel(d)
+
+    monkeypatch.setattr(B, "jacobi_residual_dense", spy)
+    for lam in (-0.7, 0.0, 0.5):
+        r = r_kads_twisted(0.31, eta_of(lam), 0.17)
+        delta = cocommutator(ads_algebra(lam), r)
+        d = cocommutator_dense(ads_tensor(lam), r.matrix(DIM))
+        stacked.clear()
+        got = dual_jacobi_residual(delta)
+        assert len(stacked) == 1 and np.array_equal(stacked[0], d)
+        assert repr(got) == repr(dual_jacobi_residual(d))
+        # support scan of the map, mask of the tensor: the same verdicts
+        for h in (LORENTZ, (IDX["P0"], IDX["J3"]), (IDX["K1"], IDX["J1"])):
+            assert coisotropy_check(ads_algebra(lam), delta, h) == coisotropy_check(
+                ads_tensor(lam), d, h)
+    stacked.clear()
+    assert dual_jacobi_residual(cocommutator(ads_algebra(-(eta ** 2)), r_kads(kinv, eta))) == 0
+    assert stacked == []
 
 
 def test_coisotropy_names_the_bracket_the_subalgebra_names():

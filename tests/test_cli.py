@@ -201,7 +201,8 @@ def test_csv_export_needs_out(tmp_path, monkeypatch):
 # references under tests/ must not be loaded by any suite
 TEST_ONLY_MODULES = ("scipy", "sympy", "mpmath", "hypothesis", "oracles", "tables",
                      "batches")
-# what the exact `kads nc` does not load: numpy and the numeric layers
+# what the exact `kads nc` does not load: numpy, the exact layers with float
+# kernels (liealg, bialgebra, rclass) and the numeric layers
 NUMERIC_MODULES = ("numpy", "kads.liealg", "kads.bialgebra", "kads.rclass", "kads.curvtrig",
                    "kads.group_geom", "kads.sklyanin")
 
@@ -229,6 +230,9 @@ def test_poisson_runs_without_scipy(tmp_path, argv):
     assert proc.stdout.splitlines()[-2].split() == ["0", "[]"]
     if argv[0] == "nc":
         assert proc.stdout.splitlines()[-1] == "[]"
+    if argv[0] == "check-bialgebra":
+        # the formal certificates are exact: no numpy and no numeric layer
+        assert proc.stdout.splitlines()[-1] == "['kads.bialgebra', 'kads.liealg', 'kads.rclass']"
     if argv[0] == "poisson":
         # the sphere Casimir check is exact: no integrator, so no scipy import
         checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
@@ -521,6 +525,20 @@ def test_poisson_and_export_raise_no_numpy_warnings(tmp_path):
         for lam in (-1.0, -0.3, -1e-8, 1e-8, 0.3, 1.0):
             for suite in ("poisson", "export"):
                 assert main([suite, f"--lambda={lam!r}", "--samples", "20", "--out", out]) == 0
+
+
+def test_poisson_at_an_overflowing_kappa_inv_fails_without_warnings(tmp_path):
+    # products of kappa-inv overflow to inf and then NaN in the Jacobiators,
+    # and the local and twisted tables miss their Sklyanin brackets by
+    # round-off at that scale: those checks fail, with no numpy warning
+    out = tmp_path / "rep.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["poisson", "--lambda=-1", "--samples=2", "--kappa-inv=1e308",
+                     "--out", str(out)]) == 2
+    failed = [c["name"] for c in json.loads(out.read_text())["checks"] if not c["pass"]]
+    assert failed == ["local.sklyanin_match", "local.jacobi", "twisted.sklyanin_match",
+                      "twisted.jacobi", "ambient.jacobi"]
 
 
 def classify_report(tmp_path, kinv: str):
