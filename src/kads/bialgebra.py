@@ -2,12 +2,13 @@
 
 Wedge normalization: ``a ^ b = a (x) b - b (x) a`` with no 1/2, so a
 bivector is stored as a sparse map ``(i, j) with i < j -> coeff`` and a
-trivector as ``(i, j, k) strictly increasing -> coeff``.  Everything is
-generic over exact Scalar or float/complex coefficients; with float or
-complex coefficients the cocommutator, its dual Jacobi residual and the
-Yang-Baxter residual are computed densely, from the skew matrix of r and
-the table ``f[k, i, j]``.  Only those dense kernels import numpy, when they
-run, so the exact paths load none.
+trivector as ``(i, j, k) strictly increasing -> coeff``.  The sparse
+loops on a LieAlgebra are generic over exact Scalar or float/complex
+coefficients.  The ``*_dense`` kernels compute the cocommutator, its dual
+Jacobi residual and the Yang-Baxter residual from an ndarray, the dense
+table ``f[k, i, j]`` and the skew matrix of r; the table's type, not its
+coefficients, picks the kernel.  Only the dense kernels import numpy, when
+they run, so the loops load none.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import functools
 import math
 from typing import TYPE_CHECKING
 
-from .liealg import (LieAlgebra, coeff_norm, components_norm, float_dtype,
-                     is_exact, jacobi_residual_dense, jacobi_residual_sparse,
-                     permuted_triples, require_closed, subalgebra_dense)
+from .liealg import (LieAlgebra, coeff_norm, components_norm, is_exact,
+                     jacobi_residual_dense, jacobi_residual_sparse, permuted_triples,
+                     require_closed, subalgebra_dense)
 from .scalars import accumulate
 
 if TYPE_CHECKING:
@@ -104,7 +105,8 @@ class Bivector:
         """The skew dim x dim matrix R with R[i, j] = c and R[j, i] = -c."""
         import numpy as np
 
-        mat = np.zeros((dim, dim), dtype=float_dtype(self.components.values()))
+        dtype = complex if any(isinstance(c, complex) for c in self.components.values()) else float
+        mat = np.zeros((dim, dim), dtype=dtype)
         for i, j, c in self.entries_signed():
             mat[i, j] = c
         return mat
@@ -348,14 +350,11 @@ def mcybe_residual_dense(f: np.ndarray, rmat: np.ndarray):
 
 
 def mcybe_residual(g: LieAlgebra, r: Bivector):
-    """Size of the ad-invariance residual of [[r, r]].
+    """Size of the ad-invariance residual of [[r, r]], by the sparse loops.
 
-    Zero means r solves the modified classical Yang-Baxter equation.  Float
-    or complex coefficients take the dense kernel, exact ones the sparse
-    loops.
+    Zero means r solves the modified classical Yang-Baxter equation.  The
+    dense table takes :func:`mcybe_residual_dense`.
     """
-    if not g.exact and not any(is_exact(c) for c in r.components.values()):
-        return mcybe_residual_dense(g.dense, r.matrix(g.dim))
     return components_norm(mcybe_residual_components(g, r))
 
 
@@ -386,19 +385,14 @@ def dual_jacobi_residual(delta, dim: int | None = None):
     """Jacobi residual of the dual bracket defined by the cocommutator.
 
     A dense cocommutator tensor D is itself the dual table, D[m, a, b]
-    being the T_m component of [T^a, T^b].  A map index -> Bivector with an
-    exact coefficient gives the dual bracket's signed table, which the
-    sparse loops read; a float or complex one is stacked into D.
+    being the T_m component of [T^a, T^b].  A map index -> Bivector, of any
+    coefficients, gives the dual bracket's signed table, which the sparse
+    loops read.
     """
     if not isinstance(delta, dict):
         return jacobi_residual_dense(delta)
     if dim is None:
         dim = max(delta) + 1
-    if not any(is_exact(c) for biv in delta.values() for c in biv.components.values()):
-        import numpy as np
-
-        return jacobi_residual_dense(np.array([
-            delta[m].matrix(dim) if m in delta else np.zeros((dim, dim)) for m in range(dim)]))
     pairs: dict = {}
     for m, biv in delta.items():
         for key, c in biv.components.items():

@@ -217,7 +217,6 @@ def cmd_classify(cfg: RunConfig) -> dict:
                    "tolerance": 15, "pass": len(red.params) == 15})
     # canonicalization transcripts
     n_canon = min(cfg.samples, 100)
-    g_canon = ads_algebra(-1.0)
     worst = 0.0
     transcripts = []
     for _ in range(n_canon):
@@ -230,7 +229,7 @@ def cmd_classify(cfg: RunConfig) -> dict:
             # an overflowing --kappa-inv makes NaN residuals, which fail below
             with np.errstate(over="ignore", invalid="ignore"):
                 rot, exp, transcript = rclass.canonicalize(
-                    th, ph, tw, kinv=cfg.kappa_inv, lam=-1.0, algebra=g_canon)
+                    th, ph, tw, kinv=cfg.kappa_inv, lam=-1.0)
         except (rclass.ConstraintViolated, B.NotAntisymmetric) as exc:
             # round-off at a large --kappa-inv: the sample fails the check
             # with the residual that stopped it

@@ -5,11 +5,12 @@ translation, space translations, boosts, rotations); the indices 0..9 are
 stable across the whole package.  Structure constants live in a sparse map
 ``(i, j) with i < j -> [(k, coeff), ...]``; coefficients are exact
 :class:`~kads.scalars.Scalar` values or plain floats, and every routine
-here is generic over that choice.  A float or complex table also has a
-dense form ``f[k, i, j]`` (``[T_i, T_j] = sum_k f[k, i, j] T_k``); the
-float checks contract it with numpy, while exact tables keep the sparse
-loops, which the tests use as the float oracle.  Only those float kernels
-import numpy, when they run, so the exact layer loads none.
+here is generic over that choice.  The float checks run instead on the
+dense table ``f[k, i, j]`` (``[T_i, T_j] = sum_k f[k, i, j] T_k``) of
+:func:`ads_tensor`, an ndarray: the table's type picks the kernel, so a
+LieAlgebra always takes the sparse loops, which the tests use as the
+float oracle.  Only the ndarray kernels import numpy, when they run, so a
+LieAlgebra of either kind loads none.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ class NotOrthogonal(ValueError):
 
 
 class ExactnessMismatch(TypeError):
-    """A float rotation was applied to a table of exact Scalars."""
+    """A rotation and a LieAlgebra do not share exactness: a float rotation
+    of exact Scalars, or an exact rotation of float coefficients."""
 
 
 def is_exact(c) -> bool:
@@ -72,11 +74,6 @@ def components_norm(values) -> float | int:
     return functools.reduce(worst_of, (float(coeff_norm(v)) for v in vals))
 
 
-def float_dtype(values):
-    """numpy dtype holding float or complex coefficients."""
-    return complex if any(isinstance(v, complex) for v in values) else float
-
-
 class LieAlgebra:
     """Structure-constant table, immutable after construction."""
 
@@ -99,26 +96,10 @@ class LieAlgebra:
         self.labels = tuple(labels)
         self.structure = structure
         self._signed = signed
-        self.exact = any(is_exact(c) for terms in structure.values() for _, c in terms)
 
     def bracket_basis(self, i: int, j: int) -> tuple:
         """[T_i, T_j] as a tuple of (k, coeff), any index order."""
         return self._signed.get((i, j), ())
-
-    @functools.cached_property
-    def dense(self) -> np.ndarray | None:
-        """Read-only f[k, i, j] for a float or complex table; None if exact."""
-        if self.exact:
-            return None
-        import numpy as np
-
-        coeffs = [c for terms in self.structure.values() for _, c in terms]
-        f = np.zeros((self.dim,) * 3, dtype=float_dtype(coeffs))
-        for (i, j), terms in self._signed.items():
-            for k, c in terms:
-                f[k, i, j] = c
-        f.flags.writeable = False
-        return f
 
     @functools.cached_property
     def ad_columns(self) -> tuple:
@@ -232,10 +213,12 @@ def _ads_template() -> tuple:
 
 
 def ads_tensor(lam: float) -> np.ndarray:
-    """``ads_algebra(lam).dense`` without building the algebra.
+    """The dense table f[k, i, j] of ``ads_algebra(lam)`` without building it.
 
     The table is affine in lam, so f = f(0) + lam * (f(1) - f(0)); the
-    entries are 0, +-1 or +-lam, so this equals the built tensor exactly.
+    entries are 0, +-1 or +-lam, so for a finite lam this equals the
+    algebra's table exactly (at an infinite or NaN lam, lam * 0 is NaN and
+    no entry stays finite).  Each call returns a new array.
     """
     flat, curved = _ads_pencil()
     return flat + lam * curved
@@ -243,9 +226,17 @@ def ads_tensor(lam: float) -> np.ndarray:
 
 @functools.cache
 def _ads_pencil():
-    """f(0) and f(1) - f(0), both from :func:`_ads_template`."""
-    flat = ads_algebra(0.0).dense
-    return flat, ads_algebra(1.0).dense - flat
+    """f(0) and f(1) - f(0), read-only: the terms of :func:`_ads_template`
+    in 1 and in lambda, at lambda = 1."""
+    import numpy as np
+
+    flat, curved = np.zeros((DIM,) * 3), np.zeros((DIM,) * 3)
+    for ij, ji, terms, negated in _ads_template()[1]:
+        for (i, j), row in ((ij, terms), (ji, negated)):
+            for k, rc in row:
+                (curved if rc[1] == "lam" else flat)[k, i, j] = _coefficient(rc, 1.0, 1.0)
+    flat.flags.writeable = curved.flags.writeable = False
+    return flat, curved
 
 
 CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
@@ -280,14 +271,6 @@ def jacobi_residual_dense(f: np.ndarray):
     nested = np.einsum("ms,nms->ns", outer, f[:, :, c])
     jac = nested.reshape(dim, len(CYCLIC), -1).sum(axis=1)
     return float(np.max(np.abs(jac)))
-
-
-def jacobi_residual(g: LieAlgebra):
-    """Max residual of [[x,y],z] + cyclic over all basis triples: dense for
-    a float or complex table, sparse for an exact one."""
-    if not g.exact:
-        return jacobi_residual_dense(g.dense)
-    return jacobi_residual_sparse(g)
 
 
 def jacobi_residual_sparse(g, dim: int | None = None):
@@ -398,18 +381,21 @@ class BasisRotation:
 ROTATION_TOL = 1e-12  # float orthogonality and automorphism tolerance
 
 
-def rotate_basis(g: LieAlgebra, r3, rules=None) -> BasisRotation:
+def rotate_basis(g: LieAlgebra | np.ndarray, r3, rules=None) -> BasisRotation:
     """Lift a 3x3 rotation to the basis automorphism (P0 fixed).
 
-    ``r3`` is a 3x3 orthogonal matrix of Scalars or floats.  Orthogonality
-    is checked exactly (after ``rules``-rewriting when given) or to
-    ``ROTATION_TOL``; a NaN or infinite deviation fails either check.  An
-    exact rotation of a table with float entries is checked in floats; a
-    float rotation of a table with Scalar entries raises ExactnessMismatch.
+    ``r3`` is a 3x3 orthogonal matrix of Scalars or floats and ``g`` the
+    table it must preserve: a LieAlgebra, checked by the loops, or the
+    dense f of :func:`ads_tensor`, checked by one contraction, for which
+    an exact ``r3`` is taken in floats.  Orthogonality is checked exactly
+    (after ``rules``-rewriting when given) or to ``ROTATION_TOL``; a NaN or
+    infinite deviation fails either check.  A LieAlgebra whose exactness
+    differs from the rotation's (a float rotation of Scalar entries, an
+    exact one of float entries) raises ExactnessMismatch.
     """
+    loops = isinstance(g, LieAlgebra)
     exact = all(is_exact(e) for row in r3 for e in row)
-    coeffs = [c for terms in g.structure.values() for _, c in terms]
-    if exact and not all(is_exact(c) for c in coeffs):
+    if exact and not loops:
         r3 = [[float(e.eval_numeric({}) if isinstance(e, Scalar) else e) for e in row]
               for row in r3]
         exact = False
@@ -420,19 +406,23 @@ def rotate_basis(g: LieAlgebra, r3, rules=None) -> BasisRotation:
             return reduce_mod(c, rules)
         return c
 
-    one = Scalar.rational(1) if exact else 1.0
+    one, zero = (Scalar.rational(1), Scalar()) if exact else (1.0, 0.0)
     for a in range(3):
         for b in range(3):
             dot = simp(sum(r3[a][i] * r3[b][i] for i in range(3)))
-            expect = one if a == b else (Scalar() if exact else 0.0)
+            expect = one if a == b else zero
             if not coeff_norm(dot - expect) <= tol:
                 raise NotOrthogonal(f"R^T R != I at entry {(a, b)}")
 
-    if not exact and any(isinstance(c, Scalar) for c in coeffs):
-        raise ExactnessMismatch("a float rotation cannot act on exact Scalar structure "
-                                "constants; pass an exact rotation")
+    if loops:
+        coeffs = [c for terms in g.structure.values() for _, c in terms]
+        if exact and not all(map(is_exact, coeffs)):
+            raise ExactnessMismatch("an exact rotation cannot act on float structure "
+                                    "constants; pass a float rotation")
+        if not exact and any(isinstance(c, Scalar) for c in coeffs):
+            raise ExactnessMismatch("a float rotation cannot act on exact Scalar structure "
+                                    "constants; pass an exact rotation")
 
-    zero = Scalar() if exact else 0.0
     m = [[zero] * DIM for _ in range(DIM)]
     m[0][0] = one
     for block in (1, 4, 7):  # P, K, J triples
@@ -442,11 +432,11 @@ def rotate_basis(g: LieAlgebra, r3, rules=None) -> BasisRotation:
     rot = BasisRotation(m)
 
     # automorphism check: [phi(Ti), phi(Tj)] == phi([Ti, Tj])
-    if not exact and not g.exact:
+    if not loops:
         import numpy as np
 
-        mat, f = np.array(m), g.dense
-        dev = np.abs(mat.T @ f @ mat - np.tensordot(mat, f, axes=(1, 0)))
+        mat = np.array(m)
+        dev = np.abs(mat.T @ g @ mat - np.tensordot(mat, g, axes=(1, 0)))
         bad = np.argwhere(np.triu((~(dev <= tol)).any(axis=0), 1))
         if len(bad):
             i, j = bad[0]

@@ -3,8 +3,9 @@ quadratic constraint surface, its sphere parametrization, and the rotation
 bringing any solution to canonical form.
 
 The symbolic route works in the exact Scalar ring with the curvature kept
-as ``Lambda = -eta^2``; the numeric route (sampling, canonicalization)
-works with floats through the same generic tensor code.
+as ``Lambda = -eta^2``, by the sparse loops on a LieAlgebra; the numeric
+route (sampling, canonicalization) works with floats on the dense table
+``ads_tensor(lam)``.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from dataclasses import dataclass
 
 from .bialgebra import (Bivector, cocommutator_of, mcybe_residual_components,
                         mcybe_residual_dense)
-from .liealg import (DIM, IDX, BasisRotation, LieAlgebra, ads_algebra, ads_tensor,
-                     rotate_basis)
+from .liealg import DIM, IDX, BasisRotation, LieAlgebra, ads_algebra, ads_tensor, rotate_basis
 from .scalars import ONE, Frac, Scalar, accumulate, make_rule, reduce_mod, sym
 
 
@@ -347,14 +347,12 @@ def require_on_surface(alpha, beta, kinv: float, lam: float, tol: float = 1e-9) 
 
 
 def canonicalize(theta: float, phi: float, twist: float, kinv: float,
-                 lam: float = -1.0, tol: float = 1e-9, algebra=None):
+                 lam: float = -1.0, tol: float = 1e-9):
     """Rotate a constraint-surface sample to the canonical r-matrix.
 
     The sample is alpha = R n(theta, phi), beta = twist * n(theta, phi)
     with R = eta * kinv.  Returns (rotated bivector, expected canonical
     bivector, transcript).  The expected twist parameter is -twist.
-    ``algebra`` is ``ads_algebra(float(lam))``, built here when not given;
-    a caller canonicalizing many samples at one lam builds it once.
     """
     if lam >= 0:
         raise ValueError("canonicalization sampling expects lam < 0 (real eta)")
@@ -373,8 +371,7 @@ def canonicalize(theta: float, phi: float, twist: float, kinv: float,
         # column-convention pushforward moves the axial vector by the matrix
         # itself, and rows (u, v, n) send n to the third axis
         r3 = rotation_to_pole(theta, phi)
-    g_num = ads_algebra(float(lam)) if algebra is None else algebra
-    rot = rotate_basis(g_num, r3)
+    rot = rotate_basis(ads_tensor(float(lam)), r3)
     rotated = rotate_bivector(rot, family_r(alpha, beta, kinv))
     expected = r_kads(kinv, eta)
     if twist:

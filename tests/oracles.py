@@ -4,14 +4,15 @@ None of this runs in a CLI suite.  Each function is a slower or more
 general form of something the program computes another way: the rewrite
 rules of the sphere and the trig stand-ins, the full 5x5 representation
 matrices, one invariant field or one Sklyanin bracket at a time, the
-generic 3D Poisson construction from a multiplier and a Casimir, and the
-numeric ``check-bialgebra`` report built by the sparse loops, the
-three-term Schouten brackets that the program builds from one term, the
-kinematical algebra built bracket by bracket, the ad action of [[r, r]] one
-generator at a time, the dual Jacobi residual of a dual LieAlgebra, the
-dense mCYBE kernel with transposed copies of [[r, r]], the per-triple
-Jacobiator loop, the Poisson readings evaluated coefficient by coefficient,
-and the stdlib's JSON encoder for the reports.
+generic 3D Poisson construction from a multiplier and a Casimir, the
+numeric ``check-bialgebra`` report built from LieAlgebras, the dense
+table of a LieAlgebra filled entry by entry, the three-term Schouten
+brackets that the program builds from one term, the kinematical algebra
+built bracket by bracket, the ad action of [[r, r]] one generator at a
+time, the dual Jacobi residual of a dual LieAlgebra, the dense mCYBE
+kernel with transposed copies of [[r, r]], the per-triple Jacobiator loop,
+the Poisson readings evaluated coefficient by coefficient, and the
+stdlib's JSON encoder for the reports.
 """
 
 import json
@@ -25,8 +26,9 @@ from kads.bialgebra import SKEW_TOL, Bivector, NotAntisymmetric, Trivector
 from kads.cli import RunConfig, _check
 from kads.curvtrig import Dual, eps_part, eta_of, re_part
 from kads.group_geom import GroupPoint, ambient_jacobian, field_derivatives, group_element
-from kads.liealg import (_EPS, DIM, IDX, LieAlgebra, ads_algebra, coeff_norm, is_exact,
-                         jacobi_residual, permuted_triples, subalgebra)
+from kads.liealg import (_EPS, DIM, IDX, LieAlgebra, ads_algebra, ads_tensor, coeff_norm,
+                         is_exact, jacobi_residual_dense, jacobi_residual_sparse,
+                         permuted_triples, subalgebra)
 from kads.rclass import (LORENTZ, SUBALG_2PLUS1, r_2plus1, r_kads, r_kads_twisted,
                          r_poincare, r_poincare_twisted)
 from kads.scalars import Scalar, accumulate, make_rule, sym
@@ -153,38 +155,61 @@ def push_local_to_ambient(table: BracketTable, x) -> np.ndarray:
     return jac @ loc @ jac.T
 
 
-# -- the numeric bialgebra report by the sparse loops --------------------------
+# -- the numeric bialgebra report from LieAlgebras ------------------------------
+
+
+def dense_table(g: LieAlgebra) -> np.ndarray:
+    """f[k, i, j] of a float or complex LieAlgebra, filled from its signed
+    table one term at a time."""
+    coeffs = [c for terms in g.structure.values() for _, c in terms]
+    f = np.zeros((g.dim,) * 3, dtype=complex if any(isinstance(c, complex) for c in coeffs)
+                 else float)
+    for i in range(g.dim):
+        for j in range(g.dim):
+            for k, c in g.bracket_basis(i, j):
+                f[k, i, j] = c
+    return f
+
+
+def stacked(delta: dict, dim: int = DIM) -> np.ndarray:
+    """A map index -> Bivector as the tensor D[m, a, b], zero where m is missing."""
+    return np.array([delta[m].matrix(dim) if m in delta else np.zeros((dim, dim))
+                     for m in range(dim)])
 
 
 def sparse_bialgebra_report(cfg: RunConfig) -> dict:
-    """``check-bialgebra`` at a numeric lambda, by the sparse loops over
-    ads_algebra(float): one dual LieAlgebra per cocommutator and the 2+1
-    and Lorentz subalgebras built as LieAlgebras."""
+    """``check-bialgebra`` at a numeric lambda from ads_algebra(float): the
+    cocommutator maps by the sparse loops, the 2+1 and Lorentz subalgebras
+    as LieAlgebras and coisotropy by the support scan of each map.  The
+    residuals take the dense kernels the program takes, the mCYBE on
+    ``ads_tensor(lam)`` and on the 2+1 subalgebra's table filled by
+    :func:`dense_table`, dual Jacobi on each map stacked into a tensor."""
     lam, kv, vt = float(cfg.lam), float(cfg.kappa_inv), float(cfg.twist)
     eta = eta_of(lam)
-    g_curved, g_flat = ads_algebra(lam), ads_algebra(0.0)
+    curved, flat = (ads_algebra(lam), ads_tensor(lam)), (ads_algebra(0.0), ads_tensor(0.0))
     entries = [
-        ("r_flat", g_flat, r_poincare(kv)),
-        ("r_flat_twisted", g_flat, r_poincare_twisted(kv, vt)),
-        ("r_curved", g_curved, r_kads(kv, eta)),
-        ("r_curved_twisted", g_curved, r_kads_twisted(kv, eta, vt)),
-        ("r_2plus1", g_curved, r_2plus1(kv)),
+        ("r_flat", flat, r_poincare(kv)),
+        ("r_flat_twisted", flat, r_poincare_twisted(kv, vt)),
+        ("r_curved", curved, r_kads(kv, eta)),
+        ("r_curved_twisted", curved, r_kads_twisted(kv, eta, vt)),
+        ("r_2plus1", curved, r_2plus1(kv)),
     ]
     tol = cfg.tolerance
     checks = []
-    for name, g, r in entries:
+    for name, (g, f), r in entries:
         if name == "r_2plus1":
             sub = subalgebra(g, SUBALG_2PLUS1)
             remap = {gi: p for p, gi in enumerate(SUBALG_2PLUS1)}
             r_sub = Bivector({(remap[i], remap[j]): c for (i, j), c in r.components.items()})
-            checks.append(_check(f"{name}.mcybe", B.mcybe_residual(sub, r_sub), tol))
+            checks.append(_check(f"{name}.mcybe", B.mcybe_residual_dense(
+                dense_table(sub), r_sub.matrix(sub.dim)), tol))
             continue
         delta = B.cocommutator(g, r)
         if cfg.inject_fault and name == "r_curved":
             delta[IDX["P0"]] = delta[IDX["P0"]] + Bivector.from_terms(
                 (IDX["J1"], IDX["J2"], 1.0))
-        checks.append(_check(f"{name}.mcybe", B.mcybe_residual(g, r), tol))
-        checks.append(_check(f"{name}.dual_jacobi", B.dual_jacobi_residual(delta), tol))
+        checks.append(_check(f"{name}.mcybe", B.mcybe_residual_dense(f, r.matrix(DIM)), tol))
+        checks.append(_check(f"{name}.dual_jacobi", jacobi_residual_dense(stacked(delta)), tol))
         coiso = B.coisotropy_check(g, delta, LORENTZ)
         checks.append({"name": f"{name}.coisotropy_lorentz", "residual": 0 if coiso else 1,
                        "tolerance": 0, "pass": bool(coiso)})
@@ -343,7 +368,7 @@ def normalized_distinct(components: list) -> list:
 
 def dual_jacobi_by_dual_algebra(delta: dict, dim: int | None = None):
     """``dual_jacobi_residual`` of a map index -> Bivector, through a dual
-    LieAlgebra and its ``jacobi_residual``."""
+    LieAlgebra and its ``jacobi_residual_sparse``."""
     if dim is None:
         dim = max(delta) + 1
     pairs: dict = {}
@@ -351,7 +376,8 @@ def dual_jacobi_by_dual_algebra(delta: dict, dim: int | None = None):
         for (a, b), c in biv.components.items():
             pairs.setdefault((a, b), []).append((m, c))
     structure = {key: tuple(terms) for key, terms in pairs.items()}
-    return jacobi_residual(LieAlgebra(structure, dim=dim, labels=[f"e{i}" for i in range(dim)]))
+    return jacobi_residual_sparse(LieAlgebra(structure, dim=dim,
+                                             labels=[f"e{i}" for i in range(dim)]))
 
 
 def mcybe_residual_dense_by_transposes(f: np.ndarray, rmat: np.ndarray):

@@ -12,16 +12,15 @@ from kads.bialgebra import (Bivector, NotAntisymmetric, cocommutator, cocommutat
                             mcybe_residual_components, mcybe_residual_dense, schouten,
                             schouten_dense)
 from kads.curvtrig import eta_of
-from kads.liealg import (BASIS, DIM, IDX, LieAlgebra, NotSubalgebra, ads_algebra,
-                         ads_tensor, components_norm, jacobi_residual_sparse, subalgebra,
+from kads.liealg import (BASIS, DIM, IDX, NotSubalgebra, ads_algebra, ads_tensor, subalgebra,
                          subalgebra_dense)
 from kads.rclass import (LORENTZ, SUBALG_2PLUS1, family_r, r_2plus1, r_kads,
                          r_kads_twisted, r_poincare, r_poincare_twisted)
 from kads.scalars import Scalar, rat, sym
 
-from oracles import (dual_jacobi_by_dual_algebra, mcybe_components_by_generator,
+from oracles import (dense_table, dual_jacobi_by_dual_algebra, mcybe_components_by_generator,
                      mcybe_residual_dense_by_transposes, schouten_dense_three_terms,
-                     schouten_three_terms)
+                     schouten_three_terms, stacked)
 from tables import biv, expected_curved_table, expected_flat_table
 
 eta, kinv, vth = sym("eta"), sym("kinv"), sym("vtheta")
@@ -286,15 +285,6 @@ def random_bivector(rng, dim, imag=0.0):
     return Bivector({p: complex(v) if imag else float(v.real) for p, v in zip(pairs, vals)})
 
 
-def sparse_dual_jacobi(delta: dict):
-    """The sparse loop on the dual table that dual_jacobi_residual builds."""
-    pairs = {}
-    for m, b in delta.items():
-        for key, c in b.components.items():
-            pairs.setdefault(key, []).append((m, c))
-    return jacobi_residual_sparse(LieAlgebra(pairs))
-
-
 def on_2plus1(r: Bivector) -> Bivector:
     remap = {gi: p for p, gi in enumerate(SUBALG_2PLUS1)}
     return Bivector({(remap[i], remap[j]): c for (i, j), c in r.components.items()})
@@ -316,23 +306,18 @@ def test_dense_mcybe_matches_sparse_oracle():
                               kv)),
                  (sub, random_bivector(rng, 6)), (sub, on_2plus1(r_2plus1(kv)))]
         for alg, r in cases:
-            dense = mcybe_residual(alg, r)
-            sparse = components_norm(mcybe_residual_components(alg, r))
+            dense = mcybe_residual_dense(dense_table(alg), r.matrix(alg.dim))
+            sparse = mcybe_residual(alg, r)
             scale = max(abs(c) for c in r.components.values()) ** 2 * max(1.0, abs(lam))
             assert_matches_sparse(dense, sparse, scale)
     # full random r-matrices are far from solutions; the flat ones solve it
-    assert mcybe_residual(ads_algebra(-0.7), random_bivector(rng, DIM)) > 0.1
+    assert mcybe_residual_dense(ads_tensor(-0.7), random_bivector(rng, DIM).matrix(DIM)) > 0.1
     for r in (r_poincare(kv), r_poincare_twisted(kv, vt)):
-        res = mcybe_residual(ads_algebra(0.0), r)
+        res = mcybe_residual_dense(ads_tensor(0.0), r.matrix(DIM))
         assert res == 0 and type(res) is int
 
 
 EDGE_LAMBDAS = (-1e9, -1.0, -5e-324, 0.0, 5e-324, 0.5, 1e9)
-
-
-def sparse_tensor(delta: dict) -> np.ndarray:
-    """The map index -> Bivector of the sparse cocommutator as D[m, a, b]."""
-    return np.array([delta[m].matrix(DIM) for m in range(DIM)])
 
 
 def test_dense_cocommutator_equals_sparse_oracle():
@@ -343,12 +328,12 @@ def test_dense_cocommutator_equals_sparse_oracle():
     for lam in EDGE_LAMBDAS:
         eta_ = eta_of(lam)
         g, f = ads_algebra(lam), ads_tensor(lam)
-        assert np.array_equal(f, g.dense)
+        assert np.array_equal(f, dense_table(g))
         named = (r_poincare(kv), r_poincare_twisted(kv, vt), r_kads(kv, eta_),
                  r_kads_twisted(kv, eta_, vt), r_2plus1(kv))
         for r in named + (random_bivector(rng, DIM), random_bivector(rng, DIM, 0.5)):
             d = cocommutator_dense(f, r.matrix(DIM))
-            oracle = sparse_tensor(cocommutator(g, r))
+            oracle = stacked(cocommutator(g, r))
             assert d.dtype == oracle.dtype and np.array_equal(d, oracle), (lam, r.components)
             assert np.array_equal(d, -d.transpose(0, 2, 1))
     assert not cocommutator_dense(ads_tensor(-0.7), np.zeros((DIM, DIM))).any()
@@ -356,14 +341,14 @@ def test_dense_cocommutator_equals_sparse_oracle():
 
 def test_dense_subalgebra_matches_the_sparse_restriction():
     for lam in (-0.7, 0.0, 0.5):
-        g = ads_algebra(lam)
+        g, f = ads_algebra(lam), ads_tensor(lam)
         for idx in (SUBALG_2PLUS1, LORENTZ, (IDX["P0"], IDX["J3"])):
-            assert np.array_equal(subalgebra_dense(g.dense, idx), subalgebra(g, idx).dense)
+            assert np.array_equal(subalgebra_dense(f, idx), dense_table(subalgebra(g, idx)))
         for idx in ((IDX["P1"], IDX["K1"]), LORENTZ[:-1]):
             with pytest.raises(NotSubalgebra) as sparse:
                 subalgebra(g, idx)
             with pytest.raises(NotSubalgebra, match=re.escape(str(sparse.value))):
-                subalgebra_dense(g.dense, idx)
+                subalgebra_dense(f, idx)
 
 
 def test_dense_dual_jacobi_matches_sparse_oracle():
@@ -376,8 +361,9 @@ def test_dense_dual_jacobi_matches_sparse_oracle():
             corrupted = dict(delta)
             corrupted[IDX["P1"]] = delta[IDX["P1"]] + biv(("J1", "J2", kv))
             for d in (delta, corrupted):
-                assert_matches_sparse(dual_jacobi_residual(d), sparse_dual_jacobi(d), 1.0)
-            assert dual_jacobi_residual(corrupted) > 1e-3
+                assert_matches_sparse(dual_jacobi_residual(stacked(d)),
+                                      dual_jacobi_by_dual_algebra(d), 1.0)
+            assert dual_jacobi_residual(stacked(corrupted)) > 1e-3
 
 
 def test_dense_dual_jacobi_keeps_large_cancellations_exact():
@@ -386,11 +372,12 @@ def test_dense_dual_jacobi_keeps_large_cancellations_exact():
     # 1e-8..1e-6, at or above the 1e-8 tolerance of check-bialgebra
     for lam in (-3e6, -1.9e7, 3e6):
         delta = cocommutator(ads_algebra(lam), r_kads_twisted(0.31, eta_of(lam), 0.17))
-        assert abs(dual_jacobi_residual(delta) - sparse_dual_jacobi(delta)) <= 1e-9, lam
+        dense = dual_jacobi_residual(stacked(delta))
+        assert abs(dense - dual_jacobi_by_dual_algebra(delta)) <= 1e-9, lam
 
 
 def test_dense_schouten_rejects_a_non_skew_matrix():
-    f = ads_algebra(-0.7).dense
+    f = ads_tensor(-0.7)
     rmat = r_kads(0.31, eta_of(-0.7)).matrix(DIM)
     schouten_dense(f, rmat)  # skew: passes
     for bad in (np.abs(rmat), rmat + np.eye(DIM) * 1e-3):
@@ -465,16 +452,18 @@ def test_dense_schouten_stays_antisymmetric_at_large_lambda():
     # they reach 7e-9 at |lambda| = 1e9 and trip the 1e-9 check
     for lam in (-1e9, 1e9):
         for r in (r_kads(0.31, eta_of(lam)), r_kads_twisted(0.31, eta_of(lam), 0.17)):
-            schouten_dense(ads_algebra(lam).dense, r.matrix(DIM))
+            schouten_dense(ads_tensor(lam), r.matrix(DIM))
 
 
 def test_dense_residuals_let_nan_win():
     g = ads_algebra(-0.7)
     r = r_kads(0.31, eta_of(-0.7)) + biv(("P0", "K1", math.nan))
     assert math.isnan(r.norm())
+    assert math.isnan(mcybe_residual_dense(ads_tensor(-0.7), r.matrix(DIM)))
     assert math.isnan(mcybe_residual(g, r))
     delta = cocommutator(g, r_kads(0.31, eta_of(-0.7)))
     delta[IDX["P2"]] = delta[IDX["P2"]] + biv(("J1", "J2", math.nan))
+    assert math.isnan(dual_jacobi_residual(stacked(delta)))
     assert math.isnan(dual_jacobi_residual(delta))
     assert math.isnan(Bivector.from_terms((0, 1, 1.0), (2, 3, math.nan)).norm())
 
@@ -518,14 +507,14 @@ def _as_cocommutator(table: dict, dim: int) -> dict:
 
 
 def test_dual_jacobi_on_signed_pairs_equals_the_dual_algebra():
-    for g, r in ((ads_algebra(-(eta ** 2)), r_kads(kinv, eta)),
-                 (ads_algebra(-(eta ** 2)), r_kads_twisted(kinv, eta, vth)),
-                 (ads_algebra(0), r_poincare_twisted(kinv, vth)),
-                 (ads_algebra(-0.7), r_kads_twisted(0.31, eta_of(-0.7), 0.17)),
-                 (ads_algebra(0.5), r_kads(0.31, eta_of(0.5)))):
+    for g, r, c in ((ads_algebra(-(eta ** 2)), r_kads(kinv, eta), kinv),
+                    (ads_algebra(-(eta ** 2)), r_kads_twisted(kinv, eta, vth), kinv),
+                    (ads_algebra(0), r_poincare_twisted(kinv, vth), kinv),
+                    (ads_algebra(-0.7), r_kads_twisted(0.31, eta_of(-0.7), 0.17), 0.31),
+                    (ads_algebra(0.5), r_kads(0.31, eta_of(0.5)), 0.31)):
         delta = cocommutator(g, r)
         bad = dict(delta)
-        bad[IDX["P1"]] = delta[IDX["P1"]] + biv(("J1", "J2", kinv if g.exact else 0.31))
+        bad[IDX["P1"]] = delta[IDX["P1"]] + biv(("J1", "J2", c))
         for d in (delta, bad, {m: delta[m] for m in range(4)}):
             got, want = dual_jacobi_residual(d, dim=DIM), dual_jacobi_by_dual_algebra(d, DIM)
             assert type(got) is type(want) and got == want
@@ -542,29 +531,33 @@ def test_dual_jacobi_on_signed_pairs_equals_the_dual_algebra():
 
 
 def test_the_exact_r_matrix_layers_run_without_numpy():
-    # only the float kernels import numpy: exact and float algebras, the
-    # sparse cocommutator and the formal certificates in a fresh interpreter
-    # load none
+    # only the ndarray kernels import numpy: exact and float LieAlgebras,
+    # their cocommutators, residuals and rotations and the formal
+    # certificates in a fresh interpreter load none
     probe = ("import sys\n"
-             "from kads import bialgebra, cli, liealg, rclass\n"
+             "from kads import bialgebra as B, cli, liealg, rclass\n"
              "from kads.scalars import sym\n"
              "g, h = liealg.ads_algebra(sym('Lambda')), liealg.ads_algebra(-1.0)\n"
-             "delta = bialgebra.cocommutator(h, rclass.r_kads(0.31, 1.0))\n"
+             "r = rclass.r_kads(0.31, 1.0)\n"
+             "delta = B.cocommutator(h, r)\n"
              "report = cli.cmd_bialgebra(cli.RunConfig(lam='formal'))\n"
-             "print(g.exact, h.exact, delta[0].norm(), report['pass'], len(report['checks']),\n"
+             "rot = liealg.rotate_basis(h, rclass.rotation_to_pole(0.8, 2.1))\n"
+             "print(delta[0].norm(), report['pass'], len(report['checks']),\n"
+             "      B.mcybe_residual(h, r) < 1e-15, B.dual_jacobi_residual(delta) < 1e-15,\n"
+             "      B.coisotropy_check(h, delta, rclass.LORENTZ), len(rot.matrix),\n"
              "      'numpy' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", "False", "0", "True", "17", "False"]
+    assert proc.stdout.split() == ["0", "True", "17", "True", "True", "True", "10", "False"]
 
 
-def test_a_float_map_takes_the_stacked_dense_path(monkeypatch):
-    # the exact form of a cocommutator is a map index -> Bivector; a float
-    # one is stacked into the dense tensor, an exact one read by the loops
-    stacked, kernel = [], B.jacobi_residual_dense
+def test_a_float_map_takes_the_signed_pair_loop(monkeypatch):
+    # a cocommutator map index -> Bivector, exact or float, is read by the
+    # loops; only a tensor reaches the dense kernel
+    dense_calls, kernel = [], B.jacobi_residual_dense
 
     def spy(d):
-        stacked.append(d)
+        dense_calls.append(d)
         return kernel(d)
 
     monkeypatch.setattr(B, "jacobi_residual_dense", spy)
@@ -572,17 +565,20 @@ def test_a_float_map_takes_the_stacked_dense_path(monkeypatch):
         r = r_kads_twisted(0.31, eta_of(lam), 0.17)
         delta = cocommutator(ads_algebra(lam), r)
         d = cocommutator_dense(ads_tensor(lam), r.matrix(DIM))
-        stacked.clear()
-        got = dual_jacobi_residual(delta)
-        assert len(stacked) == 1 and np.array_equal(stacked[0], d)
-        assert repr(got) == repr(dual_jacobi_residual(d))
+        for m in (delta, {**delta, IDX["P1"]: delta[IDX["P1"]] + biv(("J1", "J2", 0.31))}):
+            dense_calls.clear()
+            got = dual_jacobi_residual(m)
+            assert dense_calls == []
+            want = dual_jacobi_residual(stacked(m))
+            assert len(dense_calls) == 1
+            assert_matches_sparse(want, got, 1.0)
         # support scan of the map, mask of the tensor: the same verdicts
         for h in (LORENTZ, (IDX["P0"], IDX["J3"]), (IDX["K1"], IDX["J1"])):
             assert coisotropy_check(ads_algebra(lam), delta, h) == coisotropy_check(
                 ads_tensor(lam), d, h)
-    stacked.clear()
+    dense_calls.clear()
     assert dual_jacobi_residual(cocommutator(ads_algebra(-(eta ** 2)), r_kads(kinv, eta))) == 0
-    assert stacked == []
+    assert dense_calls == []
 
 
 def test_coisotropy_names_the_bracket_the_subalgebra_names():

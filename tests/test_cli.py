@@ -74,7 +74,7 @@ ORACLE_CONFIGS = [(0.0, False), (-0.7, False), (0.5, False), (-1e-08, False),
 
 @pytest.mark.parametrize("lam, fault", ORACLE_CONFIGS)
 def test_numeric_bialgebra_report_matches_the_sparse_oracle(tmp_path, lam, fault):
-    # the dense cocommutator writes the bytes the sparse loops write
+    # the dense cocommutator writes the bytes of the sparse cocommutator maps
     from oracles import sparse_bialgebra_report
     out = tmp_path / "rep.json"
     code = main(["check-bialgebra", f"--lambda={lam!r}", "--out", str(out)]

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from kads.liealg import (BASIS, DIM, IDX, ExactnessMismatch, LieAlgebra, NotOrthogonal,
-                         NotSubalgebra, ads_algebra, ads_tensor, components_norm,
-                         jacobi_residual, jacobi_residual_sparse, rotate_basis,
+                         NotSubalgebra, _ads_pencil, ads_algebra, ads_tensor, components_norm,
+                         jacobi_residual_dense, jacobi_residual_sparse, rotate_basis,
                          subalgebra)
 from kads.scalars import Scalar, rat, sym
 
-from oracles import ads_algebra_by_brackets, trig_rules
+from oracles import ads_algebra_by_brackets, dense_table, trig_rules
 
 LAM = sym("Lambda")
 
@@ -69,7 +69,7 @@ def test_flat_limit_matches_hand_coded_table():
 
 def test_jacobi_zero_for_all_lambdas():
     for lam in (-1, 0, 1, LAM):
-        assert jacobi_residual(ads_algebra(lam)) == 0
+        assert jacobi_residual_sparse(ads_algebra(lam)) == 0
 
 
 def test_jacobi_detects_corruption():
@@ -80,8 +80,8 @@ def test_jacobi_detects_corruption():
         bad = dict(g.structure)
         key = (IDX[pair[0]], IDX[pair[1]])
         bad[key] = tuple((k, c * 2) for k, c in bad[key])
-        res = jacobi_residual(LieAlgebra(bad))
-        assert res == jacobi_residual_sparse(LieAlgebra(bad)) == count and type(res) is int
+        res = jacobi_residual_sparse(LieAlgebra(bad))
+        assert res == count and type(res) is int
 
 
 def test_bracket_linearity_and_antisymmetry():
@@ -209,21 +209,36 @@ def test_bracket_basis_is_the_exact_negation_under_swap():
 
 
 def test_dense_table_matches_the_sparse_table():
-    assert ads_algebra(LAM).dense is None and ads_algebra(0).dense is None
     for lam in (-2.0, -1e-8, -0.0, 0.0, 1e-8, 0.5, 2.0):
         g = ads_algebra(lam)
-        f = g.dense
-        assert f.dtype == float and not f.flags.writeable
+        # the affine pencil gives the algebra's table without building it
+        f = ads_tensor(lam)
+        assert f.dtype == float
         for i in range(DIM):
             for j in range(DIM):
                 want = np.zeros(DIM)
                 for k, c in g.bracket_basis(i, j):
                     want[k] = c
                 assert np.array_equal(f[:, i, j], want), (lam, i, j)
-        # the affine pencil gives the same tensor without building the algebra
-        assert np.array_equal(ads_tensor(lam), f), lam
-    complex_table = LieAlgebra({(0, 1): ((2, 1j),)}, dim=3)
-    assert complex_table.dense.dtype == complex
+        assert f.tobytes() == dense_table(g).tobytes(), lam
+    for bad in (math.inf, -math.inf, math.nan):  # lam * 0 is NaN
+        with np.errstate(invalid="ignore"):
+            assert not np.isfinite(ads_tensor(bad)).any(), bad
+
+
+def test_the_cached_pencil_is_read_only():
+    # f(0) and f(1) - f(0) live for the whole process: a write into either
+    # would change every later ads_tensor
+    flat, curved = _ads_pencil()
+    assert not flat.flags.writeable and not curved.flags.writeable
+    for arr in (flat, curved):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0, 0] = 1.0
+    for lam in (-0.7, 0.0, 2.0):
+        want = ads_tensor(lam).copy()
+        f = ads_tensor(lam)
+        f[:] = 7.0
+        assert np.array_equal(ads_tensor(lam), want), lam
 
 
 def test_components_norm_lets_nan_win():
@@ -238,7 +253,7 @@ def test_float_jacobi_matches_the_sparse_loop():
     rng = np.random.default_rng(7)
     for lam in (-2.0, -1e-8, 0.0, 1e-8, 0.5, 2.0):
         g = ads_algebra(lam)
-        dense, sparse = jacobi_residual(g), jacobi_residual_sparse(g)
+        dense, sparse = jacobi_residual_dense(ads_tensor(lam)), jacobi_residual_sparse(g)
         assert dense == sparse == 0.0 and type(dense) is type(sparse) is float
         # random tables violate Jacobi by O(1); real and complex coefficients
         for imag in (0.0, 0.5):
@@ -250,64 +265,65 @@ def test_float_jacobi_matches_the_sparse_loop():
                         (int(k), complex(v) if imag else float(v.real))
                         for k, v in zip(rng.choice(DIM, 3, replace=False), vals))
             bad = LieAlgebra(table)
-            dense, sparse = jacobi_residual(bad), jacobi_residual_sparse(bad)
+            dense, sparse = jacobi_residual_dense(dense_table(bad)), jacobi_residual_sparse(bad)
             assert math.isclose(dense, sparse, rel_tol=1e-12) and dense > 0.1
     # no double bracket of three distinct generators: integer 0 on both paths
     for table in ({}, {(0, 1): ((2, 1.0),)}):
         g = LieAlgebra(table, dim=3)
-        assert jacobi_residual(g) == jacobi_residual_sparse(g) == 0
-        assert type(jacobi_residual(g)) is int
+        assert jacobi_residual_dense(dense_table(g)) == jacobi_residual_sparse(g) == 0
+        assert type(jacobi_residual_dense(dense_table(g))) is int
     nan_table = dict(ads_algebra(-0.7).structure)
     nan_table[(IDX["J1"], IDX["J2"])] = ((IDX["J3"], math.nan),)
-    assert math.isnan(jacobi_residual(LieAlgebra(nan_table)))
+    assert math.isnan(jacobi_residual_dense(dense_table(LieAlgebra(nan_table))))
     assert math.isnan(jacobi_residual_sparse(LieAlgebra(nan_table)))
 
 
 def test_float_rotation_checks_still_raise():
     rng = np.random.default_rng(3)
     for lam in (-0.7, 2.0):
-        g = ads_algebra(lam)
         r = numeric_rotation(*rng.uniform(0, 3, 2))
         off = r.copy()
         off[0, 1] += 1e-9
-        with pytest.raises(NotOrthogonal, match="R\\^T R"):
-            rotate_basis(g, off.tolist())
-        # an orthogonal reflection is no automorphism: [J1, J2] = J3 flips sign
-        with pytest.raises(NotOrthogonal, match="automorphism"):
-            rotate_basis(g, (np.diag([1.0, 1.0, -1.0]) @ r).tolist())
-    # the dense check names the pair the exact loop names
+        for g in (ads_algebra(lam), ads_tensor(lam)):  # the loops, the contraction
+            with pytest.raises(NotOrthogonal, match="R\\^T R"):
+                rotate_basis(g, off.tolist())
+            # an orthogonal reflection is no automorphism: [J1, J2] = J3 flips sign
+            with pytest.raises(NotOrthogonal, match="automorphism"):
+                rotate_basis(g, (np.diag([1.0, 1.0, -1.0]) @ r).tolist())
+    # the dense check and the float loops name the pair the exact loop names
     one, zero = rat(1), Scalar()
     exact_refl = [[one, zero, zero], [zero, one, zero], [zero, zero, -one]]
     with pytest.raises(NotOrthogonal, match="automorphism") as exact:
         rotate_basis(ads_algebra(LAM), exact_refl)
-    with pytest.raises(NotOrthogonal, match="automorphism") as dense:
-        rotate_basis(ads_algebra(-0.7), np.diag([1.0, 1.0, -1.0]).tolist())
-    assert str(dense.value) == str(exact.value)
+    for g in (ads_tensor(-0.7), ads_algebra(-0.7)):
+        with pytest.raises(NotOrthogonal, match="automorphism") as floats:
+            rotate_basis(g, np.diag([1.0, 1.0, -1.0]).tolist())
+        assert str(floats.value) == str(exact.value)
 
 
 def test_nan_and_inf_rotations_fail_the_orthogonality_check():
     for bad in (math.nan, math.inf):
-        with pytest.raises(NotOrthogonal, match="R\\^T R"):
-            rotate_basis(ads_algebra(-1.0), [[bad, 0.0, 0.0], [0.0, 1.0, 0.0],
-                                             [0.0, 0.0, 1.0]])
+        for g in (ads_algebra(-1.0), ads_tensor(-1.0)):
+            with pytest.raises(NotOrthogonal, match="R\\^T R"):
+                rotate_basis(g, [[bad, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
 
 def test_nan_and_inf_tables_fail_the_automorphism_checks():
     identity = np.eye(3).tolist()
     for bad in (math.nan, math.inf):
-        # dense: a float table
+        # dense: the tensor
         with pytest.raises(NotOrthogonal, match="automorphism"), np.errstate(invalid="ignore"):
-            rotate_basis(ads_algebra(bad), identity)
-        # loop: one exact entry puts a float table on the sparse path
-        g = LieAlgebra({(IDX["J1"], IDX["J2"]): ((IDX["J3"], 1),),
-                        (IDX["P1"], IDX["P2"]): ((IDX["J3"], bad),)})
-        assert g.exact and g.dense is None
-        with pytest.raises(NotOrthogonal, match="automorphism"):
-            rotate_basis(g, identity)
+            rotate_basis(ads_tensor(bad), identity)
+        # loops: a float LieAlgebra, and one with an exact entry
+        mixed = LieAlgebra({(IDX["J1"], IDX["J2"]): ((IDX["J3"], 1),),
+                            (IDX["P1"], IDX["P2"]): ((IDX["J3"], bad),)})
+        for g in (ads_algebra(bad), mixed):
+            with pytest.raises(NotOrthogonal, match="automorphism"):
+                rotate_basis(g, identity)
 
 
 def test_exact_rotation_of_a_float_table_is_checked_in_floats():
-    g = ads_algebra(-1.0)
+    g = ads_tensor(-1.0)
     unit = np.eye(DIM).tolist()
     rot = rotate_basis(g, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert rot.apply(unit[IDX["J3"]]) == unit[IDX["J3"]]
@@ -323,8 +339,15 @@ def test_exact_rotation_of_a_float_table_is_checked_in_floats():
 
 
 def test_float_rotation_of_an_exact_table_raises_a_named_error():
-    with pytest.raises(ExactnessMismatch):
+    with pytest.raises(ExactnessMismatch, match="float rotation"):
         rotate_basis(ads_algebra(-1), np.eye(3).tolist())
+    # and the reverse: the loops take no exact rotation of float entries
+    one, zero = rat(1), Scalar()
+    for r3 in ([[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+               [[one, zero, zero], [zero, one, zero], [zero, zero, one]]):
+        for g in (ads_algebra(-1.0), ads_algebra(0.5)):
+            with pytest.raises(ExactnessMismatch, match="exact rotation"):
+                rotate_basis(g, r3)
 
 
 def _bits(c):
@@ -347,11 +370,11 @@ def test_ads_algebra_from_the_template_equals_the_bracket_builder(lam):
     # bits and exactness; the zero lam drops the curvature terms in both
     g, want = ads_algebra(lam), ads_algebra_by_brackets(lam)
     assert _table_bits(g) == _table_bits(want)
-    assert g.exact is want.exact and g.dim == want.dim and g.labels == want.labels
-    if not g.exact:
-        assert g.dense.tobytes() == want.dense.tobytes()
+    assert g.dim == want.dim and g.labels == want.labels
+    if isinstance(lam, float):
+        assert dense_table(g).tobytes() == dense_table(want).tobytes()
         if lam == lam:
-            assert np.array_equal(ads_tensor(lam), want.dense)
+            assert np.array_equal(ads_tensor(lam), dense_table(want))
     # a new algebra per call: nothing but the template is shared
     assert ads_algebra(lam).structure is not g.structure
 
