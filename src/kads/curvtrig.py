@@ -72,9 +72,6 @@ class Dual:
     def __sub__(self, other):
         return self + (-other if isinstance(other, Dual) else Dual(-other, 0.0))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, Dual):
             return Dual(self.re * other.re, self.re * other.eps + self.eps * other.re)
@@ -87,9 +84,6 @@ class Dual:
             return Dual(self.re / other.re,
                         (self.eps * other.re - self.re * other.eps) / (other.re * other.re))
         return Dual(self.re / other, self.eps / other)
-
-    def __rtruediv__(self, other):
-        return Dual(other / self.re, -other * self.eps / (self.re * self.re))
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .bialgebra import (Bivector, cocommutator_of, mcybe_residual_components,
                         mcybe_residual_dense)
 from .liealg import DIM, IDX, BasisRotation, LieAlgebra, ads_algebra, ads_tensor, rotate_basis
-from .scalars import ONE, Frac, Scalar, accumulate, make_rule, reduce_mod, sym
+from .scalars import ONE, Scalar, accumulate, make_rule, poly_divmod, reduce_mod, sym
 
 
 class ConstraintViolated(ValueError):
@@ -116,24 +116,26 @@ def generic_ansatz() -> RFamily:
     return RFamily(const=Bivector(), params=params, directions=directions)
 
 
-def _clear_denominators(entries: dict) -> dict:
-    """Turn a vector of Fracs into Scalars: multiply by the lcm of the
-    (reduced) denominators."""
-    dens = [f.den for f in entries.values() if f.den != ONE]
-    if not dens:
-        return {k: f.num for k, f in entries.items()}
-    lcm = ONE
-    for d in dens:
-        lcm = lcm * Frac(lcm, d).den  # lcm * d / gcd(lcm, d)
-    # f.den divides lcm, so Frac(lcm, f.den) is the polynomial lcm / f.den
-    return {k: f.num * Frac(lcm, f.den).num for k, f in entries.items()}
+class NotPolynomial(ValueError):
+    """A pivot of the primitivity system does not divide its row in the
+    Scalar ring: the family's kernel needs a fraction."""
+
+
+def _exact_div(p: Scalar, d: Scalar) -> Scalar:
+    q, r = poly_divmod(p, d)
+    if r:
+        raise NotPolynomial(f"pivot {d} does not divide {p}; "
+                            "re-parametrize the family")
+    return q
 
 
 def impose_primitivity(fam: RFamily, g: LieAlgebra, x_index: int) -> RFamily:
     """Solve delta(T_x) = 0, linear in the family parameters, exactly.
 
     Returns the reduced family: the affine solution set re-parametrized by
-    fresh parameters t0, t1, ... (directions with polynomial entries).
+    fresh parameters t0, t1, ... (directions with polynomial entries).  The
+    elimination stays in the Scalar ring: each pivot divides its row and
+    right-hand side exactly, or :class:`NotPolynomial` is raised.
     """
     delta_const = cocommutator_of(g, fam.const, x_index).components
 
@@ -145,17 +147,17 @@ def impose_primitivity(fam: RFamily, g: LieAlgebra, x_index: int) -> RFamily:
     for p in fam.params:
         for key, c in cocommutator_of(g, fam.directions[p], x_index).components.items():
             if c:
-                entries.setdefault(key, {})[p] = Frac.of(c)
-    zero = Frac.of(0)
+                entries.setdefault(key, {})[p] = c
+    zero = Scalar()
     rows = []
     for key in sorted(entries.keys() | delta_const.keys()):
         rhs = delta_const.get(key)
-        rows.append((entries.get(key, {}), Frac.of(-rhs) if rhs is not None else zero))
+        rows.append((entries.get(key, {}), -rhs if rhs is not None else zero))
 
-    # Gauss-Jordan over the fraction field of the Scalar ring.  Pivot rows
-    # hold free columns only, so eliminating a pivot column from a row brings
-    # in no other: each row eliminates the pivot columns it holds, in the
-    # order the pivots were found.
+    # Gauss-Jordan in the Scalar ring.  Pivot rows hold free columns only,
+    # so eliminating a pivot column from a row brings in no other: each row
+    # eliminates the pivot columns it holds, in the order the pivots were
+    # found.
     pivots = {}  # col -> row index
     reduced = []
     for row, rhs in rows:
@@ -172,9 +174,9 @@ def impose_primitivity(fam: RFamily, g: LieAlgebra, x_index: int) -> RFamily:
             continue
         pcol = min(row)
         pval = row.pop(pcol)
-        row = {k: v / pval for k, v in row.items()}
+        row = {k: _exact_div(v, pval) for k, v in row.items()}
         if rhs:
-            rhs = rhs / pval
+            rhs = _exact_div(rhs, pval)
         # back-substitute into previous rows
         for i, (prow, prhs) in enumerate(reduced):
             c = prow.pop(pcol, None)
@@ -191,22 +193,17 @@ def impose_primitivity(fam: RFamily, g: LieAlgebra, x_index: int) -> RFamily:
     new_const = fam.const
     for p in fam.params:
         sol = reduced[pivots[p]][1] if p in pivots else zero
-        if not sol:
-            continue
-        if sol.den != ONE:
-            raise ValueError("particular solution is not polynomial; "
-                             "re-parametrize the family constant")
-        new_const = new_const + fam.directions[p].scale(sol.num)
+        if sol:
+            new_const = new_const + fam.directions[p].scale(sol)
 
     params = []
     directions = {}
     for fc in (p for p in fam.params if p not in pivots):
-        vec = {fc: Frac.of(1)}
+        vec = {fc: ONE}
         for col, ri in pivots.items():
             coeff = reduced[ri][0].get(fc)
             if coeff is not None:
                 vec[col] = -coeff
-        vec = _clear_denominators(vec)
         direction = Bivector()
         for p in fam.params:
             if p in vec:
@@ -293,6 +290,8 @@ def beta_aligned(ct, st, cp, sp, t):
 
 # -- numeric sampling and canonicalization ---------------------------------------
 
+SURFACE_TOL = 1e-9  # float Yang-Baxter residual a constraint-surface point may keep
+
 
 def numeric_family_residual(alpha, beta, kinv: float, lam: float) -> float:
     """Float Yang-Baxter residual of the family at a numeric point."""
@@ -337,17 +336,17 @@ def rotate_bivector(rot: BasisRotation, r: Bivector) -> Bivector:
         for b, mb in enumerate(rot.generator_image(j)) if mb))
 
 
-def require_on_surface(alpha, beta, kinv: float, lam: float, tol: float = 1e-9) -> float:
+def require_on_surface(alpha, beta, kinv: float, lam: float) -> float:
     """Raise ConstraintViolated unless the point solves the quadratic
     relations; a NaN residual does not."""
     resid = numeric_family_residual(alpha, beta, kinv, lam)
-    if not resid <= tol:
+    if not resid <= SURFACE_TOL:
         raise ConstraintViolated(f"sample violates the constraint surface: {resid}", resid)
     return resid
 
 
 def canonicalize(theta: float, phi: float, twist: float, kinv: float,
-                 lam: float = -1.0, tol: float = 1e-9):
+                 lam: float = -1.0):
     """Rotate a constraint-surface sample to the canonical r-matrix.
 
     The sample is alpha = R n(theta, phi), beta = twist * n(theta, phi)
@@ -363,7 +362,7 @@ def canonicalize(theta: float, phi: float, twist: float, kinv: float,
     alpha = sphere_param(ct, st, cp, sp, radius)
     beta = beta_aligned(ct, st, cp, sp, twist)
 
-    resid = require_on_surface(alpha, beta, kinv, lam, tol)
+    resid = require_on_surface(alpha, beta, kinv, lam)
 
     if theta == 0.0:
         r3 = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]

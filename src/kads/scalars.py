@@ -820,9 +820,8 @@ class Frac:
     Canonical form: the denominator is a monomial x^c times a monic
     polynomial f(t) in one primitive monomial t, coprime to the numerator,
     so equal values have equal ``num`` and ``den``.  That covers every
-    denominator the NC engine and the r-matrix reduction build (t =
-    eta*kinv, kinv, Lambda, or a constant); any other denominator, or a sum
-    or product of two in different t, raises
+    denominator the NC engine builds (t = eta*kinv, kinv, or a constant);
+    any other denominator, or a sum or product of two in different t, raises
     :class:`UnsupportedDenominator`.  Addition follows Henrici: with
     g = gcd(b, d), a/b + c/d = (a*(d/g) + c*(b/g)) / (b*d/g), and only
     gcd(num, g) is left to cancel; multiplication cancels crosswise.

@@ -240,6 +240,25 @@ def test_poisson_runs_without_scipy(tmp_path, argv):
             "name": "sphere_leaf_conservation", "residual": 0, "tolerance": 0, "pass": True}
 
 
+def test_only_the_nc_engine_makes_fractions(tmp_path, monkeypatch):
+    # the r-matrix layer solves in the Scalar ring: no suite but `nc`
+    # builds a Frac
+    from kads import scalars
+    from kads.liealg import IDX, ads_algebra
+    from kads.rclass import constraint_residuals, generic_ansatz, impose_primitivity
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Frac was built")
+
+    monkeypatch.setattr(scalars.Frac, "__init__", refuse)
+    monkeypatch.setattr(scalars.Frac, "of", refuse)
+    red = impose_primitivity(generic_ansatz(), ads_algebra(scalars.sym("Lambda")), IDX["P0"])
+    assert len(red.params) == 15
+    assert len(constraint_residuals()) == 4
+    for argv in (["classify", "--samples", "2"], ["check-bialgebra", "--lambda", "formal"]):
+        assert main(argv + ["--out", str(tmp_path / "rep.json")]) == 0
+
+
 def test_main_reuses_one_parser():
     from kads.cli import build_parser
     assert build_parser() is build_parser()

@@ -1,12 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+import sympy
 
 from kads.bialgebra import (Bivector, cocommutator, cocommutator_of, mcybe_residual,
                             mcybe_residual_components)
 from kads.liealg import BASIS, IDX, ads_algebra
-from kads.rclass import (ConstraintViolated, RFamily, beta_aligned, canonicalize,
+from kads.rclass import (ConstraintViolated, NotPolynomial, RFamily, beta_aligned,
+                         canonicalize,
                          constraint_distance, constraint_residuals,
                          eq_constraint_polynomials, family_r, generic_ansatz,
                          ideal_equivalence, impose_primitivity,
@@ -97,10 +100,84 @@ def test_impose_primitivity_solves_for_a_constant_part():
         assert _terms(red.const) == want
         assert tuple(_terms(red.directions[p]) for p in red.params) == CURVED_PRIMITIVE_DIRECTIONS
         assert cocommutator_of(g, red.const, IDX["P0"]).norm() == 0
+    # P0^P1 is a direction: its row (P0, K1) reads -Lambda, which divides
+    # the constant's right-hand side exactly and cancels it
+    red = impose_primitivity(RFamily(biv(("P0", "P1", kinv)), fam.params, fam.directions),
+                             g, IDX["P0"])
+    assert red.const.components == {}
+    assert tuple(_terms(red.directions[p]) for p in red.params) == CURVED_PRIMITIVE_DIRECTIONS
     stuck = RFamily(const=biv(("K1", "P0", kinv)), params=["c"],
                     directions={"c": biv(("K2", "P0", kinv))})
     with pytest.raises(ConstraintViolated, match="inconsistent"):
         impose_primitivity(stuck, g, IDX["P0"])
+    # the solution c = 1/Lambda is no polynomial
+    fractional = RFamily(const=biv(("K1", "K2", 1)), params=["c"],
+                         directions={"c": biv(("P1", "P2", 1))})
+    with pytest.raises(NotPolynomial):
+        impose_primitivity(fractional, g, IDX["P0"])
+
+
+def test_impose_primitivity_rejects_a_kernel_that_needs_a_fraction():
+    # the kernel of this family is Lambda * a + b = 0: the pivot -Lambda^2
+    # of column a does not divide the -Lambda of column b
+    lam = sym("Lambda")
+    fam = RFamily(const=Bivector(), params=["a", "b"],
+                  directions={"a": biv(("K1", "K2", lam ** 2)), "b": biv(("P1", "P2", 1))})
+    with pytest.raises(NotPolynomial, match="does not divide"):
+        impose_primitivity(fam, ads_algebra(lam), IDX["P0"])
+
+
+def _primitivity_matrix(lam) -> tuple:
+    """delta(P0) on the 45 wedges, built in sympy from the brackets of the
+    algebra, and the wedges (i, j), i < j: column (i, j) holds
+    [P0, e_i]^e_j + e_i^[P0, e_j]."""
+    n = {name: k for k, name in enumerate(BASIS)}
+    bracket: dict = {}
+
+    def put(a, b, c, v):
+        bracket.setdefault((n[a], n[b]), {})[n[c]] = v
+        bracket.setdefault((n[b], n[a]), {})[n[c]] = -v
+
+    for a, b, c in itertools.permutations((1, 2, 3)):
+        s = sympy.LeviCivita(a, b, c)
+        put(f"J{a}", f"P{b}", f"P{c}", s)
+        put(f"J{a}", f"K{b}", f"K{c}", s)
+        put(f"J{a}", f"J{b}", f"J{c}", s)
+        put(f"K{a}", f"K{b}", f"J{c}", -s)
+        put(f"P{a}", f"P{b}", f"J{c}", s * lam)
+    for a in (1, 2, 3):
+        put(f"K{a}", "P0", f"P{a}", 1)
+        put(f"K{a}", f"P{a}", "P0", 1)
+        put("P0", f"P{a}", f"K{a}", -lam)
+    pairs = list(itertools.combinations(range(len(BASIS)), 2))
+    row = {pair: k for k, pair in enumerate(pairs)}
+    m = sympy.zeros(len(pairs), len(pairs))
+
+    def add(col, a, b, v):
+        if a != b:
+            m[row[(min(a, b), max(a, b))], col] += v if a < b else -v
+
+    for col, (i, j) in enumerate(pairs):
+        for c, v in bracket.get((n["P0"], i), {}).items():
+            add(col, c, j, v)
+        for c, v in bracket.get((n["P0"], j), {}).items():
+            add(col, i, c, v)
+    return m, pairs
+
+
+def test_impose_primitivity_matches_the_sympy_nullspace():
+    lam = sympy.Symbol("Lambda")
+    for value, g, dim in ((lam, ads_algebra(sym("Lambda")), 15), (0, ads_algebra(0), 27)):
+        m, pairs = _primitivity_matrix(value)
+        red = impose_primitivity(generic_ansatz(), g, IDX["P0"])
+        got = sympy.Matrix.hstack(*(
+            sympy.Matrix([sympy.sympify(str(red.directions[p].components.get(pair, 0))
+                                        .replace("^", "**"), locals={"Lambda": lam})
+                          for pair in pairs]) for p in red.params))
+        assert (m * got).expand() == sympy.zeros(len(pairs), dim)
+        kernel = m.nullspace()
+        assert len(kernel) == got.rank() == dim
+        assert sympy.Matrix.hstack(got, *kernel).rank() == dim
 
 
 def _kernel_point(red, values: dict, lam: float) -> Bivector:
@@ -370,16 +447,3 @@ def test_r_2plus1_flat_limit():
     # no curvature dependence: the same bivector serves the flat case
     assert r_2plus1(kinv) == r_2plus1(kinv)
     assert (IDX["K3"], IDX["P3"]) not in r_2plus1(kinv).components
-
-
-def test_clear_denominators_multiplies_by_the_lcm():
-    from kads.rclass import _clear_denominators
-    from kads.scalars import Frac
-    lam = sym("Lambda")
-    vec = {"a": Frac(rat(1), 1 - lam), "b": Frac(lam, 1 - lam ** 2),
-           "c": Frac(eta, lam), "d": Frac(rat(3))}
-    out = _clear_denominators(vec)
-    lcm = lam ** 3 - lam  # lcm of 1 - Lambda, 1 - Lambda^2 and Lambda, monic
-    assert all(out[k] == (vec[k] * lcm).num for k in vec)
-    assert all((vec[k] * lcm).den == Scalar.rational(1) for k in vec)
-    assert out["d"] == 3 * lcm
