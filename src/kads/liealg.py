@@ -10,7 +10,8 @@ dense table ``f[k, i, j]`` (``[T_i, T_j] = sum_k f[k, i, j] T_k``) of
 :func:`ads_tensor`, an ndarray: the table's type picks the kernel, so a
 LieAlgebra always takes the sparse loops, which the tests use as the
 float oracle.  Only the ndarray kernels import numpy, when they run, so a
-LieAlgebra of either kind loads none.
+LieAlgebra of either kind loads none.  A basis rotation
+(:func:`rotate_basis`) is a float 10x10 matrix checked on the dense table.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import TYPE_CHECKING
 
-from .scalars import Scalar, reduce_mod
+from .scalars import Scalar
 
 if TYPE_CHECKING:
     import numpy as np
@@ -39,11 +40,6 @@ class NotSubalgebra(ValueError):
 
 class NotOrthogonal(ValueError):
     """A rotation matrix failed the orthogonality check."""
-
-
-class ExactnessMismatch(TypeError):
-    """A rotation and a LieAlgebra do not share exactness: a float rotation
-    of exact Scalars, or an exact rotation of float coefficients."""
 
 
 def is_exact(c) -> bool:
@@ -108,21 +104,6 @@ class LieAlgebra:
         signed = self._signed
         return tuple(tuple((m, signed[(m, i)]) for m in range(self.dim) if (m, i) in signed)
                      for i in range(self.dim))
-
-    def bracket(self, x, y):
-        """Bilinear extension to coefficient vectors of length dim."""
-        out = [None] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                for k, c in self.bracket_basis(i, j):
-                    term = xi * yj * c
-                    out[k] = term if out[k] is None else out[k] + term
-        zero = 0.0 if any(not is_exact(v) for v in x + y if v is not None) else Scalar()
-        return [zero if v is None else v for v in out]
 
 
 def ads_algebra(lam) -> LieAlgebra:
@@ -345,115 +326,41 @@ def subalgebra_dense(f: np.ndarray, indices) -> np.ndarray:
     return sub[indices]
 
 
-class BasisRotation:
-    """Automorphism with P0 fixed and each of (P, K, J) rotated by R.
-
-    The generator map reads off columns: phi(T_j) = sum_i M[i][j] T_i, so
-    coefficient vectors transform as v -> M v and composition follows the
-    matrix product: rotate(R2) after rotate(R1) equals rotate(R2 R1).
-    """
-
-    def __init__(self, matrix):
-        self.matrix = [list(row) for row in matrix]
-
-    def apply(self, vec):
-        """Rotate a coefficient vector: standard matrix-vector product."""
-        dim = len(self.matrix)
-        out = [None] * dim
-        for j, xj in enumerate(vec):
-            if not xj:
-                continue
-            for i in range(dim):
-                mij = self.matrix[i][j]
-                if not mij:
-                    continue
-                term = mij * xj
-                out[i] = term if out[i] is None else out[i] + term
-        zero = Scalar() if all(is_exact(v) for v in vec) and all(
-            is_exact(m) for row in self.matrix for m in row) else 0.0
-        return [zero if v is None else v for v in out]
-
-    def generator_image(self, j: int):
-        """Coefficients of phi(T_j): the j-th column."""
-        return [row[j] for row in self.matrix]
-
-
 ROTATION_TOL = 1e-12  # float orthogonality and automorphism tolerance
 
 
-def rotate_basis(g: LieAlgebra | np.ndarray, r3, rules=None) -> BasisRotation:
-    """Lift a 3x3 rotation to the basis automorphism (P0 fixed).
+def rotate_basis(f: np.ndarray, r3) -> list:
+    """Lift a 3x3 rotation to the basis automorphism (P0 fixed) of the
+    dense table ``f`` of :func:`ads_tensor`.
 
-    ``r3`` is a 3x3 orthogonal matrix of Scalars or floats and ``g`` the
-    table it must preserve: a LieAlgebra, checked by the loops, or the
-    dense f of :func:`ads_tensor`, checked by one contraction, for which
-    an exact ``r3`` is taken in floats.  Orthogonality is checked exactly
-    (after ``rules``-rewriting when given) or to ``ROTATION_TOL``; a NaN or
-    infinite deviation fails either check.  A LieAlgebra whose exactness
-    differs from the rotation's (a float rotation of Scalar entries, an
-    exact one of float entries) raises ExactnessMismatch.
+    Each of (P, K, J) is rotated by ``r3``, taken in floats.  Returns the
+    10x10 matrix M as nested float lists: the generator map reads off
+    columns, phi(T_j) = sum_i M[i][j] T_i, so rotate(R2) after rotate(R1)
+    equals rotate(R2 R1).  Orthogonality and the automorphism property,
+    one contraction of ``f``, are checked to ``ROTATION_TOL``; a NaN or
+    infinite deviation fails either check.
     """
-    loops = isinstance(g, LieAlgebra)
-    exact = all(is_exact(e) for row in r3 for e in row)
-    if exact and not loops:
-        r3 = [[float(e.eval_numeric({}) if isinstance(e, Scalar) else e) for e in row]
-              for row in r3]
-        exact = False
-    tol = 0 if exact else ROTATION_TOL
+    import numpy as np
 
-    def simp(c):
-        if rules is not None and isinstance(c, Scalar):
-            return reduce_mod(c, rules)
-        return c
-
-    one, zero = (Scalar.rational(1), Scalar()) if exact else (1.0, 0.0)
+    r3 = [[float(e) for e in row] for row in r3]
     for a in range(3):
         for b in range(3):
-            dot = simp(sum(r3[a][i] * r3[b][i] for i in range(3)))
-            expect = one if a == b else zero
-            if not coeff_norm(dot - expect) <= tol:
+            dot = sum(r3[a][i] * r3[b][i] for i in range(3))
+            if not abs(dot - (1.0 if a == b else 0.0)) <= ROTATION_TOL:
                 raise NotOrthogonal(f"R^T R != I at entry {(a, b)}")
 
-    if loops:
-        coeffs = [c for terms in g.structure.values() for _, c in terms]
-        if exact and not all(map(is_exact, coeffs)):
-            raise ExactnessMismatch("an exact rotation cannot act on float structure "
-                                    "constants; pass a float rotation")
-        if not exact and any(isinstance(c, Scalar) for c in coeffs):
-            raise ExactnessMismatch("a float rotation cannot act on exact Scalar structure "
-                                    "constants; pass an exact rotation")
-
-    m = [[zero] * DIM for _ in range(DIM)]
-    m[0][0] = one
+    m = [[0.0] * DIM for _ in range(DIM)]
+    m[0][0] = 1.0
     for block in (1, 4, 7):  # P, K, J triples
         for a in range(3):
             for b in range(3):
                 m[block + a][block + b] = r3[a][b]
-    rot = BasisRotation(m)
 
     # automorphism check: [phi(Ti), phi(Tj)] == phi([Ti, Tj])
-    if not loops:
-        import numpy as np
-
-        mat = np.array(m)
-        dev = np.abs(mat.T @ g @ mat - np.tensordot(mat, g, axes=(1, 0)))
-        bad = np.argwhere(np.triu((~(dev <= tol)).any(axis=0), 1))
-        if len(bad):
-            i, j = bad[0]
-            raise NotOrthogonal(
-                f"rotation is not an automorphism at [{BASIS[i]},{BASIS[j]}]")
-        return rot
-    for i in range(DIM):
-        ei = [one if t == i else zero for t in range(DIM)]
-        for j in range(i + 1, DIM):
-            ej = [one if t == j else zero for t in range(DIM)]
-            lhs = g.bracket(rot.apply(ei), rot.apply(ej))
-            rhs_vec = [zero] * DIM
-            for k, c in g.bracket_basis(i, j):
-                rhs_vec[k] = rhs_vec[k] + c
-            rhs = rot.apply(rhs_vec)
-            for a in range(DIM):
-                if not coeff_norm(simp(lhs[a] - rhs[a])) <= tol:
-                    raise NotOrthogonal(
-                        f"rotation is not an automorphism at [{BASIS[i]},{BASIS[j]}]")
-    return rot
+    mat = np.array(m)
+    dev = np.abs(mat.T @ f @ mat - np.tensordot(mat, f, axes=(1, 0)))
+    bad = np.argwhere(np.triu((~(dev <= ROTATION_TOL)).any(axis=0), 1))
+    if len(bad):
+        i, j = bad[0]
+        raise NotOrthogonal(f"rotation is not an automorphism at [{BASIS[i]},{BASIS[j]}]")
+    return m

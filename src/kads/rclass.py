@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .bialgebra import (Bivector, cocommutator_of, mcybe_residual_components,
                         mcybe_residual_dense)
-from .liealg import DIM, IDX, BasisRotation, LieAlgebra, ads_algebra, ads_tensor, rotate_basis
+from .liealg import DIM, IDX, LieAlgebra, ads_algebra, ads_tensor, rotate_basis
 from .scalars import ONE, Scalar, accumulate, make_rule, poly_divmod, reduce_mod, sym
 
 
@@ -230,29 +230,25 @@ def eq_constraint_polynomials() -> list:
     ]
 
 
-def constraint_residuals(alpha=None, beta=None, kinv=None, eta=None) -> list:
-    """Distinct normalized components of the Yang-Baxter residual of the family.
+def constraint_residuals() -> list:
+    """Distinct normalized components of the Yang-Baxter residual of the
+    family in fully formal parameters.
 
-    Defaults to fully formal parameters.  The returned polynomials generate
-    the constraint ideal (up to factors of the deformation scales, which
-    are stripped by the normalization).
+    The returned polynomials generate the constraint ideal (up to factors
+    of the deformation scales, which are stripped by the normalization).
     """
-    if alpha is None:
-        alpha = (sym("alpha1"), sym("alpha2"), sym("alpha3"))
-    if beta is None:
-        beta = (sym("beta1"), sym("beta2"), sym("beta3"))
-    if kinv is None:
-        kinv = sym("kinv")
-    if eta is None:
-        eta = sym("eta")
-    if not all(isinstance(v, Scalar) for v in (*alpha, *beta, kinv, eta)):
-        raise TypeError("constraint_residuals is symbolic; use "
-                        "numeric_family_residual for float points")
-    g = ads_algebra(-(eta ** 2))
-    r = family_r(alpha, beta, kinv)
+    alpha = (sym("alpha1"), sym("alpha2"), sym("alpha3"))
+    beta = (sym("beta1"), sym("beta2"), sym("beta3"))
+    g = ads_algebra(-(sym("eta") ** 2))
+    return distinct_normalized(mcybe_residual_components(g, family_r(alpha, beta, sym("kinv"))))
+
+
+def distinct_normalized(components) -> list:
+    """The nonzero Scalar components, one of each set equal up to sign,
+    normalized and kept once per text, sorted by text."""
     # components equal up to sign normalize alike: keep the first of each
     distinct: dict = {}
-    for c in mcybe_residual_components(g, r):
+    for c in components:
         if c:
             key = frozenset(c.terms.items())
             if key not in distinct and frozenset(
@@ -327,13 +323,16 @@ def rotation_to_pole(theta: float, phi: float):
     return [list(u), list(v), list(n)]
 
 
-def rotate_bivector(rot: BasisRotation, r: Bivector) -> Bivector:
-    """Push a bivector through a basis automorphism (legs mapped by columns)."""
+def rotate_bivector(m, r: Bivector) -> Bivector:
+    """Push a bivector through the basis automorphism with matrix ``m``, a
+    float lift from ``rotate_basis`` or an exact one: each leg T_i maps to
+    its column, sum_a m[a][i] T_a, and zero entries are skipped."""
+    cols = list(zip(*m))
     return Bivector.from_terms(*(
         (a, b, c * ma * mb)
         for (i, j), c in r.components.items()
-        for a, ma in enumerate(rot.generator_image(i)) if ma
-        for b, mb in enumerate(rot.generator_image(j)) if mb))
+        for a, ma in enumerate(cols[i]) if ma
+        for b, mb in enumerate(cols[j]) if mb))
 
 
 def require_on_surface(alpha, beta, kinv: float, lam: float) -> float:

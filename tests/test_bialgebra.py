@@ -532,7 +532,7 @@ def test_dual_jacobi_on_signed_pairs_equals_the_dual_algebra():
 
 def test_the_exact_r_matrix_layers_run_without_numpy():
     # only the ndarray kernels import numpy: exact and float LieAlgebras,
-    # their cocommutators, residuals and rotations and the formal
+    # their cocommutators and residuals and the formal
     # certificates in a fresh interpreter load none
     probe = ("import sys\n"
              "from kads import bialgebra as B, cli, liealg, rclass\n"
@@ -541,14 +541,13 @@ def test_the_exact_r_matrix_layers_run_without_numpy():
              "r = rclass.r_kads(0.31, 1.0)\n"
              "delta = B.cocommutator(h, r)\n"
              "report = cli.cmd_bialgebra(cli.RunConfig(lam='formal'))\n"
-             "rot = liealg.rotate_basis(h, rclass.rotation_to_pole(0.8, 2.1))\n"
              "print(delta[0].norm(), report['pass'], len(report['checks']),\n"
              "      B.mcybe_residual(h, r) < 1e-15, B.dual_jacobi_residual(delta) < 1e-15,\n"
-             "      B.coisotropy_check(h, delta, rclass.LORENTZ), len(rot.matrix),\n"
+             "      B.coisotropy_check(h, delta, rclass.LORENTZ),\n"
              "      'numpy' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "True", "17", "True", "True", "True", "10", "False"]
+    assert proc.stdout.split() == ["0", "True", "17", "True", "True", "True", "False"]
 
 
 def test_a_float_map_takes_the_signed_pair_loop(monkeypatch):

@@ -525,6 +525,55 @@ def test_every_traced_name_resolves_in_kads():
         assert callable(getattr(owner, attr, None)), (name, modname, attr)
 
 
+# every function of src/kads that no suite reaches may stay only for a
+# reason of one of these kinds: a new test-only function is declared here
+REACH_REASONS = ("error path", "option path", "fallback", "test oracle", "tracer-wrapped",
+                 "debugging aid")
+UNREACHED = {
+    "kads.bialgebra.NotAntisymmetric.__init__": "error path: a non-skew r-matrix",
+    "kads.bialgebra.Bivector.__sub__": "test oracle: differences of bivectors",
+    "kads.bialgebra.Bivector.__eq__": "test oracle: comparisons of bivectors",
+    "kads.bialgebra.Trivector.norm": "test oracle: residual size of a trivector",
+    "kads.cli.integer": "option path: the --seed converter",
+    "kads.cli._Parser.error": "error path: a bad command line",
+    "kads.curvtrig.Dual.__repr__": "debugging aid",
+    "kads.curvtrig.Dual.__bool__": "test oracle: truth of a dual number",
+    "kads.curvtrig.tn": "test oracle: the curved tangent",
+    "kads.liealg.coeff_norm": "test oracle: residual size in the float sparse loops",
+    "kads.rclass.ConstraintViolated.__init__": "error path: a sample off the surface",
+    "kads.scalars._overflow": "error path: an exponent overflow",
+    "kads.scalars.Scalar.__rsub__": "test oracle: number minus Scalar",
+    "kads.scalars.Scalar.__truediv__": "test oracle: Scalar over a rational",
+    "kads.scalars.Scalar.exponents": "test oracle: monomial exponents",
+    "kads.scalars.Scalar.total_degree": "test oracle: also read by the benchmark tracer",
+    "kads.scalars.Scalar.degree_in": "test oracle: degree in one parameter",
+    "kads.scalars.Scalar.eval_numeric": "test oracle: evaluation at float points",
+    "kads.scalars.rat": "test oracle: rational constants",
+    "kads.scalars._ugcd": "fallback: the gcd over the rationals",
+    "kads.scalars.Frac.is_zero": "test oracle: zero test of a fraction",
+    "kads.scalars.Frac.__eq__": "test oracle: comparisons of fractions",
+    "kads.scalars.Frac.__str__": "test oracle: text of a fraction",
+    "kads.sklyanin.BracketTable.entry": "test oracle: one entry of a Poisson table",
+    "kads.sklyanin._support": "tracer-wrapped: helper of bracket_matrix_local/_ambient",
+    "kads.sklyanin._bracket_matrix": "tracer-wrapped: helper of bracket_matrix_local/_ambient",
+    "kads.sklyanin.bracket_matrix_local": "tracer-wrapped",
+    "kads.sklyanin.bracket_matrix_ambient": "tracer-wrapped",
+    "kads.sklyanin.eta_expansion_entry": "test oracle: the small-eta expansion",
+}
+
+
+def test_every_function_no_suite_reaches_is_declared():
+    # scripts/reach.py, in a fresh interpreter so that no cache is warm
+    assert all(reason.split(":")[0] in REACH_REASONS for reason in UNREACHED.values())
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts", "reach.py")
+    proc = subprocess.run([sys.executable, path], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    *rows, total = proc.stdout.splitlines()
+    sizes = {name: int(size) for size, name in (row.split("\t") for row in rows)}
+    assert sizes.keys() <= UNREACHED.keys(), sorted(sizes.keys() - UNREACHED.keys())
+    assert total == f"{len(sizes)} functions, {sum(sizes.values())} lines that no suite reaches"
+
+
 @pytest.mark.parametrize("lam", ["5e-324", "-5e-324"])
 def test_export_below_one_over_dbl_max_passes_without_warnings(tmp_path, lam):
     # -1/lam overflows there; the metric pullback takes the flat form

@@ -4,11 +4,13 @@ import struct
 import numpy as np
 import pytest
 
-from kads.liealg import (BASIS, DIM, IDX, ExactnessMismatch, LieAlgebra, NotOrthogonal,
+from kads.bialgebra import Bivector
+from kads.liealg import (BASIS, DIM, IDX, LieAlgebra, NotOrthogonal,
                          NotSubalgebra, _ads_pencil, ads_algebra, ads_tensor, components_norm,
                          jacobi_residual_dense, jacobi_residual_sparse, rotate_basis,
                          subalgebra)
-from kads.scalars import Scalar, rat, sym
+from kads.rclass import beta_aligned, family_r, r_kads, rotate_bivector, sphere_param
+from kads.scalars import Scalar, rat, reduce_mod, sym
 
 from oracles import ads_algebra_by_brackets, dense_table, trig_rules
 
@@ -84,30 +86,6 @@ def test_jacobi_detects_corruption():
         assert res == count and type(res) is int
 
 
-def test_bracket_linearity_and_antisymmetry():
-    g = ads_algebra(LAM)
-    zero = Scalar()
-    one = rat(1)
-    x = [zero] * DIM
-    x[IDX["K1"]] = one
-    x[IDX["K2"]] = one
-    p0 = [zero] * DIM
-    p0[IDX["P0"]] = one
-    out = g.bracket(x, p0)
-    assert out[IDX["P1"]] == one and out[IDX["P2"]] == one
-    assert all(c == Scalar() or c == 0 for i, c in enumerate(out)
-               if i not in (IDX["P1"], IDX["P2"]))
-    assert all(c == Scalar() for c in g.bracket(x, x))
-    # flat limit of [P0, P1]
-    assert all(c == Scalar() for c in ads_algebra(0).bracket(p0, _unit("P1")))
-
-
-def _unit(name):
-    v = [Scalar()] * DIM
-    v[IDX[name]] = rat(1)
-    return v
-
-
 def numeric_rotation(theta, phi):
     st, ct = math.sin(theta), math.cos(theta)
     sp, cp = math.sin(phi), math.cos(phi)
@@ -116,73 +94,72 @@ def numeric_rotation(theta, phi):
     return rz @ ry
 
 
+def _lift(r3, one, zero):
+    """The 10x10 basis automorphism of a 3x3 rotation, built as rotate_basis
+    builds its float one: P0 fixed, each of (P, K, J) rotated by r3."""
+    m = [[zero] * DIM for _ in range(DIM)]
+    m[0][0] = one
+    for block in (1, 4, 7):
+        for a in range(3):
+            for b in range(3):
+                m[block + a][block + b] = r3[a][b]
+    return m
+
+
 def test_rotate_basis_identity_and_symbolic_row():
-    g = ads_algebra(LAM)
-    ident = [[rat(1) if i == j else Scalar() for j in range(3)] for i in range(3)]
-    rot = rotate_basis(g, ident)
-    x = _unit("J3")
-    assert rot.apply(x) == x
-    # symbolic rotation built from the trig stand-ins maps J3 as expected
-    # (third column is the rotated axis)
+    assert rotate_basis(ads_tensor(-1.0), np.eye(3).tolist()) == np.eye(DIM).tolist()
+    # rotation_to_pole's rows (u, v, n) in the trig stand-ins, lifted
+    # exactly, take the sphere-parametrized family to the canonical
+    # r-matrix, up to the relations cos^2 + sin^2 = 1
     ct, stv, cp, sp = sym("ctheta"), sym("stheta"), sym("cphi"), sym("sphi")
-    r3 = [
-        [ct * cp, sp, stv * cp],
-        [-(ct * sp), cp, -(stv * sp)],
-        [-stv, Scalar(), ct],
-    ]
-    rot = rotate_basis(g, r3, rules=trig_rules())
-    out = rot.apply(_unit("J3"))
-    assert out[IDX["J1"]] == stv * cp
-    assert out[IDX["J2"]] == -(stv * sp)
-    assert out[IDX["J3"]] == ct
-    assert out[IDX["P0"]] == Scalar()
+    r3 = [[ct * cp, -(ct * sp), -stv], [sp, cp, Scalar()], [stv * cp, -(stv * sp), ct]]
+    eta, kinv, vth = sym("eta"), sym("kinv"), sym("vtheta")
+    fam = family_r(sphere_param(ct, stv, cp, sp, eta * kinv),
+                   beta_aligned(ct, stv, cp, sp, vth), kinv)
+    rotated = rotate_bivector(_lift(r3, rat(1), Scalar()), fam)
+    diff = rotated - (r_kads(kinv, eta) + Bivector.from_terms((IDX["P0"], IDX["J3"], vth)))
+    assert diff.components
+    assert [key for key, c in diff.components.items() if reduce_mod(c, trig_rules())] == []
 
 
 def test_rotate_basis_rejects_non_orthogonal():
-    g = ads_algebra(0)
     bad = [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     with pytest.raises(NotOrthogonal):
-        rotate_basis(g, bad)
+        rotate_basis(ads_tensor(0.0), bad)
 
 
 def test_rotation_composition_and_structure_invariance():
     rng = np.random.default_rng(5)
     for lam in (-1.0, 0.7):
-        g = ads_algebra(lam)
+        f = ads_tensor(lam)
         t1, p1, t2, p2 = rng.uniform(0, 3, 4)
         r1, r2 = numeric_rotation(t1, p1), numeric_rotation(t2, p2)
-        rot1 = rotate_basis(g, r1.tolist())
-        rot2 = rotate_basis(g, r2.tolist())
-        rot21 = rotate_basis(g, (r2 @ r1).tolist())
-        v = list(rng.uniform(-1, 1, DIM))
-        lhs = rot2.apply(rot1.apply(v))
-        rhs = rot21.apply(v)
-        assert max(abs(a - b) for a, b in zip(lhs, rhs)) < 1e-12
-        # pushforward invariance of the structure constants: conjugation oracle
+        m1 = np.array(rotate_basis(f, r1.tolist()))
+        m2 = np.array(rotate_basis(f, r2.tolist()))
+        m21 = np.array(rotate_basis(f, (r2 @ r1).tolist()))
+        assert np.max(np.abs(m2 @ m1 - m21)) < 1e-12
+        # pushforward invariance of the structure constants: conjugation
+        # oracle on the sparse table
         mats = np.zeros((DIM, DIM, DIM))
-        for (i, j), terms in g.structure.items():
+        for (i, j), terms in ads_algebra(lam).structure.items():
             for k, c in terms:
                 mats[i, j, k] = c
                 mats[j, i, k] = -c
-        m = np.array(rot1.matrix, dtype=float)
         # c'_{ijk} in the rotated basis must equal the original table
-        pushed = np.einsum("ia,jb,abc,ck->ijk", m, m, mats, np.linalg.inv(m))
+        pushed = np.einsum("ia,jb,abc,ck->ijk", m1, m1, mats, np.linalg.inv(m1))
         assert np.max(np.abs(pushed - mats)) < 1e-12
 
 
 def test_rotation_composition_exact():
-    # quarter-turn permutation matrices compose exactly over the rationals
-    g = ads_algebra(LAM)
-    zero, one = Scalar(), rat(1)
-    rz = [[zero, -one, zero], [one, zero, zero], [zero, zero, one]]
-    rx = [[one, zero, zero], [zero, zero, -one], [zero, one, zero]]
-    rot_z, rot_x = rotate_basis(g, rz), rotate_basis(g, rx)
+    # integer quarter turns, taken in floats, compose exactly
+    f = ads_tensor(-1.0)
+    rz = [[0, -1, 0], [1, 0, 0], [0, 0, 1]]
+    rx = [[1, 0, 0], [0, 0, -1], [0, 1, 0]]
+    rot_z, rot_x = rotate_basis(f, rz), rotate_basis(f, rx)
     prod = [[sum(rz[i][m] * rx[m][j] for m in range(3)) for j in range(3)]
             for i in range(3)]
-    rot_zx = rotate_basis(g, prod)
-    v = _unit("P1")
-    v[IDX["J2"]] = rat(5)
-    assert rot_z.apply(rot_x.apply(v)) == rot_zx.apply(v)
+    rot_zx = rotate_basis(f, prod)
+    assert (np.array(rot_z) @ np.array(rot_x)).tolist() == rot_zx
 
 
 def test_subalgebra_closure_and_rejection():
@@ -284,70 +261,49 @@ def test_float_rotation_checks_still_raise():
         r = numeric_rotation(*rng.uniform(0, 3, 2))
         off = r.copy()
         off[0, 1] += 1e-9
-        for g in (ads_algebra(lam), ads_tensor(lam)):  # the loops, the contraction
-            with pytest.raises(NotOrthogonal, match="R\\^T R"):
-                rotate_basis(g, off.tolist())
-            # an orthogonal reflection is no automorphism: [J1, J2] = J3 flips sign
-            with pytest.raises(NotOrthogonal, match="automorphism"):
-                rotate_basis(g, (np.diag([1.0, 1.0, -1.0]) @ r).tolist())
-    # the dense check and the float loops name the pair the exact loop names
-    one, zero = rat(1), Scalar()
-    exact_refl = [[one, zero, zero], [zero, one, zero], [zero, zero, -one]]
-    with pytest.raises(NotOrthogonal, match="automorphism") as exact:
-        rotate_basis(ads_algebra(LAM), exact_refl)
-    for g in (ads_tensor(-0.7), ads_algebra(-0.7)):
-        with pytest.raises(NotOrthogonal, match="automorphism") as floats:
-            rotate_basis(g, np.diag([1.0, 1.0, -1.0]).tolist())
-        assert str(floats.value) == str(exact.value)
+        f = ads_tensor(lam)
+        with pytest.raises(NotOrthogonal, match="R\\^T R"):
+            rotate_basis(f, off.tolist())
+        # an orthogonal reflection is no automorphism: [J1, J2] = J3 flips sign
+        with pytest.raises(NotOrthogonal, match="automorphism"):
+            rotate_basis(f, (np.diag([1.0, 1.0, -1.0]) @ r).tolist())
+    # the first pair in index order that the reflection breaks: [P1, P2] = lambda J3
+    with pytest.raises(NotOrthogonal) as refl:
+        rotate_basis(ads_tensor(-0.7), np.diag([1.0, 1.0, -1.0]).tolist())
+    assert str(refl.value) == "rotation is not an automorphism at [P1,P2]"
 
 
 def test_nan_and_inf_rotations_fail_the_orthogonality_check():
     for bad in (math.nan, math.inf):
-        for g in (ads_algebra(-1.0), ads_tensor(-1.0)):
-            with pytest.raises(NotOrthogonal, match="R\\^T R"):
-                rotate_basis(g, [[bad, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(NotOrthogonal, match="R\\^T R"):
+            rotate_basis(ads_tensor(-1.0), [[bad, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
 
 def test_nan_and_inf_tables_fail_the_automorphism_checks():
     identity = np.eye(3).tolist()
     for bad in (math.nan, math.inf):
-        # dense: the tensor
         with pytest.raises(NotOrthogonal, match="automorphism"), np.errstate(invalid="ignore"):
             rotate_basis(ads_tensor(bad), identity)
-        # loops: a float LieAlgebra, and one with an exact entry
-        mixed = LieAlgebra({(IDX["J1"], IDX["J2"]): ((IDX["J3"], 1),),
-                            (IDX["P1"], IDX["P2"]): ((IDX["J3"], bad),)})
-        for g in (ads_algebra(bad), mixed):
-            with pytest.raises(NotOrthogonal, match="automorphism"):
-                rotate_basis(g, identity)
 
 
 def test_exact_rotation_of_a_float_table_is_checked_in_floats():
     g = ads_tensor(-1.0)
     unit = np.eye(DIM).tolist()
+
+    def column(m, name):
+        return [row[IDX[name]] for row in m]
+
     rot = rotate_basis(g, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert rot.apply(unit[IDX["J3"]]) == unit[IDX["J3"]]
+    assert column(rot, "J3") == unit[IDX["J3"]]
     quarter = [[0, -1, 0], [1, 0, 0], [0, 0, 1]]  # a quarter turn about the third axis
     want = rotate_basis(g, np.array(quarter, dtype=float).tolist())
     got = rotate_basis(g, quarter)
     for name in ("P1", "K2", "J3"):
-        assert got.apply(unit[IDX[name]]) == want.apply(unit[IDX[name]])
+        assert column(got, name) == column(want, name)
     with pytest.raises(NotOrthogonal, match="automorphism"):  # a reflection
         rotate_basis(g, [[1, 0, 0], [0, 1, 0], [0, 0, -1]])
     with pytest.raises(NotOrthogonal, match="R\\^T R"):
         rotate_basis(g, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
-
-
-def test_float_rotation_of_an_exact_table_raises_a_named_error():
-    with pytest.raises(ExactnessMismatch, match="float rotation"):
-        rotate_basis(ads_algebra(-1), np.eye(3).tolist())
-    # and the reverse: the loops take no exact rotation of float entries
-    one, zero = rat(1), Scalar()
-    for r3 in ([[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-               [[one, zero, zero], [zero, one, zero], [zero, zero, one]]):
-        for g in (ads_algebra(-1.0), ads_algebra(0.5)):
-            with pytest.raises(ExactnessMismatch, match="exact rotation"):
-                rotate_basis(g, r3)
 
 
 def _bits(c):
