@@ -119,16 +119,6 @@ class Bivector:
     __hash__ = None
 
 
-class Trivector:
-    """Element of the exterior cube; canonical strictly increasing indices."""
-
-    def __init__(self, components: dict | None = None):
-        self.components = dict(components) if components else {}
-
-    def norm(self):
-        return components_norm(self.components.values())
-
-
 def cocommutator_of(g: LieAlgebra, r: Bivector, m: int) -> Bivector:
     """delta(T_m) = [T_m (x) 1 + 1 (x) T_m, r] in the wedge basis."""
     store: dict = {}
@@ -147,8 +137,9 @@ def cocommutator(g: LieAlgebra, r: Bivector) -> dict:
     return {m: cocommutator_of(g, r, m) for m in range(g.dim)}
 
 
-def schouten(g: LieAlgebra, r: Bivector) -> Trivector:
-    """[[r, r]] as a trivector; raises if the raw tensor is not antisymmetric.
+def schouten(g: LieAlgebra, r: Bivector) -> dict:
+    """[[r, r]] as a trivector, the map (i, j, k) -> c over strictly
+    increasing indices; raises if the raw tensor is not antisymmetric.
 
     Of the three terms [r12, r13], [r12, r23] and [r13, r23], only the first,
     X[m, j, l] = sum r[i, j] r[k, l] f[m; i, k], is summed, over the entry
@@ -192,7 +183,7 @@ def schouten(g: LieAlgebra, r: Bivector) -> Trivector:
             ref = v if sign == 1 else neg
             if got is None or (got != ref if exact else coeff_norm(got - ref) > SKEW_TOL):
                 raise NotAntisymmetric(f"component {key} breaks antisymmetry")
-    return Trivector(out)
+    return out
 
 
 def mcybe_residual_components(g: LieAlgebra, r: Bivector) -> list:
@@ -207,7 +198,7 @@ def mcybe_residual_components(g: LieAlgebra, r: Bivector) -> list:
     """
     cols = g.ad_columns
     stores = [{} for _ in range(g.dim)]
-    for (i, j, k), c in schouten(g, r).components.items():
+    for (i, j, k), c in schouten(g, r).items():
         for leg, (x, y) in ((i, (j, k)), (j, (i, k)), (k, (i, j))):
             # n takes the place of leg: the sign of sorting n into x < y,
             # odd for the middle leg
@@ -381,18 +372,17 @@ def coisotropy_check(g, delta, h_indices) -> bool:
     return True
 
 
-def dual_jacobi_residual(delta, dim: int | None = None):
+def dual_jacobi_residual(delta):
     """Jacobi residual of the dual bracket defined by the cocommutator.
 
     A dense cocommutator tensor D is itself the dual table, D[m, a, b]
     being the T_m component of [T^a, T^b].  A map index -> Bivector, of any
-    coefficients, gives the dual bracket's signed table, which the sparse
-    loops read.
+    coefficients and keyed by every generator, gives the dual bracket's
+    signed table, which the sparse loops read.
     """
     if not isinstance(delta, dict):
         return jacobi_residual_dense(delta)
-    if dim is None:
-        dim = max(delta) + 1
+    dim = max(delta) + 1
     pairs: dict = {}
     for m, biv in delta.items():
         for key, c in biv.components.items():

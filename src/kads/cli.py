@@ -228,8 +228,7 @@ def cmd_classify(cfg: RunConfig) -> dict:
         try:
             # an overflowing --kappa-inv makes NaN residuals, which fail below
             with np.errstate(over="ignore", invalid="ignore"):
-                rot, exp, transcript = rclass.canonicalize(
-                    th, ph, tw, kinv=cfg.kappa_inv, lam=-1.0)
+                rot, exp, transcript = rclass.canonicalize(th, ph, tw, kinv=cfg.kappa_inv)
         except (rclass.ConstraintViolated, B.NotAntisymmetric) as exc:
             # round-off at a large --kappa-inv: the sample fails the check
             # with the residual that stopped it

@@ -10,12 +10,14 @@ s there, so its one-parameter subgroup has the closed form
 ``exp(cT) = ct(s, c) I + st(s, c) T`` on that plane (identity off it); a
 group element is ten such two-column updates, with no matrix exponential.
 Derivatives are forward-mode duals whose ``eps`` holds one tangent per
-listed generator, so one chain per side serves every invariant field.
+generator, so one chain per side serves every invariant field.
 
-Every function here takes a batch: coordinates as 1-D arrays of N points,
-group elements as an (N, 5, 5) stack.  A float coordinate or a single 5x5
-matrix is one point and gives the per-point result.  The named errors are
-raised when any point of the batch fails.
+The group elements, charts and metrics take a batch: coordinates as 1-D
+arrays of N points, group elements as an (N, 5, 5) stack.  A float
+coordinate or a single 5x5 matrix is one point and gives the per-point
+result.  The invariant-field derivatives take a stack only and return
+one (n, 10, N) array, d[mu, i, k] = X_i x^mu at matrix k.  The named
+errors are raised when any point of the batch fails.
 """
 
 from __future__ import annotations
@@ -197,70 +199,42 @@ def metric_pullback(x, lam: float) -> np.ndarray:
 # -- invariant vector fields ---------------------------------------------------
 
 
-def _tangents(m: np.ndarray, lam: float, gens, side: str) -> np.ndarray:
-    """tan[r, k, n]: d/dt at t = 0 of entry r of the first column of
-    m[n] exp(t T_i) (side "L") or exp(t T_i) m[n] (side "R"), i = gens[k],
-    for a stack m of shape (N, 5, 5).
+def _tangents(m: np.ndarray, lam: float, side: str) -> np.ndarray:
+    """tan[r, i, n]: d/dt at t = 0 of entry r of the first column of
+    m[n] exp(t T_i) (side "L") or exp(t T_i) m[n] (side "R"), for every
+    generator i in plane order and a stack m of shape (N, 5, 5).
 
     Every entry is a single product, so it equals the matrix product bit
     for bit.
     """
     planes = _planes(lam)
-    out = np.zeros((5, len(gens), len(m)))
-    for k, i in enumerate(gens):
-        p, q, a, b = planes[i]
+    out = np.zeros((5, len(planes), len(m)))
+    for i, (p, q, a, b) in enumerate(planes):
         if side == "L":
             if p == 0:  # T_i e_0 = a e_q; the Lorentz generators fix e_0
-                out[:, k] = m[:, :, q].T * a
+                out[:, i] = m[:, :, q].T * a
         else:
-            out[q, k] = a * m[:, p, 0]
-            out[p, k] = b * m[:, q, 0]
+            out[q, i] = a * m[:, p, 0]
+            out[p, i] = b * m[:, q, 0]
     return out
 
 
-def _by_generator(gens, rows: np.ndarray, single: bool) -> dict:
-    """rows[:, k] keyed by gens[k]: a list per generator for one 5x5 matrix,
-    an (len(rows), N) array per generator for a stack."""
-    if single:
-        return {i: rows[:, k, 0].tolist() for k, i in enumerate(gens)}
-    return {i: rows[:, k] for k, i in enumerate(gens)}
-
-
-def _coset_duals(m: np.ndarray, lam: float, gens, side: str) -> tuple:
-    """The four coset coordinates of a stack m as duals; eps[k] is the
-    derivative along the field of T_i, i = gens[k]."""
-    tan = _tangents(m, lam, gens, side)
+def _coset_duals(m: np.ndarray, lam: float, side: str) -> tuple:
+    """The four coset coordinates of a stack m as duals; eps[i] is the
+    derivative along the field of T_i."""
+    tan = _tangents(m, lam, side)
     col = tuple(Dual(m[:, r, 0], tan[r]) for r in range(5))
     return local_from_ambient(col, lam, check=False)
 
 
-def field_derivatives(m: np.ndarray, lam: float, gens, side: str, fns) -> dict:
-    """X_i h for the listed generators and coset functions, from one dual
-    chain over all points: map i -> [X_i h for h in fns] for one 5x5 matrix,
-    or i -> (len(fns), N) array for an (N, 5, 5) stack.
-
-    Each ``h`` is a smooth function of the four coset coordinates (it
-    receives a tuple of Dual numbers).
-    """
-    m = np.asarray(m)
-    stack = m.reshape(-1, 5, 5)
-    coords = _coset_duals(stack, lam, gens, side)
-    shape = (len(gens), len(stack))
-    rows = np.array([np.broadcast_to(eps_part(h(coords)), shape) for h in fns])
-    return _by_generator(gens, rows, m.ndim == 2)
+def coset_derivatives(m: np.ndarray, lam: float, side: str) -> np.ndarray:
+    """d[mu, i, k] = X_i x^mu at matrix k of an (N, 5, 5) stack: a
+    (4, 10, N) array, from one dual chain over all points."""
+    return np.array([np.broadcast_to(eps_part(c), (10, len(m)))
+                     for c in _coset_duals(m, lam, side)])
 
 
-_COORDINATES = tuple((lambda c, mu=mu: c[mu]) for mu in range(4))
-
-
-def coset_derivatives(m: np.ndarray, lam: float, gens, side: str) -> dict:
-    """X_i x^mu for the listed generators: map i -> length-4 list, or
-    i -> (4, N) array for a stack."""
-    return field_derivatives(m, lam, gens, side, _COORDINATES)
-
-
-def ambient_derivatives(m: np.ndarray, lam: float, gens, side: str) -> dict:
-    """X_i s^A for the listed generators: map i -> length-5 list, or
-    i -> (5, N) array for a stack."""
-    m = np.asarray(m)
-    return _by_generator(gens, _tangents(m.reshape(-1, 5, 5), lam, gens, side), m.ndim == 2)
+def ambient_derivatives(m: np.ndarray, lam: float, side: str) -> np.ndarray:
+    """d[A, i, k] = X_i s^A at matrix k of an (N, 5, 5) stack: a
+    (5, 10, N) array."""
+    return _tangents(m, lam, side)

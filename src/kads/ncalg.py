@@ -499,11 +499,9 @@ def displayed_brackets_ok() -> bool:
             and alg.commutator(sig, sfr).is_zero())
 
 
-def builtin_algebras(eta=None, kinv=None, vtheta=None) -> dict:
-    """All named algebras with their central elements, formal by default."""
-    eta = sym("eta") if eta is None else eta
-    kinv = sym("kinv") if kinv is None else kinv
-    vtheta = sym("vtheta") if vtheta is None else vtheta
+def builtin_algebras() -> dict:
+    """All named algebras with their central elements, at formal parameters."""
+    eta, kinv, vtheta = sym("eta"), sym("kinv"), sym("vtheta")
     sphere = quantum_sphere(eta, kinv)
     local = local_first_order(eta, kinv)
     ambient = ambient_algebra(eta, kinv)

@@ -344,16 +344,18 @@ def require_on_surface(alpha, beta, kinv: float, lam: float) -> float:
     return resid
 
 
-def canonicalize(theta: float, phi: float, twist: float, kinv: float,
-                 lam: float = -1.0):
-    """Rotate a constraint-surface sample to the canonical r-matrix.
+CANONICAL_LAMBDA = -1.0  # the AdS point (real eta = 1) that canonicalize samples at
+
+
+def canonicalize(theta: float, phi: float, twist: float, kinv: float):
+    """Rotate a constraint-surface sample at lambda = ``CANONICAL_LAMBDA``
+    to the canonical r-matrix.
 
     The sample is alpha = R n(theta, phi), beta = twist * n(theta, phi)
     with R = eta * kinv.  Returns (rotated bivector, expected canonical
     bivector, transcript).  The expected twist parameter is -twist.
     """
-    if lam >= 0:
-        raise ValueError("canonicalization sampling expects lam < 0 (real eta)")
+    lam = CANONICAL_LAMBDA
     eta = math.sqrt(-lam)
     radius = eta * kinv
     st, ct = math.sin(theta), math.cos(theta)
@@ -369,7 +371,7 @@ def canonicalize(theta: float, phi: float, twist: float, kinv: float,
         # column-convention pushforward moves the axial vector by the matrix
         # itself, and rows (u, v, n) send n to the third axis
         r3 = rotation_to_pole(theta, phi)
-    rot = rotate_basis(ads_tensor(float(lam)), r3)
+    rot = rotate_basis(ads_tensor(lam), r3)
     rotated = rotate_bivector(rot, family_r(alpha, beta, kinv))
     expected = r_kads(kinv, eta)
     if twist:

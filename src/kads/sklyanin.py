@@ -14,9 +14,11 @@ coordinate arrays of N points.
 A ``SampleBatch`` holds the sample points of one run, their Lorentz
 partners, their one group-element stack and, built on first use, the L
 and R derivatives of the coset and of the ambient coordinates along
-every generator.  ``kads poisson`` checks all three tables on one batch:
-``verify_table`` contracts the batch's derivatives with each table's
-r-matrix.
+every generator, each one (n, 10, N) array per side.  ``kads poisson``
+checks all three tables on one batch: ``verify_table`` contracts the
+batch's derivatives with each table's r-matrix.  ``bracket_matrix_local``
+and ``bracket_matrix_ambient`` take the same route on the stack of any
+group point, one point giving a stack of one.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .bialgebra import Bivector
 from .curvtrig import Dual, ch, eps_part, eta_of, re_part, sh
 from .group_geom import (GroupPoint, ambient_derivatives, ambient_from_local,
                          coset_derivatives, group_element)
-from .liealg import DIM, worst_of
+from .liealg import worst_of
 from .ncalg import ambient_algebra, poisson_reading
 from .scalars import UnboundParameter, eval_monomials
 
@@ -170,23 +172,19 @@ def closed_form_ambient(lam: float, kinv: float) -> BracketTable:
 # -- Sklyanin evaluation --------------------------------------------------------
 
 
-def _support(r: Bivector) -> list:
-    return sorted({i for key in r.components for i in key})
-
-
 def _outer(u, v):
     return u[:, None] * v[None]
 
 
-def _contract(r: Bivector, dl: dict, dr: dict) -> np.ndarray:
+def _contract(r: Bivector, dl: np.ndarray, dr: np.ndarray) -> np.ndarray:
     """r^ij (XL_i u XL_j v - XR_i u XR_j v) for every pair (u, v) of the n
-    functions differentiated in d[i] (shape (n, N)): an exactly
+    functions differentiated in d[:, i] (d of shape (n, 10, N)): an exactly
     antisymmetric (n, n, N) array."""
-    n, count = next(iter(dl.values())).shape
+    n, _, count = dl.shape
     total = np.zeros((n, n, count))
     for (i, j), c in r.components.items():
-        total = total + c * (_outer(dl[i], dl[j]) - _outer(dl[j], dl[i])
-                             - _outer(dr[i], dr[j]) + _outer(dr[j], dr[i]))
+        total = total + c * (_outer(dl[:, i], dl[:, j]) - _outer(dl[:, j], dl[:, i])
+                             - _outer(dr[:, i], dr[:, j]) + _outer(dr[:, j], dr[:, i]))
     upper = np.triu_indices(n, 1)
     out = np.zeros_like(total)
     out[upper] = total[upper]
@@ -194,31 +192,28 @@ def _contract(r: Bivector, dl: dict, dr: dict) -> np.ndarray:
     return out
 
 
-def _brackets(r: Bivector, dl: dict, dr: dict) -> np.ndarray:
+def _brackets(r: Bivector, dl: np.ndarray, dr: np.ndarray) -> np.ndarray:
     """The contraction as N x n x n complex brackets, point-major."""
     return np.moveaxis(_contract(r, dl, dr), -1, 0).astype(complex)
 
 
-def _bracket_matrix(r: Bivector, point: GroupPoint, matrix, derivatives):
-    """All brackets of the coordinates that ``derivatives`` differentiates:
-    n x n at one point, N x n x n for a batch point or matrix stack."""
-    m = group_element(point) if matrix is None else np.asarray(matrix)
-    stack = m.reshape(-1, 5, 5)
-    support = _support(r) or [0]  # the zero r: one direction gives the shape
-    out = _brackets(r, *(derivatives(stack, point.lam, support, side) for side in "LR"))
-    return out[0] if m.ndim == 2 else out
+def _derivatives(stack: np.ndarray, lam: float, ambient: bool) -> tuple:
+    """(L, R) derivatives of the ambient or the coset coordinates along
+    every generator at every matrix of an (N, 5, 5) stack."""
+    fn = ambient_derivatives if ambient else coset_derivatives
+    return tuple(fn(stack, lam, side) for side in "LR")
 
 
-def bracket_matrix_local(r: Bivector, point: GroupPoint, matrix=None):
-    """All {x^mu, x^nu} at a group point, as a 4x4 antisymmetric array
-    (N x 4 x 4 for a batch)."""
-    return _bracket_matrix(r, point, matrix, coset_derivatives)
+def bracket_matrix_local(r: Bivector, point: GroupPoint) -> np.ndarray:
+    """All {x^mu, x^nu} at the group points of ``point``, as an N x 4 x 4
+    antisymmetric array (N = 1 for a single point)."""
+    return _brackets(r, *_derivatives(group_element(point).reshape(-1, 5, 5), point.lam, False))
 
 
-def bracket_matrix_ambient(r: Bivector, point: GroupPoint, matrix=None):
-    """All {s^A, s^B} at a group point, ambient order (s4, s0, s1, s2, s3)
-    (N x 5 x 5 for a batch)."""
-    return _bracket_matrix(r, point, matrix, ambient_derivatives)
+def bracket_matrix_ambient(r: Bivector, point: GroupPoint) -> np.ndarray:
+    """All {s^A, s^B} at the group points of ``point``, ambient order
+    (s4, s0, s1, s2, s3): N x 5 x 5 (N = 1 for a single point)."""
+    return _brackets(r, *_derivatives(group_element(point).reshape(-1, 5, 5), point.lam, True))
 
 
 def sample_points(n: int, lam: float, rng) -> GroupPoint:
@@ -274,9 +269,7 @@ class SampleBatch:
         """(L, R) derivatives of the ambient or the coset coordinates along
         every generator, at every point of the stack."""
         if ambient not in self._derivatives:
-            fn = ambient_derivatives if ambient else coset_derivatives
-            self._derivatives[ambient] = tuple(fn(self.matrix, self.lam, range(DIM), side)
-                                               for side in "LR")
+            self._derivatives[ambient] = _derivatives(self.matrix, self.lam, ambient)
         return self._derivatives[ambient]
 
 

@@ -22,17 +22,17 @@ from itertools import combinations
 import numpy as np
 
 from kads import bialgebra as B
-from kads.bialgebra import SKEW_TOL, Bivector, NotAntisymmetric, Trivector
+from kads.bialgebra import SKEW_TOL, Bivector, NotAntisymmetric
 from kads.cli import RunConfig, _check
 from kads.curvtrig import Dual, eps_part, eta_of, re_part
-from kads.group_geom import GroupPoint, ambient_jacobian, field_derivatives, group_element
+from kads.group_geom import GroupPoint, _coset_duals, ambient_jacobian, group_element
 from kads.liealg import (_EPS, DIM, IDX, LieAlgebra, ads_algebra, ads_tensor, coeff_norm,
                          is_exact, jacobi_residual_dense, jacobi_residual_sparse,
                          permuted_triples, subalgebra)
 from kads.rclass import (LORENTZ, SUBALG_2PLUS1, r_2plus1, r_kads, r_kads_twisted,
                          r_poincare, r_poincare_twisted)
 from kads.scalars import Scalar, accumulate, make_rule, sym
-from kads.sklyanin import BracketTable, _contract, _support, formal_reading
+from kads.sklyanin import BracketTable, _contract, formal_reading
 
 
 # -- rewrite rules -------------------------------------------------------------
@@ -78,16 +78,19 @@ def invariant_field(side: str, i: int, f, point: GroupPoint, matrix=None):
     Cross-checked in the tests against central finite differences.
     """
     m = group_element(point) if matrix is None else matrix
-    return field_derivatives(m, point.lam, (i,), side, (f,))[i][0]
+    return eps_part(f(_coset_duals(np.reshape(m, (1, 5, 5)), point.lam, side)))[i, 0]
 
 
 def sklyanin_bracket(r: Bivector, f, g, point: GroupPoint, matrix=None):
     """{f, g}(h) = r^ij (XL_i f XL_j g - XR_i f XR_j g) for coset functions."""
     m = group_element(point) if matrix is None else matrix
     stack = np.reshape(m, (1, 5, 5))
-    support = _support(r)
-    dl, dr = (field_derivatives(stack, point.lam, support, side, (f, g)) for side in "LR")
-    return _contract(r, dl, dr)[0, 1, 0]
+
+    def derivatives(side):
+        coords = _coset_duals(stack, point.lam, side)
+        return np.array([eps_part(h(coords)) for h in (f, g)])
+
+    return _contract(r, derivatives("L"), derivatives("R"))[0, 1, 0]
 
 
 # -- the generic 3D Poisson construction ---------------------------------------
@@ -222,7 +225,7 @@ def sparse_bialgebra_report(cfg: RunConfig) -> dict:
 # -- the Schouten bracket from all three of its terms ---------------------------
 
 
-def schouten_three_terms(g, r: Bivector) -> Trivector:
+def schouten_three_terms(g, r: Bivector) -> dict:
     """[[r, r]] summing [r12, r13], [r12, r23] and [r13, r23] over every pair
     of signed entries, under the same antisymmetry checks as ``schouten``."""
     entries = list(r.entries_signed())
@@ -251,7 +254,7 @@ def schouten_three_terms(g, r: Bivector) -> Trivector:
             got = full.get(key)
             if got is None or coeff_norm(got - (v if sign == 1 else -v)) > tol:
                 raise NotAntisymmetric(f"component {key} breaks antisymmetry")
-    return Trivector(out)
+    return out
 
 
 # the sign of each permutation in ``B._PERMS``, as a column against the rows
@@ -333,17 +336,18 @@ def _wedge3(store: dict, i: int, j: int, k: int, c):
     accumulate(store, (i, j, k), -c if odd else c)
 
 
-def ad_action_trivector(g, t: Trivector, m: int) -> Trivector:
-    """[T_m (x) 1 (x) 1 + 1 (x) T_m (x) 1 + 1 (x) 1 (x) T_m, t]."""
+def ad_action_trivector(g, t: dict, m: int) -> dict:
+    """[T_m (x) 1 (x) 1 + 1 (x) T_m (x) 1 + 1 (x) 1 (x) T_m, t] for a
+    trivector map (i, j, k) -> c."""
     store: dict = {}
-    for (i, j, k), c in t.components.items():
+    for (i, j, k), c in t.items():
         for n, cb in g.bracket_basis(m, i):
             _wedge3(store, n, j, k, c * cb)
         for n, cb in g.bracket_basis(m, j):
             _wedge3(store, i, n, k, c * cb)
         for n, cb in g.bracket_basis(m, k):
             _wedge3(store, i, j, n, c * cb)
-    return Trivector(store)
+    return store
 
 
 def mcybe_components_by_generator(g, r: Bivector) -> list:
@@ -351,7 +355,7 @@ def mcybe_components_by_generator(g, r: Bivector) -> list:
     t = B.schouten(g, r)
     comps = []
     for m in range(g.dim):
-        comps.extend(ad_action_trivector(g, t, m).components.values())
+        comps.extend(ad_action_trivector(g, t, m).values())
     return comps
 
 

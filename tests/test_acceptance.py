@@ -107,7 +107,7 @@ def test_criterion_4_canonicalization():
             continue
         ph = float(rng.uniform(0.0, 2 * math.pi))
         tw = float(rng.uniform(-1.0, 1.0))
-        rot, expected, _ = canonicalize(th, ph, tw, kinv=KINV_NUM, lam=-1.0)
+        rot, expected, _ = canonicalize(th, ph, tw, kinv=KINV_NUM)
         keys = set(rot.components) | set(expected.components)
         worst = max(worst, max(abs(rot.components.get(k, 0.0)
                                    - expected.components.get(k, 0.0))

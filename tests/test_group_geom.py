@@ -168,6 +168,26 @@ def test_chart_errors():
         ambient_from_local((0.0, 1.6, 0.0, 0.0), 1.0)    # space chart at lam > 0
 
 
+@pytest.mark.parametrize("lam", [-3.0, -1.0, -0.25, 0.25, 1.0, 3.0])
+def test_chart_bound_is_where_its_factor_vanishes(lam):
+    # the bound pi/(2 sqrt|lam|) on x0 (lam < 0) or on a space coordinate
+    # (lam > 0) is the zero of ct or ch: one float inside it the factor is
+    # a positive round-off value and the chart map passes with s4 > 0; at
+    # the bound ChartBoundary is raised
+    bound = 0.5 * math.pi / math.sqrt(abs(lam))
+    inside = math.nextafter(bound, 0.0)
+    factor = ct if lam < 0 else ch
+    assert 0.0 < factor(lam, inside) < 3e-16
+    for mu in ((0,) if lam < 0 else (1, 2, 3)):
+        for sign in (1.0, -1.0):
+            x = [0.0] * 4
+            x[mu] = sign * inside
+            assert ambient_from_local(tuple(x), lam)[0] > 0.0
+            x[mu] = sign * bound
+            with pytest.raises(ChartBoundary):
+                ambient_from_local(tuple(x), lam)
+
+
 def test_metric_values_and_pullback():
     assert np.allclose(metric_at((0.0,) * 4, -1.0), np.diag([1, -1, -1, -1]))
     x = (0.4, 0.1, -0.2, 0.3)
@@ -380,12 +400,13 @@ def test_coset_derivatives_equal_per_generator_scalar_chains(lam):
                        th=tuple(rng.uniform(-0.5, 0.5, 3)), lam=lam)
         m = group_element(p)
         for side in ("L", "R"):
-            got = coset_derivatives(m, lam, range(DIM), side)
-            amb = ambient_derivatives(m, lam, range(DIM), side)
+            got = coset_derivatives(m[None], lam, side)
+            amb = ambient_derivatives(m[None], lam, side)
+            assert got.shape == (4, DIM, 1) and amb.shape == (5, DIM, 1)
             for i in range(DIM):
                 want, tangent = _scalar_chain_derivatives(m, lam, i, side)
-                assert got[i] == want, (side, i)
-                assert amb[i] == tangent, (side, i)
+                assert got[:, i, 0].tolist() == want, (side, i)
+                assert amb[:, i, 0].tolist() == tangent, (side, i)
 
 
 def test_ambient_jacobian_shape():
@@ -428,16 +449,16 @@ def test_group_element_and_fields_on_a_mixed_batch_equal_single_points(lam):
     m = group_element(batch)
     assert m.shape == (6, 5, 5)
     for side in ("L", "R"):
-        got = coset_derivatives(m, lam, range(DIM), side)
-        amb = ambient_derivatives(m, lam, range(DIM), side)
+        got = coset_derivatives(m, lam, side)
+        amb = ambient_derivatives(m, lam, side)
         for k in range(6):
             mk = group_element(single(batch, k))
             assert_same(m[k], mk)
-            alone = coset_derivatives(mk, lam, range(DIM), side)
-            alone_amb = ambient_derivatives(mk, lam, range(DIM), side)
+            alone = coset_derivatives(mk[None], lam, side)
+            alone_amb = ambient_derivatives(mk[None], lam, side)
             for i in range(DIM):
-                assert_same(got[i][:, k], alone[i])
-                assert_same(amb[i][:, k], alone_amb[i])
+                assert_same(got[:, i, k], alone[:, i, 0])
+                assert_same(amb[:, i, k], alone_amb[:, i, 0])
 
 
 @pytest.mark.parametrize("lam", STRADDLE_LAMBDAS)

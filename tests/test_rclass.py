@@ -8,8 +8,8 @@ import sympy
 from kads.bialgebra import (Bivector, cocommutator, cocommutator_of, mcybe_residual,
                             mcybe_residual_components)
 from kads.liealg import BASIS, IDX, ads_algebra
-from kads.rclass import (ConstraintViolated, NotPolynomial, RFamily, beta_aligned,
-                         canonicalize,
+from kads.rclass import (CANONICAL_LAMBDA, ConstraintViolated, NotPolynomial, RFamily,
+                         beta_aligned, canonicalize,
                          constraint_distance, constraint_residuals, distinct_normalized,
                          eq_constraint_polynomials, family_r, generic_ansatz,
                          ideal_equivalence, impose_primitivity,
@@ -416,7 +416,7 @@ def test_canonicalize_matches_canonical_forms():
             continue
         ph = float(rng.uniform(0, 2 * math.pi))
         tw = float(rng.uniform(-1, 1))
-        rot, expected, transcript = canonicalize(th, ph, tw, kinv=0.31, lam=-1.0)
+        rot, expected, transcript = canonicalize(th, ph, tw, kinv=0.31)
         keys = set(rot.components) | set(expected.components)
         dev = max(abs(rot.components.get(k, 0.0) - expected.components.get(k, 0.0))
                   for k in keys)
@@ -425,7 +425,7 @@ def test_canonicalize_matches_canonical_forms():
 
 
 def test_canonicalize_identity_at_pole():
-    rot, expected, _ = canonicalize(0.0, 1.1, 0.0, kinv=0.5, lam=-1.0)
+    rot, expected, _ = canonicalize(0.0, 1.1, 0.0, kinv=0.5)
     dev = max(abs(rot.components.get(k, 0.0) - expected.components.get(k, 0.0))
               for k in set(rot.components) | set(expected.components))
     assert dev == 0.0
@@ -433,9 +433,8 @@ def test_canonicalize_identity_at_pole():
 
 def test_canonicalize_preserves_solution_properties():
     # automorphisms preserve both the Yang-Baxter property and primitivity
-    lam, kv = -1.0, 0.4
-    g = ads_algebra(lam)
-    rot, _, _ = canonicalize(0.8, 2.1, 0.3, kinv=kv, lam=lam)
+    g = ads_algebra(CANONICAL_LAMBDA)
+    rot, _, _ = canonicalize(0.8, 2.1, 0.3, kinv=0.4)
     assert mcybe_residual(g, rot) < 1e-10
     delta = cocommutator(g, rot)
     assert delta[IDX["P0"]].norm() < 1e-12
