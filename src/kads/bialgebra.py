@@ -38,6 +38,16 @@ class NotAntisymmetric(ValueError):
         self.residual = residual
 
 
+class NotPartialPermutation(ValueError):
+    """Some ad_m of a dense table has two nonzero entries in one row or in
+    one column, so an entry of ad_m [[r, r]] is no longer one product."""
+
+
+class IncompleteCocommutator(ValueError):
+    """A cocommutator map lacks a generator that its keys or bivectors
+    imply, so its dual Jacobi check would skip triples."""
+
+
 SKEW_TOL = 1e-9  # float antisymmetry tolerance of the Schouten tensor
 
 
@@ -231,11 +241,13 @@ def cocommutator_dense(f: np.ndarray, rmat: np.ndarray) -> np.ndarray:
     :func:`cocommutator_of` at m.  In the kinematical algebras ad_m sends
     each generator to a multiple of one generator, so an entry is the
     difference of at most two products, each the product the sparse loop
-    forms: D equals the sparse cocommutator exactly.
+    forms: D equals the sparse cocommutator exactly.  f is cast to R's
+    dtype first, exactly: a mixed float/complex einsum takes numpy's
+    slower buffered casting path.
     """
     import numpy as np
 
-    half = np.einsum("ami,ib->mab", f, rmat)
+    half = np.einsum("ami,ib->mab", f.astype(np.result_type(f, rmat), copy=False), rmat)
     return half - half.transpose(0, 2, 1)
 
 
@@ -321,23 +333,49 @@ def _skew_checks(dim: int) -> tuple:
 def mcybe_residual_dense(f: np.ndarray, rmat: np.ndarray):
     """Max |ad_X [[r, r]]| over generators X; integer 0 when it vanishes.
 
-    res[m, a, b, c] sums ad_m over the three legs of t = [[r, r]].  Each leg
-    is one matmul whose result is already in the index order of res: a
-    single product for the first leg, a stack over (m, a) for the second
-    and over m for the third.  The legs are added in place in that order,
-    so every entry is the same sum of the same products as when each leg is
-    contracted on a transposed copy of t (kept in the tests as an oracle).
+    res[m, a, b, c] sums ad_m over the three legs of t = [[r, r]]; it is
+    formed only at the wedge-ordered components a < b < c, the ones
+    :func:`mcybe_residual_components` returns.  Each ad_m is a partial
+    permutation (NotPartialPermutation otherwise), so a leg entry is one
+    product f[a, m, i] * t[i, b, c] (zero when no i is a source), gathered
+    at the flat positions of :func:`_mcybe_plan`.  The legs are added in
+    the order of the dense contraction ad @ t, so every component is its
+    entry bit for bit (the tests keep that contraction as an oracle).  A t
+    with a non-finite entry gives NaN, as 0 * inf does in the contraction.
     """
     import numpy as np
 
     t = schouten_dense(f, rmat)
-    dim = f.shape[0]
-    ad = f.transpose(1, 0, 2).reshape(dim * dim, dim)  # [(m, n), i]: n-th of [T_m, T_i]
-    ad3 = ad.reshape(dim, dim, dim)
-    res = (ad @ t.reshape(dim, dim * dim)).reshape((dim,) * 4)
-    res += ad3[:, None] @ t[None]
-    res += (t.reshape(dim * dim, dim) @ ad3.transpose(0, 2, 1)).reshape((dim,) * 4)
-    return float(np.max(np.abs(res))) or 0
+    if not np.isfinite(t).all():
+        return math.nan
+    coef, at = _mcybe_plan(f.shape[0], (f != 0).tobytes())
+    legs = f.take(coef) * t.take(at)
+    return float(np.max(np.abs(legs[0] + legs[1] + legs[2]), initial=0)) or 0
+
+
+@functools.cache
+def _mcybe_plan(dim: int, pattern: bytes) -> tuple:
+    """Flat positions of the factors of every leg entry of ad_m [[r, r]]
+    at the components (m, a < b < c), m-major: ``coef`` in f and ``at`` in
+    t, each one row per leg.  ``pattern`` is the C-order nonzero mask of
+    f; the i of a leg is the source of its generator under ad_m, or 0 when
+    it has none, where f is zero.  Caches structure, never a residual."""
+    import numpy as np
+
+    nz = np.frombuffer(pattern, dtype=bool).reshape((dim,) * 3)  # [n, m, i]
+    for counts, what in ((nz.sum(axis=2).T, "sources"), (nz.sum(axis=0), "targets")):
+        if (counts > 1).any():
+            m, n = np.argwhere(counts > 1)[0]
+            raise NotPartialPermutation(f"generator {n} has {counts[m, n]} {what} under ad_{m}")
+    src = nz.argmax(axis=2)  # [n, m]: the i with a nonzero f[n, m, i]
+    a, b, c = (np.tile(x, dim) for x in permuted_triples(dim, _PERMS[:1]))
+    m = np.arange(dim).repeat(len(a) // dim)
+    shape = (dim,) * 3
+    i1, i2, i3 = src[a, m], src[b, m], src[c, m]
+    coef = np.ravel_multi_index(([a, b, c], m, [i1, i2, i3]), shape)
+    at = np.ravel_multi_index(([i1, a, a], [b, i2, b], [c, c, i3]), shape)
+    coef.flags.writeable = at.flags.writeable = False
+    return coef, at
 
 
 def mcybe_residual(g: LieAlgebra, r: Bivector):
@@ -377,16 +415,21 @@ def dual_jacobi_residual(delta):
 
     A dense cocommutator tensor D is itself the dual table, D[m, a, b]
     being the T_m component of [T^a, T^b].  A map index -> Bivector, of any
-    coefficients and keyed by every generator, gives the dual bracket's
-    signed table, which the sparse loops read.
+    coefficients, gives the dual bracket's signed table, which the sparse
+    loops read.  Its generators are its keys and every index its
+    bivectors mention; a map not keyed by all of them raises
+    IncompleteCocommutator.
     """
     if not isinstance(delta, dict):
         return jacobi_residual_dense(delta)
-    dim = max(delta) + 1
     pairs: dict = {}
     for m, biv in delta.items():
         for key, c in biv.components.items():
             pairs.setdefault(key, []).append((m, c))
+    dim = 1 + max([*delta, *(b for _, b in pairs)], default=-1)
+    missing = sorted(set(range(dim)) - set(delta))
+    if missing:
+        raise IncompleteCocommutator(f"no cocommutator of generators {missing} of {dim}")
     signed: dict = {}
     for (a, b), terms in pairs.items():
         signed[(a, b)] = tuple(terms)

@@ -233,6 +233,21 @@ def permuted_triples(dim: int, perms: tuple) -> tuple:
     return tuple(np.concatenate([rows[p[axis]] for p in perms]) for axis in range(3))
 
 
+@functools.cache
+def _cyclic_triples_by_last(dim: int) -> tuple:
+    """``permuted_triples(dim, CYCLIC)`` grouped by c: (a, b) as (dim, K)
+    arrays, row c holding the triples that end in c, and the positions that
+    put the grouped triples back in their cyclic order."""
+    import numpy as np
+
+    a, b, c = permuted_triples(dim, CYCLIC)
+    order = np.argsort(c, kind="stable")
+    plan = a[order].reshape(dim, -1), b[order].reshape(dim, -1), np.argsort(order)
+    for x in plan:
+        x.flags.writeable = False
+    return plan
+
+
 def jacobi_residual_dense(f: np.ndarray):
     """Max |[[T_i,T_j],T_k] + cyclic| over i < j < k from the dense table.
 
@@ -242,15 +257,17 @@ def jacobi_residual_dense(f: np.ndarray):
     import numpy as np
 
     dim = f.shape[0]
-    a, b, c = permuted_triples(dim, CYCLIC)
-    outer = f[:, a, b]  # [m, s]: component m of [T_a, T_b]
-    if not ((outer != 0) & (f != 0).any(axis=0)[:, c]).any():
+    a, b, back = _cyclic_triples_by_last(dim)
+    outer = f[:, a, b]  # [m, c, s]: component m of [T_a, T_b], s-th triple ending in c
+    if not ((outer != 0) & (f != 0).any(axis=0)[:, :, None]).any():
         return 0
     # not a matrix product: its fused multiply-adds leave the rounding error
     # of one of two cancelling products (1e-8 in the dual algebras at
-    # |lambda| ~ 1e6); einsum rounds each product as the sparse loop does
-    nested = np.einsum("ms,nms->ns", outer, f[:, :, c])
-    jac = nested.reshape(dim, len(CYCLIC), -1).sum(axis=1)
+    # |lambda| ~ 1e6); einsum rounds each product as the sparse loop does.
+    # Grouped by c, each group contracts the one slice f[:, :, c], read
+    # from a contiguous (c, n, m) copy of f.
+    nested = np.einsum("mcs,cnm->ncs", outer, f.transpose(2, 0, 1).copy())
+    jac = nested.reshape(dim, -1)[:, back].reshape(dim, len(CYCLIC), -1).sum(axis=1)
     return float(np.max(np.abs(jac)))
 
 

@@ -16,6 +16,7 @@ stdlib's JSON encoder for the reports.
 """
 
 import json
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -386,7 +387,9 @@ def dual_jacobi_by_dual_algebra(delta: dict, dim: int | None = None):
 
 def mcybe_residual_dense_by_transposes(f: np.ndarray, rmat: np.ndarray):
     """``mcybe_residual_dense`` with the skew test, the products of R and
-    each ad leg formed on transposed copies, the legs summed out of place."""
+    each ad leg formed on transposed copies, the legs summed out of place
+    over every (m, a, b, c); the max is taken over a < b < c, and a t with
+    a non-finite entry gives NaN."""
     if not np.array_equal(rmat, -rmat.T, equal_nan=True):
         raise NotAntisymmetric("the r-matrix is not skew",
                                float(np.max(np.abs(rmat + rmat.T))))
@@ -417,7 +420,10 @@ def mcybe_residual_dense_by_transposes(f: np.ndarray, rmat: np.ndarray):
 
     res = (on_leg(0) + on_leg(1).transpose(0, 2, 1, 3)
            + on_leg(2).transpose(0, 2, 3, 1))
-    return float(np.max(np.abs(res))) or 0
+    if not np.isfinite(t).all():
+        return math.nan
+    a, b, c = permuted_triples(dim, B._PERMS[:1])
+    return float(np.max(np.abs(res[:, a, b, c]))) or 0
 
 
 # -- the Sklyanin tables' per-element loops --------------------------------------

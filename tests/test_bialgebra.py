@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from kads import bialgebra as B
-from kads.bialgebra import (Bivector, NotAntisymmetric, cocommutator, cocommutator_dense,
+from kads.bialgebra import (Bivector, IncompleteCocommutator, NotAntisymmetric,
+                            NotPartialPermutation, cocommutator, cocommutator_dense,
                             coisotropy_check, dual_jacobi_residual, mcybe_residual,
                             mcybe_residual_components, mcybe_residual_dense, schouten,
                             schouten_dense)
@@ -531,6 +532,20 @@ def test_dual_jacobi_on_signed_pairs_equals_the_dual_algebra():
         assert dual_jacobi_residual(_as_cocommutator(g.structure, DIM)) == 0
 
 
+def test_dual_jacobi_takes_every_generator_a_map_implies():
+    # the first four cocommutators mention all ten generators: read as a
+    # four-generator dual they would check fewer triples and read 0
+    delta = cocommutator(ads_algebra(-0.7), r_kads_twisted(0.31, eta_of(-0.7), 0.17))
+    first = {m: delta[m] for m in range(4)}
+    with pytest.raises(IncompleteCocommutator, match=re.escape("[4, 5, 6, 7, 8, 9] of 10")):
+        dual_jacobi_residual(first)
+    with pytest.raises(IncompleteCocommutator, match=re.escape("[1, 2] of 4")):
+        dual_jacobi_residual({0: Bivector(), 3: Bivector()})
+    full = {**first, **{m: Bivector() for m in range(4, DIM)}}
+    got = dual_jacobi_residual(full)
+    assert got == dual_jacobi_by_dual_algebra(full, DIM) and abs(got - 0.1126) < 1e-4
+
+
 def test_the_exact_r_matrix_layers_run_without_numpy():
     # only the ndarray kernels import numpy: exact and float LieAlgebras,
     # their cocommutators and residuals and the formal
@@ -632,3 +647,16 @@ def test_dense_mcybe_is_bit_identical_to_the_transposing_kernel():
             seen.add(got[0] if got[0] is not float else ("nan" if "nan" in got[1] else float))
     # every kind of outcome was met: 0, finite, NaN, and the error
     assert seen == {int, float, "nan", NotAntisymmetric}
+
+
+def test_dense_mcybe_rejects_a_table_that_is_no_partial_permutation():
+    # a second source of P1 under ad_P0, or a second target of K1: an entry
+    # of ad_m [[r, r]] would no longer be one product; R = 0 keeps t finite
+    zero = np.zeros((DIM, DIM))
+    assert mcybe_residual_dense(ads_tensor(0.0), zero) == 0
+    for n, i, what in ((IDX["P1"], IDX["J1"], f"generator {IDX['P1']} has 2 sources"),
+                       (IDX["K2"], IDX["K1"], f"generator {IDX['K1']} has 2 targets")):
+        f = ads_tensor(0.0)
+        f[n, IDX["P0"], i] = 1.0
+        with pytest.raises(NotPartialPermutation, match=f"{what} under ad_{IDX['P0']}$"):
+            mcybe_residual_dense(f, zero)

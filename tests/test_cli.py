@@ -486,7 +486,7 @@ def test_suite_times_prints_one_json_line(capsys):
     line = json.loads(lines[0])
     assert line["k"] == 1 and list(line["ms"]) == ["check-bialgebra --lambda formal"]
     assert line["ms"]["check-bialgebra --lambda formal"] > 0
-    assert len(script.ITEMS) == 15
+    assert len(script.ITEMS) == 16
     with pytest.raises(SystemExit):
         script.main(["no such suite"])
 
