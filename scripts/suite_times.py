@@ -44,7 +44,7 @@ CLI_SUITES = {
     # the sizes of one rmatrix_classify operation in perfbench/
     "classify --samples=6": ["classify", "--samples=6"],
     "check-bialgebra --lambda=-0.7": ["check-bialgebra", "--lambda=-0.7"],
-    # the dS side: an imaginary eta makes R complex
+    # the dS side, checked as the real form at lambda = -0.7
     "check-bialgebra --lambda=0.7": ["check-bialgebra", "--lambda=0.7"],
 }
 

@@ -7,8 +7,10 @@ loops on a LieAlgebra are generic over exact Scalar or float/complex
 coefficients.  The ``*_dense`` kernels compute the cocommutator, its dual
 Jacobi residual and the Yang-Baxter residual from an ndarray, the dense
 table ``f[k, i, j]`` and the skew matrix of r; the table's type, not its
-coefficients, picks the kernel.  Only the dense kernels import numpy, when
-they run, so the loops load none.
+coefficients, picks the kernel.  The dense kernels work in R's dtype: the
+CLI hands them real arrays only, dS being the real form at -lambda, and
+the tests' oracle runs them on the complex dS r-matrices.  Only the dense
+kernels import numpy, when they run, so the loops load none.
 """
 
 from __future__ import annotations
@@ -241,13 +243,11 @@ def cocommutator_dense(f: np.ndarray, rmat: np.ndarray) -> np.ndarray:
     :func:`cocommutator_of` at m.  In the kinematical algebras ad_m sends
     each generator to a multiple of one generator, so an entry is the
     difference of at most two products, each the product the sparse loop
-    forms: D equals the sparse cocommutator exactly.  f is cast to R's
-    dtype first, exactly: a mixed float/complex einsum takes numpy's
-    slower buffered casting path.
+    forms: D equals the sparse cocommutator exactly.
     """
     import numpy as np
 
-    half = np.einsum("ami,ib->mab", f.astype(np.result_type(f, rmat), copy=False), rmat)
+    half = np.einsum("ami,ib->mab", f, rmat)
     return half - half.transpose(0, 2, 1)
 
 

@@ -9,13 +9,13 @@ The module level imports the standard library and the exact layers
 (``scalars``, ``ncalg``) only; each suite imports numpy and its other
 layers when it runs, once per call.  ``liealg``, ``bialgebra`` and
 ``rclass`` import numpy only in their float kernels, so ``kads nc`` and
-``kads check-bialgebra --lambda formal`` load no numpy.
+``kads check-bialgebra --lambda formal`` load no numpy.  Numeric
+``check-bialgebra`` is real: at lambda > 0 it checks the real form at -lambda.
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import functools
 import math
@@ -91,16 +91,28 @@ def _parse_lambda(text: str):
         raise ConfigError(f"bad --lambda value {text!r}") from exc
 
 
-def _check(name: str, value, tol) -> dict:
-    ok = value <= tol
-    return {"name": name, "residual": value, "tolerance": tol, "pass": bool(ok)}
+def _check(name: str, residual, tol, ok=None) -> dict:
+    """A check record: it passes at ``residual <= tol`` unless ``ok`` is given."""
+    ok = residual <= tol if ok is None else ok
+    return {"name": name, "residual": residual, "tolerance": tol, "pass": bool(ok)}
+
+
+def _report(suite: str, cfg: RunConfig, checks: list, **fields) -> dict:
+    """A suite's report: name, configuration, checks, verdict and ``fields``."""
+    return {"suite": suite, "config": cfg.echo(), **fields, "checks": checks,
+            "pass": all(c["pass"] for c in checks)}
 
 
 def _rmatrix_set(formal: bool, lam, kinv, twist):
     """The five named r-matrices with the algebras they live on: exact
     LieAlgebras when formal, else the dense float tables f.  A numeric
     r-matrix with a non-finite entry (kappa-inv * eta overflowing) is a
-    configuration error."""
+    configuration error.  A numeric lambda > 0 (dS, eta = i sqrt(lambda))
+    takes the real form at -lambda: P -> iP maps the algebra at lambda onto
+    the one at -lambda and r(kinv, i sqrt(lambda)) onto -i r(kinv,
+    -sqrt(lambda)), and P0 -> -P0, K -> -K flips the sign of eta.  Every
+    certificate is a magnitude or a support, so the real r(kinv,
+    sqrt(lambda)) over ``ads_tensor(-lambda)`` has the same ones."""
     from . import rclass
     from .liealg import ads_algebra, ads_tensor
     if formal:
@@ -108,9 +120,9 @@ def _rmatrix_set(formal: bool, lam, kinv, twist):
         g_curved = ads_algebra(-(eta ** 2))
         g_flat = ads_algebra(0)
     else:
-        from .curvtrig import eta_of
-        eta, kv, vt = eta_of(lam), float(kinv), float(twist)
-        g_curved = ads_tensor(float(lam))
+        curved = float(-lam if lam > 0 else lam)
+        eta, kv, vt = math.sqrt(-curved), float(kinv), float(twist)
+        g_curved = ads_tensor(curved)
         g_flat = ads_tensor(0.0)
     entries = [
         ("r_flat", g_flat, rclass.r_poincare(kv)),
@@ -120,7 +132,7 @@ def _rmatrix_set(formal: bool, lam, kinv, twist):
         ("r_2plus1", g_curved, rclass.r_2plus1(kv)),
     ]
     for name, _, r in entries:
-        if not (formal or all(map(cmath.isfinite, r.components.values()))):
+        if not (formal or all(map(math.isfinite, r.components.values()))):
             raise ConfigError(f"{name} has a non-finite entry at --lambda={lam!r} "
                               f"--kappa-inv={kinv!r} --twist={twist!r}")
     return entries
@@ -190,11 +202,9 @@ def cmd_bialgebra(cfg: RunConfig) -> dict:
             continue
         dual_jacobi, coiso, primitive = rest
         checks.append(_check(f"{name}.dual_jacobi", dual_jacobi, tol))
-        checks.append({"name": f"{name}.coisotropy_lorentz", "residual": 0 if coiso else 1,
-                       "tolerance": 0, "pass": bool(coiso)})
+        checks.append(_check(f"{name}.coisotropy_lorentz", 0 if coiso else 1, 0))
         checks.append(_check(f"{name}.time_translation_primitive", primitive, tol))
-    return {"suite": "bialgebra", "config": cfg.echo(), "checks": checks,
-            "pass": all(c["pass"] for c in checks)}
+    return _report("bialgebra", cfg, checks)
 
 
 def cmd_classify(cfg: RunConfig) -> dict:
@@ -207,14 +217,12 @@ def cmd_classify(cfg: RunConfig) -> dict:
     # symbolic ideal extraction and equivalence
     extracted = rclass.constraint_residuals()
     ideal = rclass.ideal_equivalence(extracted, rclass.eq_constraint_polynomials())
-    checks.append({"name": "constraint_ideal_equivalence",
-                   "residual": 0 if ideal["equal"] else 1, "tolerance": 0,
-                   "pass": ideal["equal"]})
+    checks.append(_check("constraint_ideal_equivalence", 0 if ideal["equal"] else 1, 0))
     # primitivity reduction of the generic ansatz
     fam = rclass.generic_ansatz()
     red = rclass.impose_primitivity(fam, ads_algebra(sym("Lambda")), IDX["P0"])
-    checks.append({"name": "primitivity_kernel_dim", "residual": len(red.params),
-                   "tolerance": 15, "pass": len(red.params) == 15})
+    checks.append(_check("primitivity_kernel_dim", len(red.params), 15,
+                         ok=len(red.params) == 15))
     # canonicalization transcripts
     n_canon = min(cfg.samples, 100)
     worst = 0.0
@@ -270,14 +278,12 @@ def cmd_classify(cfg: RunConfig) -> dict:
                                "satisfying_residual": rs,
                                "violating_residual": rv})
     checks.append(_check("satisfying_samples_max_residual", sat_worst, 1e-10))
-    checks.append({"name": "violating_samples_min_residual", "residual": vio_best,
-                   "tolerance": 1e-6, "pass": vio_best > 1e-6})
-    return {"suite": "classify", "config": cfg.echo(),
-            "constraint_polynomials": [str(p) for p in extracted],
-            "ideal_equivalence": ideal,
-            "canonicalization": transcripts[:10],
-            "sample_residuals": sample_log,
-            "checks": checks, "pass": all(c["pass"] for c in checks)}
+    checks.append(_check("violating_samples_min_residual", vio_best, 1e-6,
+                         ok=vio_best > 1e-6))
+    return _report("classify", cfg, checks,
+                   constraint_polynomials=[str(p) for p in extracted],
+                   ideal_equivalence=ideal, canonicalization=transcripts[:10],
+                   sample_residuals=sample_log)
 
 
 def cmd_poisson(cfg: RunConfig) -> dict:
@@ -330,8 +336,7 @@ def cmd_poisson(cfg: RunConfig) -> dict:
                     for b in point for w, c in sphere.get((a, b), {}).items())
                 for a in point]
     checks.append(_check("sphere_leaf_conservation", sum(1 for v in brackets if v), 0))
-    return {"suite": "poisson", "config": cfg.echo(), "tables": reports,
-            "checks": checks, "pass": all(c["pass"] for c in checks)}
+    return _report("poisson", cfg, checks, tables=reports)
 
 
 def cmd_nc(cfg: RunConfig) -> dict:
@@ -350,9 +355,7 @@ def cmd_nc(cfg: RunConfig) -> dict:
     checks.append(_check("flat_limits", 0 if ncalg.flat_limits_ok() else 1, 0))
     checks.append(_check("displayed_casimir_brackets",
                          0 if ncalg.displayed_brackets_ok() else 1, 0))
-    return {"suite": "nc", "config": cfg.echo(), "checks": checks,
-            "triple_attestations": attestations,
-            "pass": all(c["pass"] for c in checks)}
+    return _report("nc", cfg, checks, triple_attestations=attestations)
 
 
 def cmd_export(cfg: RunConfig) -> dict:
@@ -393,8 +396,7 @@ def cmd_export(cfg: RunConfig) -> dict:
     checks = [_check(name, functools.reduce(sklyanin.worst_of, map(abs, columns[name]), 0.0),
                      cfg.tolerance)
               for name in ("pseudosphere_residual", "isometry_residual", "metric_pullback_dev")]
-    report = {"suite": "export", "config": cfg.echo(), "rows": rows, "checks": checks,
-              "pass": all(c["pass"] for c in checks)}
+    report = _report("export", cfg, checks, rows=rows)
     if cfg.fmt == "csv":
         base, _ = os.path.splitext(cfg.out)
         with open(base + "_geometry.csv", "w", newline="") as fh:

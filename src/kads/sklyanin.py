@@ -34,7 +34,7 @@ from .bialgebra import Bivector
 from .curvtrig import Dual, ch, eps_part, eta_of, re_part, sh
 from .group_geom import (GroupPoint, ambient_derivatives, ambient_from_local,
                          coset_derivatives, group_element)
-from .liealg import worst_of
+from .liealg import CYCLIC, permuted_triples, worst_of
 from .ncalg import ambient_algebra, poisson_reading
 from .scalars import UnboundParameter, eval_monomials
 
@@ -351,20 +351,12 @@ def table_jacobiators(table: BracketTable, coords) -> np.ndarray:
         re, eps = re_part(v), eps_part(v)
         val[b, c], val[c, b] = re, -re
         grad[b, c], grad[c, b] = eps, -eps  # a constant has zero gradient
-    a, b, c = _cyclic_triples(n)
+    a, b, c = (x.reshape(3, -1) for x in permuted_triples(n, CYCLIC))
     terms = val[a] * grad[b, c]  # (rotation, triple, mu, N)
     total = 0
     for mu in range(n):
         total = total + terms[:, :, mu]
     return (0.0 + total[0]) + total[1] + total[2]
-
-
-@functools.cache
-def _cyclic_triples(n: int) -> tuple:
-    """Index arrays (a, b, c), each (3, triples): row r holds the r-th
-    cyclic rotation of every triple i < j < k, in ``combinations`` order."""
-    ijk = np.array(list(combinations(range(n), 3))).T
-    return tuple(np.stack([ijk[(s + r) % 3] for r in range(3)]) for s in range(3))
 
 
 def table_jacobi_residual(table: BracketTable, samples: int, seed: int = 0x5EED) -> float:

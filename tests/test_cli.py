@@ -67,10 +67,13 @@ def test_bialgebra_pass_and_fault_injection(tmp_path):
 
 
 # (lambda, --inject-fault): the numeric configurations of
-# scripts/run_all_checks.py, both ends of the float range, and the fault
+# scripts/run_all_checks.py, both ends of the float range, and the fault;
+# at lambda > 0 the program checks the real form at -lambda, and the oracle
+# the complex r-matrices at lambda itself
 ORACLE_CONFIGS = [(0.0, False), (-0.7, False), (0.5, False), (-1e-08, False),
                   (5e-324, False), (-5e-324, False), (1e9, False), (-1e9, False),
-                  (0.0, True), (-0.7, True), (0.5, True), (-1e-08, True)]
+                  (0.0, True), (-0.7, True), (0.5, True), (-1e-08, True),
+                  (1e-08, False), (0.7, True), (3.0, False), (1e8, False)]
 
 
 @pytest.mark.parametrize("lam, fault", ORACLE_CONFIGS)
@@ -84,6 +87,27 @@ def test_numeric_bialgebra_report_matches_the_sparse_oracle(tmp_path, lam, fault
     text = stdlib_report_text(report) + "\n"
     assert out.read_bytes() == text.encode()
     assert code == (0 if report["pass"] else 2)
+
+
+@pytest.mark.parametrize("fault", [False, True])
+def test_ds_bialgebra_hands_the_dense_kernels_only_real_arrays(tmp_path, monkeypatch, fault):
+    # dS is checked as the real form at -lambda: no complex value reaches a kernel
+    from kads import bialgebra
+    dtypes = []
+
+    def spy(kernel):
+        def run(*arrays):
+            dtypes.extend(a.dtype for a in arrays)
+            return kernel(*arrays)
+        return run
+
+    for name in ("cocommutator_dense", "mcybe_residual_dense", "jacobi_residual_dense"):
+        monkeypatch.setattr(bialgebra, name, spy(getattr(bialgebra, name)))
+    out = tmp_path / "rep.json"
+    assert main(["check-bialgebra", "--lambda=0.7", "--out", str(out)]
+                + ["--inject-fault"] * fault) == (2 if fault else 0)
+    # (f, R) of four cocommutators and five mCYBE residuals, D of four dual Jacobis
+    assert len(dtypes) == 4 * 2 + 5 * 2 + 4 and set(dtypes) == {np.dtype(np.float64)}
 
 
 def test_bialgebra_numeric_mode(tmp_path):
